@@ -86,15 +86,9 @@ def _cmd_invariants(args) -> int:
     lam, clean = quadform.lambda_L_detail(q, L)
     disc_l = quadform.disc(q, L)
     local = {}
-    rem = disc_l
-    p = 2
-    while rem > 1:
-        while rem % p:
-            p += 1 if p == 2 else 2
+    for p in padic.prime_divisors(disc_l):
         ordp, unit = quadform.local_disc(q, L, p)
         local[str(p)] = {"ord": ordp, "unit_class": unit}
-        while rem % p == 0:
-            rem //= p
     _emit(
         {
             "n": q.n,
@@ -305,7 +299,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, subspaces.BoundExceededError) as exc:
+    except (
+        ValueError, OSError, subspaces.BoundExceededError, shapes.SearchBoundError
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -4,7 +4,9 @@ Everything in this module is pure Python over arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point.  Matrices are lists of lists, rows
 first.  The three workhorses are the row Hermite normal form, the Smith
 normal form, and saturation, with the transformation matrices exposed so
-callers can solve lattice membership and completion problems.
+callers can solve lattice membership and completion problems.  The p-adic
+valuation and unit square class shared by the invariant modules live here
+too, below every module that needs them.
 
 Conventions:
   * ``hnf`` returns the unique fully reduced row HNF: pivots positive,
@@ -16,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -39,45 +41,17 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def vec_mat(v, a):
     return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_copy(mat):
     return [list(row) for row in mat]
 
 
-def lcm(a, b):
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // gcd(a, b)
-
-
-def row_content(row):
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    return g
-
-
 def denominator_lcm(mat):
     """lcm of denominators of all entries (1 for all-integer input)."""
-    d = 1
-    for row in mat:
-        for x in row:
-            if isinstance(x, Fraction):
-                d = lcm(d, x.denominator)
-    return d
+    return lcm(*(x.denominator for row in mat for x in row if isinstance(x, Fraction)))
 
 
 def scale_to_int(mat):
@@ -559,3 +533,29 @@ def parse_frac(s):
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(s)
+
+
+# ---------------------------------------------------------------------------
+# p-adic helpers
+
+
+def valuation(x, p: int) -> int:
+    """p-adic valuation of a nonzero rational (int or Fraction)."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def unit_square_class(u: int, p: int) -> int:
+    """Square class of a p-adic unit u: its residue mod 8 for p = 2, the
+    Legendre symbol (u/p) for odd p."""
+    if p == 2:
+        return u % 8
+    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1

@@ -170,46 +170,6 @@ def two_sample_ks(a, b, weights_a=None) -> float:
 # per-subspace observables
 
 
-def _stab_counter(q: quadform.QuadraticForm):
-    """Returns |{g in SO_Q(Z) : g L = L}| as a fast closure.
-
-    Membership of the rotated basis rows in L(Z) is decided by pivot
-    back-substitution against the HNF basis; since g is a unimodular
-    isometry, row membership alone already forces g L(Z) = L(Z).
-    """
-    n = q.n
-    gts = [
-        [[g[i][j] for i in range(n)] for j in range(n)]
-        for g in quadform.special_orthogonal_group(q)
-    ]
-
-    def order(sub: quadform.Subspace) -> int:
-        basis = [list(r) for r in sub.basis]
-        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-        count = 0
-        for gt in gts:
-            ok = True
-            for row in basis:
-                w = [
-                    sum(row[i] * gt[i][j] for i in range(n)) for j in range(n)
-                ]
-                for t, p in enumerate(pivots):
-                    c, rem = divmod(w[p], basis[t][p])
-                    if rem:
-                        ok = False
-                        break
-                    if c:
-                        w = [wx - c * bx for wx, bx in zip(w, basis[t])]
-                if not ok or any(w):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-
-    return order
-
-
 def _record(q: quadform.QuadraticForm, sub: quadform.Subspace, stab: int) -> RecordRow:
     proj = shapes.grassmann_coordinates(sub)
     perp = quadform.orth_complement(q, sub)
@@ -256,25 +216,16 @@ def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndar
 # the per-discriminant worker and the driver
 
 
-def _is_identity(q: quadform.QuadraticForm) -> bool:
-    return all(
-        q.gram[i][j] == (1 if i == j else 0) for i in range(q.n) for j in range(q.n)
-    )
-
-
 def _bucket_worker(args):
     q, k, d, subs, kind, weighting, seed, mc_samples = args
-    counter = _stab_counter(q)
-    rows = []
-    for sub in subs:
-        rows.append(_record(q, sub, counter(sub)))
+    rows = [_record(q, sub, quadform.integral_stabilizer_order(q, sub)) for sub in subs]
 
     weights = None
     if weighting == "stabilizer":
         weights = [1.0 / r.stab_order for r in rows]
 
     summary: Dict[str, object] = {"disc": d, "count": len(rows)}
-    if _is_identity(q):
+    if q.is_sum_of_squares():
         summary["verdict"] = subspaces.nonempty_criterion(q.n, k, d).value
         summary["consistent"] = (len(rows) > 0) == (
             summary["verdict"] != subspaces.Verdict.EMPTY.value
@@ -286,7 +237,7 @@ def _bucket_worker(args):
         return rows, summary
 
     if kind in ("grassmann", "joint"):
-        if (q.n, k) == (3, 1) and _is_identity(q):
+        if (q.n, k) == (3, 1) and q.is_sum_of_squares():
             zs, ws = [], []
             for sub, row in zip(subs, rows):
                 z = sub.basis[0][2] / math.sqrt(d)
@@ -327,7 +278,7 @@ def _enumerate_buckets(cfg: ExperimentConfig) -> Dict[int, Tuple[quadform.Subspa
             "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
             % (top, MAX_SWEEP_DISC)
         )
-    if _is_identity(q):
+    if q.is_sum_of_squares():
         table = subspaces.schmidt_table(q.n, k, top)
     else:
         table = subspaces.enumerate_by_disc(q, k, top, cfg.max_candidates)

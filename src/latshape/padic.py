@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import exact
 from . import quadform
@@ -39,6 +39,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def prime_divisors(*values) -> List[int]:
+    """Sorted primes dividing at least one of the nonzero integers given."""
+    primes = set()
+    for value in values:
+        rem = abs(int(value))
+        p = 2
+        while rem > 1:
+            while rem % p:
+                p += 1 if p == 2 else 2
+            primes.add(p)
+            while rem % p == 0:
+                rem //= p
+    return sorted(primes)
+
+
 def _check_place(v: Place) -> Place:
     if v == INF:
         return v
@@ -47,38 +62,16 @@ def _check_place(v: Place) -> Place:
     raise ValueError("place must be a prime or 'inf', got %r" % (v,))
 
 
-def valuation(x: Rational, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _unit_part(x: Rational, p: int) -> Tuple[int, int]:
     # x = p^v * (a/b) with a, b prime to p; returns (v, a*b^{-1} mod p^3)
     # (mod p^3 keeps enough residue information for p = 2 and odd p alike)
     x = Fraction(x)
-    v = valuation(x, p)
+    v = exact.valuation(x, p)
     y = x / Fraction(p) ** v
     mod = p**3
     num = y.numerator % mod
     den = y.denominator % mod
     return v, num * pow(den, -1, mod) % mod
-
-
-def _legendre(u: int, p: int) -> int:
-    # u must be prime to p, p odd
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def is_square_real(a: Rational) -> bool:
@@ -92,9 +85,7 @@ def is_square_qp(a: Rational, p: int) -> bool:
     v, u = _unit_part(a, p)
     if v % 2:
         return False
-    if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
+    return exact.unit_square_class(u, p) == 1
 
 
 def is_square_local(a: Rational, v: Place) -> bool:
@@ -196,9 +187,9 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
         sign = -sign
     if beta % 2:
-        sign *= _legendre(u, p)
+        sign *= exact.unit_square_class(u, p)
     if alpha % 2:
-        sign *= _legendre(w, p)
+        sign *= exact.unit_square_class(w, p)
     return sign
 
 
@@ -275,7 +266,7 @@ def sufficient_criterion(k: int, n_minus_k: int, p: int, disc_l: int, disc_lperp
         return d % p != 0
 
     def neg_square(d):
-        return d % p != 0 and _legendre(-d % p, p) == 1
+        return d % p != 0 and exact.unit_square_class(-d % p, p) == 1
 
     a, b = k, n_minus_k
     if a >= 5 and b >= 5:

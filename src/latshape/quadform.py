@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import exact
 from . import kernel
@@ -69,6 +69,9 @@ class QuadraticForm:
     @property
     def n(self) -> int:
         return len(self.gram)
+
+    def is_sum_of_squares(self) -> bool:
+        return self.gram == _freeze(exact.identity(self.n))
 
     def disc(self) -> int:
         return _form_disc(self.gram)
@@ -122,9 +125,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, vector) -> bool:
-        return exact.lattice_coordinates(_thaw(self.basis), [list(vector)]) is not None
-
     def contains_lattice(self, other: "Lattice") -> bool:
         if other.rank == 0:
             return True
@@ -152,9 +152,7 @@ class Subspace:
         for row in rows:
             # row scaling preserves the span, so clear denominators per row
             fr = [Fraction(x) for x in row]
-            den = 1
-            for x in fr:
-                den = den * x.denominator // gcd(den, x.denominator)
+            den = lcm(*(x.denominator for x in fr))
             cleared.append([int(x * den) for x in fr])
         sat = exact.saturate(cleared) if cleared else []
         return cls(form, _freeze(sat))
@@ -205,14 +203,7 @@ class GlueGroup:
         return out
 
     def local_exponents(self, p: int):
-        out = []
-        for d in self.factors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            out.append(e)
-        return out
+        return [exact.valuation(d, p) for d in self.factors]
 
 
 @dataclass(frozen=True)
@@ -238,15 +229,7 @@ class RestrictedForm:
 
     @property
     def content(self) -> Fraction:
-        den = 1
-        for row in self.gram:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        g = 0
-        for row in self.gram:
-            for x in row:
-                g = gcd(g, int(x * den))
-        return Fraction(g, den)
+        return gram_content(self.gram)[0]
 
     def to_json(self):
         return {
@@ -255,6 +238,17 @@ class RestrictedForm:
             "content": exact.frac_str(self.content),
             "tag": self.tag,
         }
+
+
+def gram_content(gram):
+    """(c, P) with gram = c * P for a rational matrix, P integral with
+    coprime entries and c > 0; c is 0 and P the zero matrix for zero input."""
+    den = lcm(*[x.denominator for row in gram for x in row])
+    ig = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    g = gcd(*[x for row in ig for x in row])
+    if g == 0:
+        return Fraction(0), ig
+    return Fraction(g, den), [[x // g for x in row] for row in ig]
 
 
 def _basis_rows(obj):
@@ -363,12 +357,6 @@ def index_iL(q: QuadraticForm, L: Subspace) -> int:
     return exact.lattice_index(_thaw(L.basis), _thaw(t.basis))
 
 
-def _unit_square_class(u: int, p: int):
-    if p == 2:
-        return u % 8
-    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
-
-
 def local_disc(q: QuadraticForm, L: Subspace, p: int):
     """(ord, unit class) of disc_Q(L) at p.
 
@@ -376,11 +364,8 @@ def local_disc(q: QuadraticForm, L: Subspace, p: int):
     unit part for odd p and its residue mod 8 for p = 2.
     """
     d = disc(q, L)
-    ord_p = 0
-    while d % p == 0:
-        d //= p
-        ord_p += 1
-    return ord_p, _unit_square_class(d, p)
+    ord_p = exact.valuation(d, p)
+    return ord_p, exact.unit_square_class(d // p**ord_p, p)
 
 
 def restricted_forms(q: QuadraticForm, L: Subspace):
@@ -402,9 +387,8 @@ def content_and_primitive(rf: RestrictedForm):
     """Split an integral form as content * primitive part."""
     if not rf.is_integral():
         raise ValueError("content_and_primitive: form is not integral")
-    g = int(rf.content)
-    prim = [[int(x) // g for x in row] for row in rf.gram]
-    return g, RestrictedForm(_freeze(prim), tag="primitive")
+    g, prim = gram_content(rf.gram)
+    return int(g), RestrictedForm(_freeze(prim), tag="primitive")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +400,11 @@ def content_and_primitive(rf: RestrictedForm):
 # coordinate tuples mod (d_1..d_n).
 
 _GROUP_CAP = 1 << 16
+
+
+class GroupTooLargeError(RuntimeError):
+    """Raised when a subgroup of the discriminant group has more than
+    _GROUP_CAP elements, so listing it is refused."""
 
 
 def _disc_group(q: QuadraticForm):
@@ -444,11 +433,7 @@ def _group_add(a, b, d):
 
 
 def _group_order(a, d):
-    o = 1
-    for x, m in zip(a, d):
-        om = m // gcd(m, x) if m else 1
-        o = o * om // gcd(o, om)
-    return o
+    return lcm(*(m // gcd(m, x) if m else 1 for x, m in zip(a, d)))
 
 
 def _subgroup_elements(gens, d, cap=_GROUP_CAP):
@@ -464,7 +449,7 @@ def _subgroup_elements(gens, d, cap=_GROUP_CAP):
                     seen.add(b)
                     nxt.append(b)
                     if len(seen) > cap:
-                        raise ResourceWarning("discriminant group too large")
+                        raise GroupTooLargeError("discriminant group too large")
         frontier = nxt
     return sorted(seen)
 
@@ -567,7 +552,7 @@ def lambda_L_detail(q: QuadraticForm, L: Subspace):
     """(Λ_L, flag): flag is True when Z^n ⊆ Λ_L was achieved."""
     try:
         lifts = _complement_lifts(q, L)
-    except ResourceWarning:
+    except GroupTooLargeError:
         lifts = None
     if lifts is not None:
         rows = exact.identity(q.n) + [list(v) for v in lifts]
@@ -585,7 +570,7 @@ def is_special_orthogonal(q: QuadraticForm, g) -> bool:
     gf = exact.to_fraction_matrix(_thaw(g))
     m = exact.to_fraction_matrix(_thaw(q.gram))
     lhs = exact.mat_mul(exact.mat_mul(exact.transpose(gf), m), gf)
-    if not exact.mat_eq(lhs, m):
+    if lhs != m:
         return False
     return exact.det_fraction(gf) == 1
 
@@ -600,14 +585,6 @@ def rotate_subspace(g, L: Subspace) -> Subspace:
     return Subspace.from_rows(q, rows)
 
 
-def _vp(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def rotation_ord_p(g, p: int) -> int:
     """Smallest ℓ with p^ℓ g and p^ℓ g^{-1} both p-integral."""
     gf = exact.to_fraction_matrix(_thaw(g))
@@ -616,7 +593,7 @@ def rotation_ord_p(g, p: int) -> int:
     for mat in (gf, ginv):
         for row in mat:
             for x in row:
-                out = max(out, _vp(x.denominator, p))
+                out = max(out, exact.valuation(x.denominator, p))
     return out
 
 
@@ -664,11 +641,27 @@ def special_orthogonal_group(q: QuadraticForm):
 
 
 def integral_stabilizer_order(q: QuadraticForm, L: Subspace) -> int:
-    """|{g ∈ SO_Q(Z) : g·L = L}|."""
-    count = 0
-    for g in special_orthogonal_group(q):
-        gt = exact.transpose(_thaw(g))
-        rows = exact.mat_mul(_thaw(L.basis), gt)
-        if _freeze(exact.saturate(rows)) == L.basis:
-            count += 1
-    return count
+    """|{g ∈ SO_Q(Z) : g·L = L}|.
+
+    g is a unimodular isometry, so g·L(Z) is saturated of rank k and
+    g·L = L as soon as every rotated basis row lies in L(Z).  The rotated
+    row row·g^T is the row dotted with each row of g; membership is
+    decided by back-substitution on the pivots of the HNF basis.
+    """
+    basis = L.basis
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+
+    def fixed(g):
+        for row in basis:
+            w = [sum(a * b for a, b in zip(row, grow)) for grow in g]
+            for brow, p in zip(basis, pivots):
+                c, rem = divmod(w[p], brow[p])
+                if rem:
+                    return False
+                if c:
+                    w = [x - c * y for x, y in zip(w, brow)]
+            if any(w):
+                return False
+        return True
+
+    return sum(1 for g in special_orthogonal_group(q) if fixed(g))

@@ -82,22 +82,6 @@ class UpperHalfPoint:
             raise ValueError("y must be positive")
 
 
-def _content_primitive(gram) -> Tuple[Fraction, List[List[int]]]:
-    den = 1
-    for row in gram:
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    ig = [[int(Fraction(x) * den) for x in row] for row in gram]
-    g = 0
-    for row in ig:
-        for x in row:
-            g = math.gcd(g, x)
-    if g == 0:
-        raise ValueError("zero form has no shape")
-    return Fraction(g, den), [[x // g for x in row] for row in ig]
-
-
 def _check_pd(ig):
     for t in range(1, len(ig) + 1):
         if exact.det_int([row[:t] for row in ig[:t]]) <= 0:
@@ -225,7 +209,7 @@ def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:
     if not rows:
         raise ValueError("shape of a rank-zero lattice is undefined")
     gram = quadform.gram_restriction(q, rows).gram
-    content, ig = _content_primitive(gram)
+    content, ig = quadform.gram_content(gram)
     _check_pd(ig)
     return ShapeClass(_canonical_gram(ig), content)
 
@@ -427,11 +411,3 @@ def shapes_from_moduli(
     dinv_t = np.linalg.inv(d_blk).T
     gram_perp = dinv_t.T @ dinv_t
     return gram_l, gram_perp
-
-
-def subspace_shapes(
-    q: quadform.QuadraticForm, L: quadform.Subspace
-) -> Tuple[ShapeClass, ShapeClass]:
-    """Exact shapes of L(Z) and L^perp(Z)."""
-    perp = quadform.orth_complement(q, L)
-    return shape(q, L), shape(q, perp)

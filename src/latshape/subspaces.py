@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +24,6 @@ from . import kernel
 from . import quadform
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
-_CAP_ENV = "LATSHAPE_MAX_CANDIDATES"
 
 
 class BoundExceededError(RuntimeError):
@@ -79,11 +77,12 @@ class DiscClassTable:
         return self.table.get(d, ())
 
 
-def _candidate_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_CANDIDATE_CAP
+def _check_candidates(count: int, max_candidates: Optional[int]) -> None:
+    cap = DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
+    if count > cap:
+        raise BoundExceededError(
+            "candidate bound exceeded: %d vectors (cap %d)" % (count, cap)
+        )
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
@@ -92,13 +91,6 @@ def hermite_bound(k: int, max_disc: int) -> int:
     below this (norms are >= 1, so each norm is at most the product)."""
     e = k * (k - 1) // 2
     return -((-(4**e) * max_disc) // 3**e)
-
-
-def _primitive(vec: Sequence[int]) -> bool:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    return g == 1
 
 
 def enumerate_by_disc(
@@ -113,34 +105,24 @@ def enumerate_by_disc(
         raise ValueError("need 1 <= k <= n")
     if max_disc < 1:
         raise ValueError("max_disc must be >= 1")
-    cap = _candidate_cap(max_candidates)
-
     buckets: Dict[int, List[quadform.Subspace]] = {}
 
     if k == 1:
         cands = kernel.short_vectors(q.gram, max_disc)
-        if len(cands) > cap:
-            raise BoundExceededError(
-                "candidate bound exceeded: %d vectors (cap %d)" % (len(cands), cap)
-            )
+        _check_candidates(len(cands), max_candidates)
         for norm, vec in cands:
-            if _primitive(vec):
+            if math.gcd(*vec) == 1:
                 sub = quadform.Subspace.from_rows(q, [list(vec)])
                 buckets.setdefault(norm, []).append(sub)
     elif k == n:
         if max_disc >= q.disc():
-            full = quadform.Subspace.from_rows(
-                q, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            )
+            full = quadform.Subspace.from_rows(q, exact.identity(n))
             buckets.setdefault(q.disc(), []).append(full)
     else:
         e = k * (k - 1) // 2
         bound = hermite_bound(k, max_disc)
         cands = kernel.short_vectors(q.gram, bound)
-        if len(cands) > cap:
-            raise BoundExceededError(
-                "candidate bound exceeded: %d vectors (cap %d)" % (len(cands), cap)
-            )
+        _check_candidates(len(cands), max_candidates)
         gram = q.gram
         m = len(cands)
         seen = set()
@@ -200,14 +182,10 @@ def lines_with_disc(
     """
     if disc < 1:
         raise ValueError("disc must be >= 1")
-    cap = _candidate_cap(max_candidates)
     shell = kernel.vectors_with_norm([list(r) for r in q.gram], disc)
-    if len(shell) > cap:
-        raise BoundExceededError(
-            "candidate bound exceeded: %d vectors (cap %d)" % (len(shell), cap)
-        )
+    _check_candidates(len(shell), max_candidates)
     out = [
-        quadform.Subspace.from_rows(q, [list(v)]) for v in shell if _primitive(v)
+        quadform.Subspace.from_rows(q, [list(v)]) for v in shell if math.gcd(*v) == 1
     ]
     out.sort(key=lambda s: s.basis)
     return out
@@ -244,13 +222,6 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return a, x0, y0
 
 
-def _require_sum_of_squares(q: quadform.QuadraticForm):
-    if q.gram != tuple(
-        tuple(1 if i == j else 0 for j in range(q.n)) for i in range(q.n)
-    ):
-        raise ValueError("hyperplane recursion is implemented for the sum of squares")
-
-
 def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     """Split L <= Q^n along the last-coordinate hyperplane.
 
@@ -259,7 +230,8 @@ def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     orthogonal projection of a lift onto the complement of lbar.
     Raises ValueError when L lies inside the hyperplane.
     """
-    _require_sum_of_squares(L.form)
+    if not L.form.is_sum_of_squares():
+        raise ValueError("hyperplane recursion is implemented for the sum of squares")
     rows = [list(r) for r in L.basis]
     n1 = L.n
     last = [r[-1] for r in rows]
@@ -294,8 +266,7 @@ def _projection_data(lbar: quadform.Subspace):
     q = lbar.form
     n = q.n
     if lbar.k == 0:
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        proj = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows, proj = exact.identity(n), exact.identity(n)
     else:
         comp = quadform.orth_complement(q, lbar)
         proj = quadform.projection_matrix(q, comp)
@@ -321,7 +292,8 @@ def _projection_data(lbar: quadform.Subspace):
 def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
     """The unique subspace with the given hyperplane decomposition."""
     lbar = triple.lbar
-    _require_sum_of_squares(lbar.form)
+    if not lbar.form.is_sum_of_squares():
+        raise ValueError("hyperplane recursion is implemented for the sum of squares")
     n = lbar.n
     rows, int_gram, scale, lifts = _projection_data(lbar)
     # coordinates of v in the projected lattice; must be integral
@@ -329,10 +301,7 @@ def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
     if coords is None:
         raise ValueError("v is not in the projected lattice")
     c = coords[0]
-    content = 0
-    for x in c:
-        content = math.gcd(content, x)
-    if math.gcd(triple.h, content) != 1:
+    if math.gcd(triple.h, *c) != 1:
         raise ValueError("triple violates coprimality")
     u = [sum(c[t] * lifts[t][j] for t in range(len(lifts))) for j in range(n)]
     big = quadform.QuadraticForm.sum_of_squares(n + 1)
@@ -362,8 +331,7 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
     if k > n:
         return {}
     if k == n:
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return {1: (quadform.Subspace.from_rows(q, eye),)}
+        return {1: (quadform.Subspace.from_rows(q, exact.identity(n)),)}
     out: Dict[int, Dict[Tuple, quadform.Subspace]] = {}
     for d, subs in _schmidt_sweep(n - 1, k, max_disc).items():
         for sub in subs:
@@ -386,9 +354,7 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
                     sols.append((w, c))
                     sols.append((w, tuple(-x for x in c)))
             for w, c in sols:
-                content = 0
-                for x in c:
-                    content = math.gcd(content, x)
+                content = math.gcd(*c)
                 u = [
                     sum(c[t] * lifts[t][j] for t in range(len(lifts)))
                     for j in range(n - 1)
@@ -458,28 +424,22 @@ def count_small_primitive_shapes(
     either side, has discriminant at most M."""
     if M < 1:
         return 0
-    eye = tuple(tuple(1 if i == j else 0 for j in range(q.n)) for i in range(q.n))
-    if q.gram == eye:
+    if q.is_sum_of_squares():
         # both restrictions are integral with disc = D (the ambient lattice
         # is unimodular), so only the Gram contents are needed
         count = 0
         for sub in schmidt_enumerate(q.n, k, D):
-            rows = [list(r) for r in sub.basis]
-            comp = exact.kernel_basis(rows)
-            for mat, dim in ((rows, k), (comp, q.n - k)):
-                g = 0
-                for i in range(dim):
-                    for j in range(i, dim):
-                        g = math.gcd(g, sum(a * b for a, b in zip(mat[i], mat[j])))
-                if D <= M * g**dim:
+            for mat in (sub.basis, exact.kernel_basis(sub.basis)):
+                content, _ = quadform.gram_content(exact.mat_mul(mat, exact.transpose(mat)))
+                if D <= M * int(content) ** len(mat):
                     count += 1
                     break
         return count
     count = 0
     for sub in enumerate_subspaces(q, k, D):
-        q_l, q_perp, _ = quadform.restricted_forms(q, sub)
-        _, prim_l = quadform.content_and_primitive(q_l)
-        _, prim_p = quadform.content_and_primitive(q_perp)
-        if prim_l.disc() <= M or prim_p.disc() <= M:
-            count += 1
+        for side in (sub, quadform.orth_complement(q, sub)):
+            _, prim = quadform.content_and_primitive(quadform.gram_restriction(q, side))
+            if prim.disc() <= M:
+                count += 1
+                break
     return count

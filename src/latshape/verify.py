@@ -82,29 +82,6 @@ class _Check:
         }
 
 
-def _vp(m: int, p: int) -> int:
-    v = 0
-    m = abs(m)
-    while m and m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def _prime_divisors(*values) -> List[int]:
-    primes = set()
-    for value in values:
-        rem = abs(int(value))
-        p = 2
-        while rem > 1:
-            while rem % p:
-                p += 1 if p == 2 else 2
-            primes.add(p)
-            while rem % p == 0:
-                rem //= p
-    return sorted(primes)
-
-
 def _spread(forms, samples, seed, kmax=None):
     """Evenly spread `samples` subspaces over the form suite."""
     rng = random.Random(seed)
@@ -129,7 +106,7 @@ def _suite_glue(forms, samples, seed):
         ok = all(b % a == 0 for a, b in zip(g.factors, g.factors[1:]))
         chain.record(ok, str(g.factors))
         rebuilt = 1
-        for p in _prime_divisors(g.order):
+        for p in padic.prime_divisors(g.order):
             rebuilt *= p ** sum(g.local_exponents(p))
         local.record(rebuilt == g.order, str(g.factors))
     return [order, chain, local]
@@ -155,8 +132,9 @@ def _suite_duality(forms, samples, seed):
         i1, i2 = quadform.index_iL(q, L), quadform.index_iL(q, perp)
         prod.record(i1 * i2 == q.disc(), "%d*%d != %d" % (i1, i2, q.disc()))
         ok = all(
-            _vp(i1, p) + _vp(i2, p) == _vp(q.disc(), p)
-            for p in _prime_divisors(q.disc())
+            exact.valuation(i1, p) + exact.valuation(i2, p)
+            == exact.valuation(q.disc(), p)
+            for p in padic.prime_divisors(q.disc())
         )
         local.record(ok, L.hnf_key())
     return [invol, proj, prod, local]
@@ -193,12 +171,13 @@ def _suite_orders(forms, samples, seed):
         dl, dp = int(q_l.disc()), int(q_p.disc())
         ratio.record(dp * i_l * i_l == dl * q.disc(), L.hnf_key())
         ok = all(
-            abs(_vp(dl, p) - _vp(dp, p)) <= _vp(q.disc(), p)
-            for p in _prime_divisors(q.disc(), dl)
+            abs(exact.valuation(dl, p) - exact.valuation(dp, p))
+            <= exact.valuation(q.disc(), p)
+            for p in padic.prime_divisors(q.disc(), dl)
         )
         bound.record(ok, L.hnf_key())
         rebuilt = 1
-        for p in _prime_divisors(dl):
+        for p in padic.prime_divisors(dl):
             rebuilt *= p ** quadform.local_disc(q, L, p)[0]
         glob.record(rebuilt == dl, L.hnf_key())
     return [ratio, bound, glob]
@@ -325,11 +304,9 @@ def _hensel_isotropic(entries, p) -> bool:
     valuation <= t = v_p(2) + max v_p(d_i) exists iff the form is
     isotropic over Q_p (Hensel lifting in the witness coordinate)."""
     ents = [int(e) for e in entries]
-    g = 0
-    for e in ents:
-        g = math.gcd(g, e)
+    g = math.gcd(*ents)
     ents = [e // g for e in ents]
-    t = _vp(2, p) + max(_vp(e, p) for e in ents)
+    t = exact.valuation(2, p) + max(exact.valuation(e, p) for e in ents)
     mod = p ** (2 * t + 1)
     cap = t + 1
     states = {(0, False, cap)}
@@ -340,7 +317,7 @@ def _hensel_isotropic(entries, p) -> bool:
             if x == 0:
                 steps.add((val, False, cap))
             else:
-                gv = min(_vp(2 * d * x, p), cap)
+                gv = min(exact.valuation(2 * d * x, p), cap)
                 steps.add((val, x % p != 0, gv))
         states = {
             ((v0 + val) % mod, u0 or unit, min(g0, gv))
@@ -371,7 +348,7 @@ def _suite_reciprocity(samples, seed):
         a = rng.randint(-300, 300) or 1
         b = rng.randint(-300, 300) or -1
         prod = padic.hilbert_symbol(a, b, "inf")
-        for p in _prime_divisors(2 * a * b):
+        for p in padic.prime_divisors(2 * a * b):
             prod *= padic.hilbert_symbol(a, b, p)
         product.record(prod == 1, "(%d,%d)" % (a, b))
     return [product]
@@ -475,9 +452,9 @@ def _suite_continuity(forms, samples, seed):
                     dens.add(x.denominator)
             ok = True
             witness = ""
-            for p in _prime_divisors(*dens) or []:
+            for p in padic.prime_divisors(*dens) or []:
                 ell = quadform.rotation_ord_p(g, p)
-                if abs(_vp(d0, p) - _vp(d1, p)) > 2 * L.k * ell:
+                if abs(exact.valuation(d0, p) - exact.valuation(d1, p)) > 2 * L.k * ell:
                     ok = False
                     witness = "p=%d d0=%d d1=%d ord=%d" % (p, d0, d1, ell)
                     break

@@ -101,6 +101,14 @@ def test_shapes(capsys):
     assert payload["moduli"]["l_block_error"] < 1e-9
 
 
+def test_shapes_search_bound_is_a_runtime_error(capsys):
+    # the rank-5 complement exceeds the canonicalization's rank limit
+    assert cli.main(
+        ["shapes", "--Q", "sumsq:7", "--L", "1,0,0,0,0,0,0;0,1,0,0,0,0,0"]
+    ) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_experiment(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, payload = _run(

@@ -4,6 +4,7 @@ Frozen values come from hand Gram arithmetic and from the exhaustive
 box-search oracle for integral special orthogonal groups embedded below.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -238,6 +239,20 @@ def test_lambda_complement_found_despite_overlap():
     _assert_lambda_identities(q, L, lam)
 
 
+def test_lambda_group_search_cap_falls_back():
+    # A = Z/70001: the image of L ∩ (Z^3)^# is all of A, more elements
+    # than the subgroup search may list, so the lift construction runs
+    q = qf.QuadraticForm.diagonal([1, 1, 70001])
+    L = qf.Subspace.from_rows(q, [[0, 0, 1]])
+    d, _, uinv = qf._disc_group(q)
+    t = qf.lattice_intersect_subspace(qf.standard_dual(q), L)
+    with pytest.raises(qf.GroupTooLargeError):
+        qf._subgroup_elements(qf._group_coords([list(r) for r in t.basis], d, uinv), d)
+    lam, clean = qf.lambda_L_detail(q, L)
+    assert clean and lam == qf.Lattice.standard(3)
+    _assert_lambda_identities(q, L, lam)
+
+
 def _integral_part(lam):
     """Basis of lam ∩ Z^n for a full-rank lattice.
 
@@ -311,6 +326,20 @@ def test_stabilizer_orders():
     L = qf.Subspace.from_rows(Q0_3, [[1, 2, 0]])
     assert qf.integral_stabilizer_order(Q0_3, L) == 2
     assert qf.integral_stabilizer_order(Q0_3, L) >= 1
+
+
+def test_stabilizer_order_matches_rotation_count():
+    rng = random.Random(5)
+    for q in (Q0_3, Q112, QGEN):
+        group = qf.special_orthogonal_group(q)
+        for _ in range(12):
+            k = rng.randint(1, 2)
+            rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(k)]
+            if exact.rank_int(rows) != k:
+                continue
+            L = qf.Subspace.from_rows(q, rows)
+            fixed = sum(1 for g in group if qf.rotate_subspace(g, L) == L)
+            assert qf.integral_stabilizer_order(q, L) == fixed, (q.gram, rows)
 
 
 def test_form_validation():

@@ -126,8 +126,8 @@ def test_equivalence_matches_canonical_forms():
         for g2 in pool:
             s2 = shapes.shape(quadform.QuadraticForm(g2), [[1, 0], [0, 1]])
             # compare primitive parts: equivalence is tested on equal content
-            _, p1 = shapes._content_primitive(g1)
-            _, p2 = shapes._content_primitive(g2)
+            _, p1 = quadform.gram_content(g1)
+            _, p2 = quadform.gram_content(g2)
             assert shapes.forms_equivalent(p1, p2) == (s1 == s2), (g1, g2)
 
 
@@ -175,7 +175,7 @@ def test_upper_half_point_complete_invariant():
                 if a * c - b * b <= 0:
                     continue
                 g = [[a, b], [b, c]]
-                _, prim = shapes._content_primitive(g)
+                _, prim = quadform.gram_content(g)
                 key = pair(g)
                 for other_key, other in seen:
                     assert (key == other_key) == shapes.forms_equivalent(prim, other), (

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latshape import exact, kernel, quadform
+from latshape import exact, quadform
 from latshape import subspaces as sp
 
 Q0_3 = quadform.QuadraticForm.sum_of_squares(3)
@@ -246,13 +246,9 @@ def test_count_small_primitive_shapes_6_3():
     assert sp.count_small_primitive_shapes(q6, 3, 4, 2) == 0
 
 
-def test_candidate_cap(monkeypatch):
+def test_candidate_cap():
     with pytest.raises(sp.BoundExceededError):
         sp.enumerate_by_disc(Q0_4, 2, 20, max_candidates=5)
-    monkeypatch.setenv("LATSHAPE_MAX_CANDIDATES", "5")
-    with pytest.raises(sp.BoundExceededError):
-        sp.enumerate_by_disc(Q0_4, 2, 20)
-    monkeypatch.delenv("LATSHAPE_MAX_CANDIDATES")
     assert sp.enumerate_by_disc(Q0_4, 2, 20, max_candidates=10**6)
 
 
