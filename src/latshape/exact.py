@@ -292,17 +292,75 @@ def complete_to_unimodular(c):
 
 
 def inverse_unimodular(mat):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = inverse_fraction(to_fraction_matrix(mat))
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    """Inverse of a unimodular integer matrix, as an integer matrix.
+
+    The inverse is adj/det = det*adj, because det = +-1.  Raises
+    ``ValueError`` when the matrix is not unimodular.
+    """
+    adj, det = adjugate(mat)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[det * x for x in row] for row in adj]
+
+
+# ---------------------------------------------------------------------------
+# fraction-free (Bareiss) elimination over the integers
+#
+# Bareiss, Math. Comp. 22 (1968): after step k every entry is a (k+1)-minor
+# of the input, so dividing by the previous pivot is always exact.
+
+
+def det_int(mat):
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, rk = a[k][k], a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (p * ai[j] - f * rk[j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
+def adjugate(mat):
+    """``(adj, det)`` of a square integer matrix, with adj @ mat == det * I.
+
+    Fraction-free Gauss-Jordan elimination on [mat | I]: it ends at
+    [d*I | E] with E @ mat' == d*I for the row-permuted mat', so E is the
+    adjugate up to the permutation's sign.  A singular matrix falls back to
+    cofactors, each a Bareiss determinant.
+    """
+    n = len(mat)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            def cofactor(i, j):
+                minor = [r[:j] + r[j + 1:] for t, r in enumerate(mat) if t != i]
+                return (-1) ** (i + j) * det_int(minor)
+
+            return [[cofactor(i, j) for i in range(n)] for j in range(n)], 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, rk = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +407,6 @@ def det_fraction(mat):
                 f = a[i][col] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return det
-
-
-def det_int(mat):
-    d = det_fraction(mat)
-    assert d.denominator == 1
-    return int(d)
 
 
 def rank_fraction(mat):
@@ -530,8 +582,6 @@ def frac_str(x):
 
 
 def parse_frac(s):
-    if isinstance(s, int):
-        return Fraction(s)
     return Fraction(s)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exact
 from . import kernel
@@ -248,59 +248,52 @@ def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     ]
     lbar = quadform.Subspace.from_rows(small, lbar_rows)
     u = u_full[:-1]
-    if lbar.k == 0:
-        v = tuple(Fraction(x) for x in u)
-    else:
-        comp = quadform.orth_complement(small, lbar)
-        proj = quadform.projection_matrix(small, comp)
-        v = tuple(
-            sum(Fraction(u[r]) * proj[r][c] for r in range(n1 - 1))
-            for c in range(n1 - 1)
-        )
-    return SchmidtTriple(h, lbar, v)
+    perp, adj, dprime, _ = _projection_data(lbar)
+    # v = sum_i c_i p_i^# with c_i = u.p_i and dual basis adj @ perp / dprime
+    c = [sum(x * y for x, y in zip(u, p)) for p in perp]
+    v = exact.vec_mat(exact.vec_mat(c, adj), perp) if perp else [0] * len(u)
+    return SchmidtTriple(h, lbar, tuple(Fraction(x, dprime) for x in v))
 
 
 def _projection_data(lbar: quadform.Subspace):
-    # projected lattice of Z^n onto the complement of lbar: HNF basis
-    # rows, integer Gram with its scaling, and integral lifts per row
-    q = lbar.form
-    n = q.n
-    if lbar.k == 0:
-        rows, proj = exact.identity(n), exact.identity(n)
-    else:
-        comp = quadform.orth_complement(q, lbar)
-        proj = quadform.projection_matrix(q, comp)
-        rows = [
-            list(r)
-            for r in quadform.project_lattice(
-                q, comp, quadform.Lattice.standard(n)
-            ).basis
-        ]
-    gram = [
-        [sum(rows[i][t] * rows[j][t] for t in range(n)) for j in range(len(rows))]
-        for i in range(len(rows))
-    ]
-    scale, int_gram = exact.scale_to_int(gram)
-    lifts = []
-    for r in rows:
-        u = exact.solve_integral(proj, list(r))
-        assert u is not None
-        lifts.append([int(x) for x in u])
-    return rows, tuple(tuple(row) for row in int_gram), scale, lifts
+    """Integer data of the projection of Z^n onto the complement of lbar.
+
+    Returns ``(P, adj, dprime, lifts)``.  P is the HNF basis of
+    lbar^perp ∩ Z^n.  Z^n is unimodular and P is saturated, so the
+    projection of Z^n is the dual lattice P^#, whose dual basis
+    adj @ P / dprime has Gram (P P^T)^-1 = adj / dprime, with
+    adj = adj(P P^T) and dprime = det(P P^T) = disc(lbar).  A vector u
+    projects to the coordinates c = u @ P^T in that basis, and lifts[i]
+    is an integer u with u @ P^T = e_i: the top rows of U in
+    U @ P^T = H, whose top block is the identity because P is saturated.
+    """
+    perp = [list(r) for r in quadform.orth_complement(lbar.form, lbar).basis]
+    adj, dprime = exact.adjugate(exact.mat_mul(perp, exact.transpose(perp)))
+    h, u = exact.hnf(exact.transpose(perp))
+    rank = len(perp)
+    assert h[:rank] == exact.identity(rank)
+    return perp, adj, dprime, u[:rank]
 
 
 def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
-    """The unique subspace with the given hyperplane decomposition."""
+    """The unique subspace with the given hyperplane decomposition.
+
+    Raises ValueError when v is not orthogonal to lbar, when v is not in
+    the projection of Z^n (some c_i = v.p_i is not an integer) or when
+    h and v are not coprime.
+    """
     lbar = triple.lbar
     if not lbar.form.is_sum_of_squares():
         raise ValueError("hyperplane recursion is implemented for the sum of squares")
     n = lbar.n
-    rows, int_gram, scale, lifts = _projection_data(lbar)
-    # coordinates of v in the projected lattice; must be integral
-    coords = exact.lattice_coordinates(rows, [list(triple.v)])
-    if coords is None:
+    v = triple.v
+    if any(sum(x * y for x, y in zip(v, b)) for b in lbar.basis):
+        raise ValueError("v is not orthogonal to lbar")
+    perp, _, _, lifts = _projection_data(lbar)
+    coords = [sum(x * y for x, y in zip(v, p)) for p in perp]
+    if any(x.denominator != 1 for x in coords):
         raise ValueError("v is not in the projected lattice")
-    c = coords[0]
+    c = [int(x) for x in coords]
     if math.gcd(triple.h, *c) != 1:
         raise ValueError("triple violates coprimality")
     u = [sum(c[t] * lifts[t][j] for t in range(len(lifts))) for j in range(n)]
@@ -311,19 +304,14 @@ def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
 
 
 @lru_cache(maxsize=None)
-def _lbar_cache(n: int, basis: Tuple[Tuple[int, ...], ...]):
-    lbar = quadform.Subspace(quadform.QuadraticForm.sum_of_squares(n), basis)
-    return _projection_data(lbar)
-
-
-@lru_cache(maxsize=None)
 def _schmidt_sweep(n: int, k: int, max_disc: int):
     """dict D -> tuple of subspaces, for all D <= max_disc at once.
 
-    The recursion factor m = h^2 + Q(v) is rational in general (the
-    projected lattice is not integral), so the sweep runs over every
-    discriminant D' <= max_disc of the one-lower data and keeps any
-    product D'(h^2 + Q(v)) that lands on an integer <= max_disc.
+    A subspace with data (h, lbar, v) has disc D'(h^2 + Q(v)), with
+    D' = disc(lbar).  In the dual basis of the projected lattice
+    (see _projection_data) D' Q(v) = c adj c^T is an integer, so the
+    sweep runs over every D' <= max_disc of the one-lower data and every
+    short vector c of adj with D' h^2 + c adj c^T <= max_disc.
     """
     q = quadform.QuadraticForm.sum_of_squares(n)
     if k == 0:
@@ -335,22 +323,20 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
     out: Dict[int, Dict[Tuple, quadform.Subspace]] = {}
     for d, subs in _schmidt_sweep(n - 1, k, max_disc).items():
         for sub in subs:
-            emb = quadform.Subspace.from_saturated_rows(
-                q, [list(r) + [0] for r in sub.basis]
-            )
+            # an HNF basis with a zero column appended is still one
+            emb = quadform.Subspace(q, tuple(r + (0,) for r in sub.basis))
             out.setdefault(d, {})[emb.basis] = emb
     lbar_table = _schmidt_sweep(n - 1, k - 1, max_disc)
     for dprime, lbars in lbar_table.items():
         if dprime > max_disc:
             continue
         for lbar in lbars:
-            rows, int_gram, scale, lifts = _lbar_cache(n - 1, lbar.basis)
-            rank = len(rows)
-            # scale * Q(v) <= scale * (max_disc/dprime - 1)
-            norm_cap = (scale * (max_disc - dprime)) // dprime
-            sols = [(0, tuple(0 for _ in range(rank)))]
+            _, adj, _, lifts = _projection_data(lbar)
+            # disc = dprime*h^2 + w with w = c adj c^T and h >= 1
+            norm_cap = max_disc - dprime
+            sols = [(0, tuple(0 for _ in range(len(lifts))))]
             if norm_cap >= 1:
-                for w, c in kernel.short_vectors(int_gram, norm_cap):
+                for w, c in kernel.short_vectors(adj, norm_cap):
                     sols.append((w, c))
                     sols.append((w, tuple(-x for x in c)))
             for w, c in sols:
@@ -360,10 +346,9 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
                     for j in range(n - 1)
                 ]
                 h = 1
-                while dprime * (h * h * scale + w) <= scale * max_disc:
-                    num = dprime * (h * h * scale + w)
-                    if num % scale == 0 and math.gcd(h, content) == 1:
-                        d = num // scale
+                while dprime * h * h + w <= max_disc:
+                    if math.gcd(h, content) == 1:
+                        d = dprime * h * h + w
                         # rows are a basis of L(Z): the last coordinate maps
                         # L(Z) onto hZ with kernel lbar(Z), and coprimality
                         # blocks any index drop

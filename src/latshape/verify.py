@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import exact
 from . import padic
@@ -452,7 +452,7 @@ def _suite_continuity(forms, samples, seed):
                     dens.add(x.denominator)
             ok = True
             witness = ""
-            for p in padic.prime_divisors(*dens) or []:
+            for p in padic.prime_divisors(*dens):
                 ell = quadform.rotation_ord_p(g, p)
                 if abs(exact.valuation(d0, p) - exact.valuation(d1, p)) > 2 * L.k * ell:
                     ok = False

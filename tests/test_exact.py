@@ -280,6 +280,8 @@ def test_inverse_unimodular():
     assert exact.inverse_unimodular(u) == [[1, -2], [0, 1]]
     with pytest.raises(ValueError):
         exact.inverse_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        exact.inverse_unimodular([[1, 2], [2, 4]])
 
 
 def test_solve_integral():
@@ -302,6 +304,73 @@ def test_rational_hnf_basis_scale_invariance():
     basis = exact.rational_hnf_basis(rows)
     doubled = exact.rational_hnf_basis(rows + [[Fraction(1, 2), Fraction(3, 2)]])
     assert basis == doubled  # extra generator already in the lattice
+
+
+# ---------------------------------------------------------------------------
+# fraction-free (Bareiss) routines against the Fraction oracles
+
+
+@st.composite
+def square_matrices(draw, max_n=6):
+    # small entries with many zeros; optionally a repeated row (singular) or
+    # a zero leading entry (forces a row swap at the first pivot)
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    mat = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        mat[draw(st.integers(0, n - 1))] = list(mat[draw(st.integers(0, n - 1))])
+    if n >= 1 and draw(st.booleans()):
+        mat[0][0] = 0
+    return mat
+
+
+@st.composite
+def unimodular_matrices(draw, max_n=6):
+    # identity under random elementary row operations and a row swap
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    mat = exact.identity(n)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            f = draw(st.integers(-3, 3))
+            mat[i] = [a + f * b for a, b in zip(mat[i], mat[j])]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    mat[i], mat[j] = mat[j], mat[i]
+    return mat
+
+
+@given(square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_int_matches_det_fraction(mat):
+    snapshot = [list(r) for r in mat]
+    assert exact.det_int(mat) == exact.det_fraction(mat)
+    assert mat == snapshot
+
+
+@given(square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_adjugate_identity(mat):
+    adj, det = exact.adjugate(mat)
+    n = len(mat)
+    scalar = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+    assert det == exact.det_fraction(mat)
+    assert exact.mat_mul(adj, mat) == scalar
+    assert exact.mat_mul(mat, adj) == scalar
+
+
+def test_adjugate_frozen():
+    assert exact.adjugate([]) == ([], 1)
+    assert exact.adjugate([[0]]) == ([[1]], 0)
+    assert exact.adjugate([[0, 1], [2, 3]]) == ([[3, -1], [-2, 0]], -2)
+    # rank n-1: the adjugate is nonzero although det = 0
+    assert exact.adjugate([[1, 2], [2, 4]]) == ([[4, -2], [-2, 1]], 0)
+
+
+@given(unimodular_matrices())
+@settings(max_examples=200, deadline=None)
+def test_inverse_unimodular_matches_inverse_fraction(mat):
+    inv = exact.inverse_unimodular(mat)
+    assert exact.to_fraction_matrix(inv) == exact.inverse_fraction(mat)
 
 
 def test_det_and_inverse_fraction():

@@ -171,6 +171,42 @@ def test_compose_rejects_vector_outside_projected_lattice():
         sp.schmidt_compose(sp.SchmidtTriple(1, lbar, (0, Fraction(1, 2))))
 
 
+def test_compose_rejects_v_not_orthogonal_to_lbar():
+    lbar = quadform.Subspace.from_rows(
+        quadform.QuadraticForm.sum_of_squares(2), [[1, 0]]
+    )
+    with pytest.raises(ValueError):
+        sp.schmidt_compose(sp.SchmidtTriple(1, lbar, (1, 0)))
+
+
+def test_projection_data_matches_fraction_projection():
+    # integer data (P, adj, D', lifts) against the rational projection of
+    # Z^4 onto lbar^perp, built with the Fraction projection matrix
+    q = Q0_4
+    std = quadform.Lattice.standard(q.n)
+    checked = 0
+    for table in (sp.schmidt_table(4, 1, 30), sp.schmidt_table(4, 2, 12)):
+        for d, lbars in table.table.items():
+            for lbar in lbars:
+                perp_rows, adj, dprime, lifts = sp._projection_data(lbar)
+                perp = quadform.orth_complement(q, lbar)
+                assert [list(r) for r in perp.basis] == perp_rows
+                assert dprime == d
+                dual = [
+                    [Fraction(x, dprime) for x in row]
+                    for row in exact.mat_mul(adj, perp_rows)
+                ]
+                projected = quadform.project_lattice(q, perp, std)
+                assert quadform.Lattice.from_rows(q.n, dual).basis == projected.basis
+                gram = exact.mat_mul(dual, exact.transpose(dual))
+                assert gram == [[Fraction(x, dprime) for x in row] for row in adj]
+                proj = quadform.projection_matrix(q, perp)
+                for lift, row in zip(lifts, dual):
+                    assert exact.vec_mat(lift, proj) == row
+                checked += 1
+    assert checked > 1000
+
+
 def test_schmidt_triple_validation():
     lbar = quadform.Subspace.from_rows(Q0_3, [[1, 0, 0]])
     with pytest.raises(ValueError):
