@@ -96,7 +96,7 @@ class QuadraticForm:
 
 @lru_cache(maxsize=None)
 def _form_disc(gram):
-    return exact.det_int(_thaw(gram))
+    return exact.det_int(gram)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +222,7 @@ class RestrictedForm:
         return len(self.gram)
 
     def disc(self) -> Fraction:
-        return exact.det_fraction(_thaw(self.gram))
+        return exact.det_fraction(self.gram)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.gram for x in row)
@@ -265,10 +265,9 @@ def gram_restriction(q: QuadraticForm, lat, tag: str = "restriction") -> Restric
 
 
 def disc(q: QuadraticForm, L: Subspace) -> int:
-    """disc_Q(L): determinant of the form restricted to L(Z)."""
-    g = gram_restriction(q, L).gram
-    d = exact.det_fraction(_thaw(g))
-    return int(d)
+    """disc_Q(L): determinant of the integer Gram B M B^T of L(Z)."""
+    bm = exact.mat_mul(L.basis, q.gram)
+    return exact.det_int(exact.mat_mul(bm, exact.transpose(L.basis)))
 
 
 def dual_lattice(q: QuadraticForm, lat: Lattice) -> Lattice:
@@ -622,7 +621,7 @@ def _special_orthogonal_group(gram):
     def rec(j):
         if j == n:
             g = [[cols[c][r] for c in range(n)] for r in range(n)]
-            if exact.det_int([list(r) for r in g]) == 1:
+            if exact.det_int(g) == 1:
                 out.append(_freeze(g))
             return
         for v in cands[gram[j][j]]:

@@ -119,7 +119,7 @@ def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
     lam_k = None
     for norm, v in vecs:
         rows.append(list(v))
-        if exact.rank_int([r[:] for r in rows]) < len(rows):
+        if exact.rank_int(rows) < len(rows):
             rows.pop()
         if len(rows) == k:
             lam_k = norm
@@ -166,7 +166,7 @@ def _canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
         nonlocal best_u, best_key
         depth = len(rows)
         if depth == k:
-            if exact.det_int([list(r) for r in rows]) in (1, -1):
+            if exact.det_int(rows) in (1, -1):
                 if best_key is None or key < best_key:
                     best_key, best_u = key, rows
             return
@@ -181,7 +181,7 @@ def _canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
                     continue
                 still = col == best_key[depth]
             new_rows = rows + [v]
-            if exact.rank_int([list(r) for r in new_rows]) <= depth:
+            if exact.rank_int(new_rows) <= depth:
                 continue
             extend(new_rows, key + (col,), still)
 
@@ -226,7 +226,7 @@ def forms_equivalent(g1, g2) -> bool:
         return True
     _check_pd(a)
     _check_pd(b)
-    if exact.det_int([r[:] for r in a]) != exact.det_int([r[:] for r in b]):
+    if exact.det_int(a) != exact.det_int(b):
         return False
 
     def bilin(u, w):
@@ -247,7 +247,7 @@ def forms_equivalent(g1, g2) -> bool:
             if any(bilin(rows[j], v) != b[j][depth] for j in range(depth)):
                 continue
             new_rows = rows + [v]
-            if exact.rank_int([list(r) for r in new_rows]) <= depth:
+            if exact.rank_int(new_rows) <= depth:
                 continue
             if extend(new_rows):
                 return True

@@ -1,13 +1,23 @@
 """Enumeration of rational subspaces with a fixed discriminant.
 
-Two independent enumerators: a Minkowski-bound vector search valid for
-any positive definite integral form, and an inductive hyperplane
-recursion for the sum of squares.  They are cross-validated against
-each other on overlapping ranges by the test suite.
+Three enumerators:
 
-Canonical output: every subspace is returned through
-Subspace.from_rows, so bases are saturated HNF and deduplication is by
-that basis; lists are sorted by it as well.
+* enumerate_by_disc: a Minkowski-bound vector search (a DFS over short
+  vectors), valid for any positive definite integral form;
+* lines_with_disc: the lines of one discriminant, from the fixed-norm
+  shell alone;
+* schmidt_table: the hyperplane recursion, for the sum of squares.
+
+The test suite cross-validates the vector search and the recursion on
+overlapping ranges.
+
+Canonical output: every subspace is stored by the HNF basis of
+L(Z) = L ∩ Z^n, so deduplication is by that basis; lists are sorted by
+it as well.  The vector search and the shell reach it through
+Subspace.from_rows.  The recursion knows its rows are already a basis of
+L(Z): it canonicalises them with Subspace.from_saturated_rows, and embeds
+the subspaces inside the hyperplane by appending a zero column to their
+HNF basis.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exact
@@ -141,7 +150,7 @@ def enumerate_by_disc(
                 pair = [bilin(vec, r) for r in rows]
                 g_rows = [grams[t] + [pair[t]] for t in range(depth)]
                 g_rows.append(pair + [norm])
-                if exact.det_int([r[:] for r in g_rows]) == 0:
+                if exact.det_int(g_rows) == 0:
                     continue
                 new_rows = rows + [list(vec)]
                 if depth + 1 == k:
@@ -160,16 +169,6 @@ def enumerate_by_disc(
     return DiscClassTable({d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in buckets.items()})
 
 
-def enumerate_subspaces(
-    q: quadform.QuadraticForm,
-    k: int,
-    disc: int,
-    max_candidates: Optional[int] = None,
-) -> List[quadform.Subspace]:
-    """The complete set H^{n,k}_q(disc), canonically sorted."""
-    return list(enumerate_by_disc(q, k, disc, max_candidates).get(disc))
-
-
 def lines_with_disc(
     q: quadform.QuadraticForm,
     disc: int,
@@ -177,7 +176,7 @@ def lines_with_disc(
 ) -> List[quadform.Subspace]:
     """H^{n,1}_q(disc) from the fixed-norm shell only.
 
-    Unlike enumerate_subspaces this never walks norms below disc, so it
+    Unlike enumerate_by_disc this never walks norms below disc, so it
     stays cheap for a single large discriminant.
     """
     if disc < 1:
@@ -303,33 +302,25 @@ def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
     return quadform.Subspace.from_rows(big, new_rows)
 
 
-@lru_cache(maxsize=None)
-def _schmidt_sweep(n: int, k: int, max_disc: int):
-    """dict D -> tuple of subspaces, for all D <= max_disc at once.
+def _schmidt_sweep(q: quadform.QuadraticForm, below, lbar_table, max_disc: int):
+    """One step of the hyperplane recursion: dict D -> tuple of subspaces
+    of Q^n, for all D <= max_disc, from the tables of Q^(n-1).
 
-    A subspace with data (h, lbar, v) has disc D'(h^2 + Q(v)), with
-    D' = disc(lbar).  In the dual basis of the projected lattice
-    (see _projection_data) D' Q(v) = c adj c^T is an integer, so the
-    sweep runs over every D' <= max_disc of the one-lower data and every
-    short vector c of adj with D' h^2 + c adj c^T <= max_disc.
+    ``below`` is H^{n-1,k}; with a zero coordinate appended it gives the
+    subspaces inside the hyperplane.  ``lbar_table`` is H^{n-1,k-1}.  A
+    subspace with data (h, lbar, v) has disc D'(h^2 + Q(v)), with
+    D' = disc(lbar).  In the dual basis of the projected lattice (see
+    _projection_data) D' Q(v) = c adj c^T is an integer, so the step runs
+    over every lbar and every short vector c of adj with
+    D' h^2 + c adj c^T <= max_disc.
     """
-    q = quadform.QuadraticForm.sum_of_squares(n)
-    if k == 0:
-        return {1: (quadform.Subspace.from_rows(q, []),)}
-    if k > n:
-        return {}
-    if k == n:
-        return {1: (quadform.Subspace.from_rows(q, exact.identity(n)),)}
     out: Dict[int, Dict[Tuple, quadform.Subspace]] = {}
-    for d, subs in _schmidt_sweep(n - 1, k, max_disc).items():
+    for d, subs in below.items():
         for sub in subs:
             # an HNF basis with a zero column appended is still one
             emb = quadform.Subspace(q, tuple(r + (0,) for r in sub.basis))
             out.setdefault(d, {})[emb.basis] = emb
-    lbar_table = _schmidt_sweep(n - 1, k - 1, max_disc)
     for dprime, lbars in lbar_table.items():
-        if dprime > max_disc:
-            continue
         for lbar in lbars:
             _, adj, _, lifts = _projection_data(lbar)
             # disc = dprime*h^2 + w with w = c adj c^T and h >= 1
@@ -341,10 +332,7 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
                     sols.append((w, tuple(-x for x in c)))
             for w, c in sols:
                 content = math.gcd(*c)
-                u = [
-                    sum(c[t] * lifts[t][j] for t in range(len(lifts)))
-                    for j in range(n - 1)
-                ]
+                u = exact.vec_mat(c, lifts)
                 h = 1
                 while dprime * h * h + w <= max_disc:
                     if math.gcd(h, content) == 1:
@@ -363,24 +351,29 @@ def _schmidt_sweep(n: int, k: int, max_disc: int):
 
 
 def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
-    """H^{n,k}(D) for every D <= max_disc, via the hyperplane recursion."""
+    """H^{n,k}(D) for every D <= max_disc, via the hyperplane recursion.
+
+    Builds the tables bottom-up: row n' holds H^{n',k'} for the k' that
+    H^{n,k} still needs, each from two tables of row n'-1, so every
+    (n', k') is built once and nothing outlives the call.  For
+    D' < max_disc, the entries with D <= D' are the table up to D'.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if max_disc < 1:
         raise ValueError("max_disc must be >= 1")
-    table = _schmidt_sweep(n, k, max_disc)
-    return DiscClassTable({d: subs for d, subs in table.items() if d <= max_disc})
-
-
-def schmidt_enumerate(n: int, k: int, D: int) -> List[quadform.Subspace]:
-    """H^{n,k}(D) for the sum of squares, via the hyperplane recursion."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    # memoized sweeps at power-of-two ceilings keep D-loops near-linear
-    ceil = 1 << (D - 1).bit_length() if D > 1 else 1
-    return list(_schmidt_sweep(n, k, ceil).get(D, ()))
+    row: Dict[int, Dict[int, Tuple[quadform.Subspace, ...]]] = {}
+    for m in range(1, n + 1):
+        q = quadform.QuadraticForm.sum_of_squares(m)
+        lower, row = row, {}
+        for j in range(max(0, k - (n - m)), min(k, m) + 1):
+            if j == 0:
+                row[j] = {1: (quadform.Subspace.from_rows(q, []),)}
+            elif j == m:
+                row[j] = {1: (quadform.Subspace.from_rows(q, exact.identity(m)),)}
+            else:
+                row[j] = _schmidt_sweep(q, lower[j], lower[j - 1], max_disc)
+    return DiscClassTable(row[k])
 
 
 def nonempty_criterion(n: int, k: int, D: int) -> Verdict:
@@ -403,25 +396,26 @@ def nonempty_criterion(n: int, k: int, D: int) -> Verdict:
 
 
 def count_small_primitive_shapes(
-    q: quadform.QuadraticForm, k: int, D: int, M: int
+    q: quadform.QuadraticForm, subs: Sequence[quadform.Subspace], M: int
 ) -> int:
-    """Number of L in H^{n,k}_q(D) whose primitive restricted form, on
-    either side, has discriminant at most M."""
+    """Number of L in subs whose primitive restricted form, on either
+    side, has discriminant at most M."""
     if M < 1:
         return 0
-    if q.is_sum_of_squares():
-        # both restrictions are integral with disc = D (the ambient lattice
-        # is unimodular), so only the Gram contents are needed
-        count = 0
-        for sub in schmidt_enumerate(q.n, k, D):
-            for mat in (sub.basis, exact.kernel_basis(sub.basis)):
-                content, _ = quadform.gram_content(exact.mat_mul(mat, exact.transpose(mat)))
-                if D <= M * int(content) ** len(mat):
-                    count += 1
-                    break
-        return count
     count = 0
-    for sub in enumerate_subspaces(q, k, D):
+    if q.is_sum_of_squares():
+        # both restrictions are integral with the same disc D (the ambient
+        # lattice is unimodular), so only the Gram contents are needed
+        for sub in subs:
+            grams = [
+                exact.mat_mul(mat, exact.transpose(mat))
+                for mat in (sub.basis, exact.kernel_basis(sub.basis))
+            ]
+            d = exact.det_int(grams[0])
+            if any(d <= M * int(quadform.gram_content(g)[0]) ** len(g) for g in grams):
+                count += 1
+        return count
+    for sub in subs:
         for side in (sub, quadform.orth_complement(q, sub)):
             _, prim = quadform.content_and_primitive(quadform.gram_restriction(q, side))
             if prim.disc() <= M:

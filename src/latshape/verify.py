@@ -53,7 +53,7 @@ def _sample_subspaces(q, count, rng, kmax=None):
     while len(out) < count:
         k = rng.randint(1, top)
         rows = [[rng.randint(-4, 4) for _ in range(q.n)] for _ in range(k)]
-        if exact.rank_int([list(r) for r in rows]) != k:
+        if exact.rank_int(rows) != k:
             continue
         out.append(quadform.Subspace.from_rows(q, rows))
     return out
@@ -240,18 +240,22 @@ def _suite_schmidt(samples, seed, dmax=None):
     recursion = _Check("disc recursion D = D' (h^2 + Q(v))")
     q3 = quadform.QuadraticForm.sum_of_squares(3)
     q4 = quadform.QuadraticForm.sum_of_squares(4)
-    for d in range(1, dmax + 1):
-        a = {s.basis for s in subspaces.schmidt_enumerate(3, 1, d)}
-        b = {s.basis for s in subspaces.enumerate_subspaces(q3, 1, d)}
-        agree31.record(a == b, "D=%d: %d vs %d" % (d, len(a), len(b)))
-        a = {s.basis for s in subspaces.schmidt_enumerate(4, 2, d)}
-        b = {s.basis for s in subspaces.enumerate_subspaces(q4, 2, d)}
-        agree42.record(a == b, "D=%d: %d vs %d" % (d, len(a), len(b)))
+    table31 = subspaces.schmidt_table(3, 1, dmax)
+    table42 = subspaces.schmidt_table(4, 2, dmax)
+    pairs = (
+        (agree31, table31, subspaces.enumerate_by_disc(q3, 1, dmax)),
+        (agree42, table42, subspaces.enumerate_by_disc(q4, 2, dmax)),
+    )
+    for check, recursion_side, vector_side in pairs:
+        for d in range(1, dmax + 1):
+            a = {s.basis for s in recursion_side.get(d)}
+            b = {s.basis for s in vector_side.get(d)}
+            check.record(a == b, "D=%d: %d vs %d" % (d, len(a), len(b)))
     rng = random.Random(seed)
     pool = [
         s
         for d in range(1, dmax + 1)
-        for s in subspaces.schmidt_enumerate(4, 2, d)
+        for s in table42.get(d)
         if any(r[-1] for r in s.basis)  # decompose rejects hyperplane residents
     ]
     rng.shuffle(pool)
@@ -419,7 +423,7 @@ def _cayley_rotation(q, rng):
         iplus = [
             [(1 if i == j else 0) + a[i][j] for j in range(n)] for i in range(n)
         ]
-        if exact.det_fraction([row[:] for row in iplus]) == 0:
+        if exact.det_fraction(iplus) == 0:
             continue
         iminus = [
             [(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)

@@ -38,8 +38,24 @@ def _line(number: int, ok: bool, detail: str):
     assert ok, message
 
 
-def test_criterion_01_nonempty_4_2_mod16():
-    table = sp.schmidt_table(4, 2, 200)
+# Tables shared by criteria 1, 2, 3 and 7; each is built once per module.
+@pytest.fixture(scope="module")
+def table_4_2_200():
+    return sp.schmidt_table(4, 2, 200)
+
+
+@pytest.fixture(scope="module")
+def table_5_2_100():
+    return sp.schmidt_table(5, 2, 100)
+
+
+@pytest.fixture(scope="module")
+def table_3_1_500():
+    return sp.enumerate_by_disc(Q3, 1, 500)
+
+
+def test_criterion_01_nonempty_4_2_mod16(table_4_2_200):
+    table = table_4_2_200
     mismatches = []
     for d in range(1, 201):
         want_empty = d % 16 in (0, 7, 12, 15)
@@ -54,8 +70,8 @@ def test_criterion_01_nonempty_4_2_mod16():
     _line(1, not mismatches, "(4,2) D<=200 vs mod-16 rule, mismatches=%s" % mismatches)
 
 
-def test_criterion_02_legendre_3_1_mod8():
-    table = sp.enumerate_by_disc(Q3, 1, 500)
+def test_criterion_02_legendre_3_1_mod8(table_3_1_500):
+    table = table_3_1_500
     mismatches = []
     for d in range(1, 501):
         want_empty = d % 8 in (0, 4, 7)
@@ -70,8 +86,8 @@ def test_criterion_02_legendre_3_1_mod8():
     _line(2, not mismatches, "(3,1) D<=500 vs mod-8 rule, mismatches=%s" % mismatches)
 
 
-def test_criterion_03_52_always_nonempty():
-    table = sp.schmidt_table(5, 2, 100)
+def test_criterion_03_52_always_nonempty(table_5_2_100):
+    table = table_5_2_100
     empty = [d for d in range(1, 101) if len(table.get(d)) == 0]
     bad_verdict = [
         d
@@ -101,8 +117,10 @@ def test_criterion_05_schmidt_cross_validation():
         (4, 1, 50, Q4),
         (4, 2, 40, Q4),
     )
+    recursion_sides = []
     for n, k, top, q in pairs:
         recursion_side = sp.schmidt_table(n, k, top)
+        recursion_sides.append(recursion_side)
         vector_side = sp.enumerate_by_disc(q, k, top)
         for d in range(1, top + 1):
             a = {s.basis for s in recursion_side.get(d)}
@@ -110,8 +128,7 @@ def test_criterion_05_schmidt_cross_validation():
             if a != b:
                 problems.append(("sets", n, k, d, len(a), len(b)))
     checked = 0
-    for n, k, top, _q in pairs:
-        table = sp.schmidt_table(n, k, top)
+    for (n, k, top, _q), table in zip(pairs, recursion_sides):
         for d in range(1, top + 1):
             for L in table.get(d):
                 if not any(r[-1] for r in L.basis):
@@ -173,7 +190,9 @@ def test_criterion_06_isotropy_oracle_and_reciprocity():
     )
 
 
-def test_criterion_07_sufficiency_implies_strong_isotropy():
+def test_criterion_07_sufficiency_implies_strong_isotropy(
+    table_4_2_200, table_3_1_500, table_5_2_100
+):
     # Over a unimodular ambient form both indices i are 1, so
     # disc q_L = disc q_perp = D for the whole discriminant class: the
     # inputs of sufficient_criterion depend on (D, p) alone and one call
@@ -181,9 +200,9 @@ def test_criterion_07_sufficiency_implies_strong_isotropy():
     # re-verified by exact spot checks, and the conclusion is evaluated
     # through the public API on a spread of subspaces per firing bucket.
     families = (
-        (Q4, sp.schmidt_table(4, 2, 200), 200),
-        (Q3, sp.enumerate_by_disc(Q3, 1, 500), 500),
-        (Q5, sp.schmidt_table(5, 2, 100), 100),
+        (Q4, table_4_2_200, 200),
+        (Q3, table_3_1_500, 500),
+        (Q5, table_5_2_100, 100),
     )
     violations = []
     const_bad = []
@@ -377,7 +396,7 @@ def test_criterion_10_badly_behaved_chart():
     for d in range(3, 17):
         size = len(table.get(d))
         assert size >= 20
-        counts[d] = sp.count_small_primitive_shapes(Q6, 3, d, 2)
+        counts[d] = sp.count_small_primitive_shapes(Q6, table.get(d), 2)
         chart.append("D=%d:%d/%d" % (d, counts[d], size))
         if d % 8 and counts[d]:
             off_eight.append((d, counts[d]))

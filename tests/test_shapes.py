@@ -238,11 +238,13 @@ def test_shapes_from_moduli_consistency():
     q5 = quadform.QuadraticForm.sum_of_squares(5)
     q6 = quadform.QuadraticForm.sum_of_squares(6)
     cases = []
+    t52 = sp.schmidt_table(5, 2, 7)
     for D in (3, 5, 7):
-        subs = sp.schmidt_enumerate(5, 2, D)
+        subs = t52.get(D)
         cases += [(q5, quadform.Subspace(q5, s.basis)) for s in rng.sample(subs, 3)]
+    t63 = sp.schmidt_table(6, 3, 3)
     for D in (2, 3):
-        subs = sp.schmidt_enumerate(6, 3, D)
+        subs = t63.get(D)
         cases += [(q6, quadform.Subspace(q6, s.basis)) for s in rng.sample(subs, 3)]
     for q, L in cases:
         pt = shapes.moduli_point(q, L)

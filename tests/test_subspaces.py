@@ -43,10 +43,11 @@ def test_line_counts_match_representation_numbers():
 
 
 def test_line_counts_frozen():
-    counts = [len(sp.enumerate_subspaces(Q0_3, 1, D)) for D in range(1, 9)]
+    table = sp.enumerate_by_disc(Q0_3, 1, 8)
+    counts = [len(table.get(D)) for D in range(1, 9)]
     assert counts == [3, 6, 4, 0, 12, 12, 0, 0]
-    schmidt = [len(sp.schmidt_enumerate(3, 1, D)) for D in range(1, 9)]
-    assert schmidt == counts
+    schmidt = sp.schmidt_table(3, 1, 8)
+    assert [len(schmidt.get(D)) for D in range(1, 9)] == counts
 
 
 def _box_subspaces_4_2(max_disc):
@@ -107,6 +108,17 @@ def test_schmidt_matches_brute_5_2():
         assert _basis_set(brute.get(D)) == _basis_set(schmidt.get(D)), D
 
 
+@pytest.mark.parametrize("n, k, low, high", [(4, 2, 12, 30), (5, 2, 8, 16), (6, 3, 4, 6)])
+def test_schmidt_table_prefix_of_larger_ceiling(n, k, low, high):
+    # a table up to `low` is the part D <= low of the table up to `high`
+    small = sp.schmidt_table(n, k, low)
+    large = sp.schmidt_table(n, k, high)
+    assert small.table and max(small.table) <= low
+    assert max(large.table) <= high
+    for d in range(1, low + 1):
+        assert small.get(d) == large.get(d), d
+
+
 def test_enumeration_general_form():
     q = quadform.QuadraticForm.diagonal([1, 1, 2])
     table = sp.enumerate_by_disc(q, 1, 14)
@@ -121,22 +133,26 @@ def test_enumeration_general_form():
 
 
 def test_duality_counts():
+    line_table = sp.enumerate_by_disc(Q0_4, 1, 10)
+    hyp_table = sp.enumerate_by_disc(Q0_4, 3, 10)
     for D in range(1, 11):
-        lines = sp.enumerate_subspaces(Q0_4, 1, D)
-        hyps = sp.enumerate_subspaces(Q0_4, 3, D)
+        lines = line_table.get(D)
+        hyps = hyp_table.get(D)
         assert len(lines) == len(hyps), D
         assert _basis_set(quadform.orth_complement(Q0_4, s) for s in lines) == \
             _basis_set(hyps)
+    plane_table = sp.enumerate_by_disc(Q0_4, 2, 8)
     for D in range(1, 9):
-        planes = sp.enumerate_subspaces(Q0_4, 2, D)
+        planes = plane_table.get(D)
         perps = [quadform.orth_complement(Q0_4, s) for s in planes]
         assert _basis_set(perps) == _basis_set(planes), D
 
 
 def test_decompose_compose_roundtrip():
     checked = 0
+    table = sp.schmidt_table(4, 2, 10)
     for D in range(1, 11):
-        for sub in sp.schmidt_enumerate(4, 2, D):
+        for sub in table.get(D):
             if not any(r[-1] for r in sub.basis):
                 # lives in the hyperplane; handled by the embedding branch
                 with pytest.raises(ValueError):
@@ -233,9 +249,10 @@ def test_nonempty_criterion_vs_enumeration():
         ), D
         # hyperplanes share the verdict with lines by duality
         assert sp.nonempty_criterion(4, 3, D) == sp.nonempty_criterion(4, 1, D)
+    t52 = sp.schmidt_table(5, 2, 8)
     for D in range(1, 9):
         assert sp.nonempty_criterion(5, 2, D) == sp.Verdict.ALWAYS_NONEMPTY
-        assert len(sp.schmidt_enumerate(5, 2, D)) > 0, D
+        assert len(t52.get(D)) > 0, D
 
 
 def test_nonempty_criterion_corner_cases():
@@ -250,9 +267,9 @@ def test_nonempty_criterion_corner_cases():
         sp.nonempty_criterion(3, 1, 0)
 
 
-def _small_shape_count_reference(q, k, D, M):
+def _small_shape_count_reference(q, subs, M):
     count = 0
-    for sub in sp.enumerate_subspaces(q, k, D):
+    for sub in subs:
         q_l, q_perp, _ = quadform.restricted_forms(q, sub)
         _, prim_l = quadform.content_and_primitive(q_l)
         _, prim_p = quadform.content_and_primitive(q_perp)
@@ -262,24 +279,27 @@ def _small_shape_count_reference(q, k, D, M):
 
 
 def test_count_small_primitive_shapes():
-    assert sp.count_small_primitive_shapes(Q0_4, 2, 4, 0) == 0
+    # fast path over the recursion's planes, reference over the DFS's
+    schmidt = sp.schmidt_table(4, 2, 9)
+    brute = sp.enumerate_by_disc(Q0_4, 2, 9)
+    assert sp.count_small_primitive_shapes(Q0_4, schmidt.get(4), 0) == 0
     for D in (4, 8, 9):
         for M in (1, 2, 5):
-            fast = sp.count_small_primitive_shapes(Q0_4, 2, D, M)
-            assert fast == _small_shape_count_reference(Q0_4, 2, D, M), (D, M)
+            fast = sp.count_small_primitive_shapes(Q0_4, schmidt.get(D), M)
+            assert fast == _small_shape_count_reference(Q0_4, brute.get(D), M), (D, M)
     q = quadform.QuadraticForm.diagonal([1, 1, 2])
-    assert sp.count_small_primitive_shapes(q, 1, 2, 2) == 3
+    lines = sp.enumerate_by_disc(q, 1, 2).get(2)
+    assert sp.count_small_primitive_shapes(q, lines, 2) == 3
 
 
 def test_count_small_primitive_shapes_6_3():
     q6 = quadform.QuadraticForm.sum_of_squares(6)
+    table = sp.schmidt_table(6, 3, 4)
     # disc 1 planes restrict to unimodular forms on both sides
-    assert sp.count_small_primitive_shapes(q6, 3, 1, 2) == 20
-    assert sp.count_small_primitive_shapes(q6, 3, 1, 2) == len(
-        sp.schmidt_enumerate(6, 3, 1)
-    )
+    assert sp.count_small_primitive_shapes(q6, table.get(1), 2) == 20
+    assert len(table.get(1)) == 20
     # disc 4 is cube-free on both sides, so no primitive disc reaches 2
-    assert sp.count_small_primitive_shapes(q6, 3, 4, 2) == 0
+    assert sp.count_small_primitive_shapes(q6, table.get(4), 2) == 0
 
 
 def test_candidate_cap():
@@ -308,7 +328,7 @@ def test_enumerator_argument_validation():
     with pytest.raises(ValueError):
         sp.schmidt_table(3, 4, 5)
     with pytest.raises(ValueError):
-        sp.schmidt_enumerate(3, 1, 0)
+        sp.schmidt_table(3, 1, 0)
     with pytest.raises(ValueError):
         sp.schmidt_decompose(quadform.Subspace.from_rows(
             quadform.QuadraticForm.diagonal([1, 1, 3]), [[1, 0, 0]]
@@ -316,10 +336,9 @@ def test_enumerator_argument_validation():
 
 
 def test_full_rank_and_zero_rank():
-    full = sp.enumerate_subspaces(Q0_3, 3, 1)
+    full = sp.enumerate_by_disc(Q0_3, 3, 1).get(1)
     assert len(full) == 1 and full[0].k == 3
     q = quadform.QuadraticForm.diagonal([1, 1, 2])
-    assert sp.enumerate_subspaces(q, 3, 2)[0].basis == tuple(
-        tuple(r) for r in exact.identity(3)
-    )
-    assert sp.enumerate_subspaces(q, 3, 5) == []
+    table = sp.enumerate_by_disc(q, 3, 5)
+    assert table.get(2)[0].basis == tuple(tuple(r) for r in exact.identity(3))
+    assert table.get(5) == ()
