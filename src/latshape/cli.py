@@ -158,11 +158,7 @@ def _cmd_shapes(args) -> int:
     perp = quadform.orth_complement(q, L)
     out = {"hnf": L.hnf_key(), "n": q.n, "k": L.k}
     for label, sub in (("shape_L", L), ("shape_Lperp", perp)):
-        cls = shapes.shape(q, sub)
-        out[label] = {
-            "canonical_gram": [list(r) for r in cls.canonical_gram],
-            "scale": str(cls.scale),
-        }
+        out[label] = shapes.shape(q, sub).to_json()
         if sub.k == 2:
             pt = shapes.upper_half_point(quadform.gram_restriction(q, sub).gram)
             out[label]["uhp"] = [pt.x, pt.y]

@@ -8,6 +8,11 @@ callers can solve lattice membership and completion problems.  The p-adic
 valuation and unit square class shared by the invariant modules live here
 too, below every module that needs them.
 
+Elimination is integer-only: HNF, SNF and fraction-free (Bareiss)
+determinants and adjugates.  ``Fraction`` appears only at the boundary: a
+rational matrix enters as ``scale_to_int``'s ``(den, integer matrix)``, and
+exact rationals leave as ``Fraction(x, den)``.
+
 Conventions:
   * ``hnf`` returns the unique fully reduced row HNF: pivots positive,
     entries above a pivot reduced into ``[0, pivot)``, zero rows at the
@@ -61,10 +66,6 @@ def scale_to_int(mat):
     for row in mat:
         out.append([int(x * d) for x in row])
     return d, out
-
-
-def to_fraction_matrix(mat):
-    return [[Fraction(x) for x in row] for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -363,130 +364,20 @@ def adjugate(mat):
     return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
-# ---------------------------------------------------------------------------
-# fraction Gaussian elimination
-
-
-def inverse_fraction(mat):
-    """Exact inverse of a square matrix over Q (raises on singular input)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def det_fraction(mat):
-    """Exact determinant over Q (returns a Fraction; int input gives integral value)."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
-
-
-def rank_fraction(mat):
-    if not mat:
-        return 0
-    a = [[Fraction(x) for x in row] for row in mat]
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        for i in range(r + 1, m):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def solve_row_coordinates(basis, vector):
-    """Coordinates of ``vector`` in the row span of ``basis`` over Q.
-
-    ``basis`` must have independent rows.  Returns the coefficient list ``c``
-    with ``c @ basis == vector``, or ``None`` when the vector lies outside
-    the span.
-    """
-    k = len(basis)
-    if k == 0:
-        return [] if not any(vector) else None
-    n = len(basis[0])
-    # solve c * basis = vector  <=>  basis^T c^T = vector^T
-    at = [[Fraction(basis[i][j]) for i in range(k)] for j in range(n)]
-    b = [Fraction(x) for x in vector]
-    # gaussian elimination on the n x k system
-    rows = [at[j] + [b[j]] for j in range(n)]
-    r = 0
-    pivcols = []
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivcols.append(col)
-        r += 1
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivcols):
-        sol[col] = rows[i][k]
-    # consistency: rows beyond rank must have zero rhs
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    return sol
-
-
 def lattice_coordinates(basis, vectors):
     """Integer coordinate matrix X with ``X @ basis == vectors`` or None.
 
-    Membership test for a list of vectors in the lattice spanned by ``basis``
-    (entries may be rational).  Returns None when some vector is outside the
-    lattice (non-integral or inconsistent coordinates).
+    Membership test for a list of vectors in the lattice spanned by the
+    independent rows of ``basis`` (entries may be rational), one integer
+    solve per vector.  Returns None when some vector is outside the lattice
+    (non-integral coordinates or outside the span).
     """
     out = []
     for vec in vectors:
-        c = solve_row_coordinates(basis, vec)
-        if c is None:
+        x = solve_integral(basis, vec)
+        if x is None:
             return None
-        if any(x.denominator != 1 for x in c):
-            return None
-        out.append([int(x) for x in c])
+        out.append(x)
     return out
 
 
@@ -579,10 +470,6 @@ def frac_str(x):
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s):
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------

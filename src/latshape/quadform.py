@@ -101,7 +101,8 @@ def _form_disc(gram):
 
 @lru_cache(maxsize=None)
 def _inverse_gram(gram):
-    return _freeze(exact.inverse_fraction(exact.to_fraction_matrix(_thaw(gram))))
+    adj, det = exact.adjugate(gram)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class Lattice:
 
     @classmethod
     def from_json(cls, obj) -> "Lattice":
-        rows = [[exact.parse_frac(x) for x in row] for row in obj["basis"]]
+        rows = [[Fraction(x) for x in row] for row in obj["basis"]]
         return cls.from_rows(obj["n"], rows)
 
 
@@ -222,7 +223,8 @@ class RestrictedForm:
         return len(self.gram)
 
     def disc(self) -> Fraction:
-        return exact.det_fraction(self.gram)
+        den, ig = exact.scale_to_int(self.gram)
+        return Fraction(exact.det_int(ig), den ** self.dim)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.gram for x in row)
@@ -230,14 +232,6 @@ class RestrictedForm:
     @property
     def content(self) -> Fraction:
         return gram_content(self.gram)[0]
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "gram": [[exact.frac_str(x) for x in row] for row in self.gram],
-            "content": exact.frac_str(self.content),
-            "tag": self.tag,
-        }
 
 
 def gram_content(gram):
@@ -271,13 +265,19 @@ def disc(q: QuadraticForm, L: Subspace) -> int:
 
 
 def dual_lattice(q: QuadraticForm, lat: Lattice) -> Lattice:
-    """Dual basis (B M B^T)^{-1} B inside span(lat); involutive."""
+    """Dual basis (B M B^T)^{-1} B inside span(lat); involutive.
+
+    With B = R/r for an integer R, the dual basis is r adj(G) R / det G for
+    the integer Gram G = R M R^T, so only the adjugate is eliminated.
+    """
     rows = _basis_rows(lat)
     if not rows:
         return Lattice.from_rows(lat.n, [])
-    g = exact.mat_mul(exact.mat_mul(rows, _thaw(q.gram)), exact.transpose(rows))
-    ginv = exact.inverse_fraction(exact.to_fraction_matrix(g))
-    return Lattice.from_rows(lat.n, exact.mat_mul(ginv, rows))
+    r, ir = exact.scale_to_int(rows)
+    g = exact.mat_mul(exact.mat_mul(ir, _thaw(q.gram)), exact.transpose(ir))
+    adj, det = exact.adjugate(g)
+    dual = exact.mat_mul(adj, ir)
+    return Lattice.from_rows(lat.n, [[Fraction(r * x, det) for x in row] for row in dual])
 
 
 def standard_dual(q: QuadraticForm) -> Lattice:
@@ -294,14 +294,18 @@ def orth_complement(q: QuadraticForm, L: Subspace) -> Subspace:
 
 
 def projection_matrix(q: QuadraticForm, L: Subspace):
-    """Matrix P with x @ P = orthogonal projection of x onto span(L)."""
+    """Matrix P with x @ P = orthogonal projection of x onto span(L).
+
+    P = M B^T adj(G) B / det G for the integer Gram G = B M B^T of L(Z):
+    integer products and one adjugate, divided once at the end.
+    """
     b = _thaw(L.basis)
     if not b:
         return [[Fraction(0)] * q.n for _ in range(q.n)]
-    m = _thaw(q.gram)
-    g = exact.mat_mul(exact.mat_mul(b, m), exact.transpose(b))
-    ginv = exact.inverse_fraction(exact.to_fraction_matrix(g))
-    return exact.mat_mul(exact.mat_mul(exact.mat_mul(m, exact.transpose(b)), ginv), b)
+    mbt = exact.mat_mul(_thaw(q.gram), exact.transpose(b))
+    adj, det = exact.adjugate(exact.mat_mul(b, mbt))
+    p = exact.mat_mul(exact.mat_mul(mbt, adj), b)
+    return [[Fraction(x, det) for x in row] for row in p]
 
 
 def project_lattice(q: QuadraticForm, L: Subspace, lat: Lattice) -> Lattice:
@@ -414,15 +418,15 @@ def _disc_group(q: QuadraticForm):
 
 def _group_coords(t_rows, d, uinv):
     """Coordinates mod d of dual vectors: a = t · U^{-1} · D (integral)."""
+    den, it = exact.scale_to_int(t_rows)
     out = []
-    for t in t_rows:
-        a = exact.vec_mat([Fraction(x) for x in t], exact.to_fraction_matrix(uinv))
+    for t in it:
         coords = []
-        for i, x in enumerate(a):
-            y = x * d[i]
-            if y.denominator != 1:
+        for x, di in zip(exact.vec_mat(t, uinv), d):
+            y, rem = divmod(x * di, den)
+            if rem:
                 raise ValueError("vector is not in the dual lattice")
-            coords.append(int(y) % d[i] if d[i] else int(y))
+            coords.append(y % di if di else y)
         out.append(tuple(coords))
     return out
 
@@ -511,10 +515,16 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
         return Lattice.from_rows(q.n, rows)
     dstar = dual_lattice(q, perp.lattice())
     dual_rows = _thaw(standard_dual(q).basis)
-    proj = projection_matrix(q, perp)
-    system = exact.mat_mul(dual_rows, proj)
-    t = lattice_intersect_subspace(standard_dual(q), L)
-    t_rows = _thaw(t.basis)
+    system = exact.mat_mul(dual_rows, projection_matrix(q, perp))
+    t_rows = _thaw(lattice_intersect_subspace(standard_dual(q), L).basis)
+    if t_rows:
+        # coordinates of s = S/sden in T = Tᵢ/tden: c = s Tᵀ (T Tᵀ)^{-1}
+        # = tden · S Tᵢᵀ adj(Tᵢ Tᵢᵀ) / (sden · det), and c T = s iff the
+        # integer row S Tᵢᵀ adj Tᵢ equals det · S
+        proj_l = projection_matrix(q, L)
+        tden, ti = exact.scale_to_int(t_rows)
+        adj, det = exact.adjugate(exact.mat_mul(ti, exact.transpose(ti)))
+        solver = exact.mat_mul(exact.transpose(ti), adj)
     lifted = []
     for w in dstar.basis:
         y = exact.solve_integral(system, list(w))
@@ -522,12 +532,12 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
             raise ValueError("dual basis vector has no integral preimage")
         v = exact.vec_mat(y, dual_rows)
         if t_rows:
-            s = exact.vec_mat(v, projection_matrix(q, L))
-            c = exact.solve_row_coordinates(t_rows, s)
-            if c is None:
+            sden, (s,) = exact.scale_to_int([exact.vec_mat(v, proj_l)])
+            c = exact.vec_mat(s, solver)
+            if exact.vec_mat(c, ti) != [det * x for x in s]:
                 raise ValueError("projection left the span of L")
             for ci, trow in zip(c, t_rows):
-                shift = ci.__floor__()
+                shift = (tden * ci) // (sden * det)
                 if shift:
                     v = [x - shift * Fraction(y) for x, y in zip(v, trow)]
         lifted.append(v)
@@ -565,13 +575,16 @@ def lambda_L_detail(q: QuadraticForm, L: Subspace):
 
 
 def is_special_orthogonal(q: QuadraticForm, g) -> bool:
-    """g^T M g = M and det g = 1, over the rationals."""
-    gf = exact.to_fraction_matrix(_thaw(g))
-    m = exact.to_fraction_matrix(_thaw(q.gram))
-    lhs = exact.mat_mul(exact.mat_mul(exact.transpose(gf), m), gf)
-    if lhs != m:
+    """g^T M g = M and det g = 1, over the rationals.
+
+    With g = G/den for an integer G: G^T M G = den^2 M and det G = den^n.
+    """
+    den, gi = exact.scale_to_int(_thaw(g))
+    m = _thaw(q.gram)
+    lhs = exact.mat_mul(exact.mat_mul(exact.transpose(gi), m), gi)
+    if lhs != [[den * den * x for x in row] for row in m]:
         return False
-    return exact.det_fraction(gf) == 1
+    return exact.det_int(gi) == den ** q.n
 
 
 def rotate_subspace(g, L: Subspace) -> Subspace:
@@ -585,15 +598,15 @@ def rotate_subspace(g, L: Subspace) -> Subspace:
 
 
 def rotation_ord_p(g, p: int) -> int:
-    """Smallest ℓ with p^ℓ g and p^ℓ g^{-1} both p-integral."""
-    gf = exact.to_fraction_matrix(_thaw(g))
-    ginv = exact.inverse_fraction(gf)
-    out = 0
-    for mat in (gf, ginv):
-        for row in mat:
-            for x in row:
-                out = max(out, exact.valuation(x.denominator, p))
-    return out
+    """Smallest ℓ with p^ℓ g and p^ℓ g^{-1} both p-integral.
+
+    That is the larger p-valuation of the two denominator lcms; with
+    g = G/den the inverse is den adj(G) / det G.
+    """
+    den, gi = exact.scale_to_int(_thaw(g))
+    adj, det = exact.adjugate(gi)
+    inv_den = exact.denominator_lcm([[Fraction(den * x, det) for x in row] for row in adj])
+    return max(exact.valuation(den, p), exact.valuation(inv_den, p))
 
 
 @lru_cache(maxsize=None)

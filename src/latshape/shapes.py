@@ -363,7 +363,8 @@ def moduli_point(
         raise ValueError("L(Z) is not inside the given lattice")
     u = exact.complete_to_unimodular(coords)
     basis_rows = exact.mat_mul(u, lam_rows)
-    det = exact.det_fraction(exact.to_fraction_matrix(basis_rows))
+    den, ibasis = exact.scale_to_int(basis_rows)
+    det = Fraction(exact.det_int(ibasis), den ** n)
     if det < 0:
         basis_rows[-1] = [-x for x in basis_rows[-1]]
         det = -det

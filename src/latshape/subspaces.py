@@ -404,15 +404,18 @@ def count_small_primitive_shapes(
         return 0
     count = 0
     if q.is_sum_of_squares():
-        # both restrictions are integral with the same disc D (the ambient
-        # lattice is unimodular), so only the Gram contents are needed
+        # Z^n is unimodular, so L(Z) and L^⊥(Z) have the same disc D and
+        # isomorphic glue groups (Nikulin 1979): with f the invariant
+        # factors of L's Gram, content(L) = f[0] and content(L^⊥) = f[2k-n]
+        # when 2k >= n, else 1
+        n = q.n
         for sub in subs:
-            grams = [
-                exact.mat_mul(mat, exact.transpose(mat))
-                for mat in (sub.basis, exact.kernel_basis(sub.basis))
-            ]
-            d = exact.det_int(grams[0])
-            if any(d <= M * int(quadform.gram_content(g)[0]) ** len(g) for g in grams):
+            k = sub.k
+            f = exact.invariant_factors(exact.mat_mul(sub.basis, exact.transpose(sub.basis)))
+            d = math.prod(f)
+            c_l = f[0] if k else 1
+            c_perp = f[2 * k - n] if n <= 2 * k < 2 * n else 1
+            if d <= M * c_l ** k or d <= M * c_perp ** (n - k):
                 count += 1
         return count
     for sub in subs:

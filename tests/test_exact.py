@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from latshape import exact
 
+import fraction_oracle as fo
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -239,7 +241,7 @@ def test_kernel_orthogonality_random():
         ker = exact.kernel_basis(m)
         for row in ker:
             assert all(sum(a * b for a, b in zip(mrow, row)) == 0 for mrow in m)
-        assert len(ker) == 5 - exact.rank_fraction(m)
+        assert len(ker) == 5 - fo.rank_fraction(m)
 
 
 def test_quotient_invariants_frozen():
@@ -291,12 +293,15 @@ def test_solve_integral():
     assert exact.solve_integral([[2, 0]], [1, 0]) is None
 
 
-def test_solve_row_coordinates_rational():
+def test_lattice_coordinates_rational():
     basis = [[Fraction(1, 2), 0], [0, 1]]
-    c = exact.solve_row_coordinates(basis, [Fraction(3, 2), 2])
-    assert c == [3, 2]
-    assert exact.solve_row_coordinates(basis, [1, 0, ]) == [2, 0]
-    assert exact.solve_row_coordinates([[1, 0]], [0, 1]) is None
+    # integral hits, one of them with a rational vector
+    assert exact.lattice_coordinates(basis, [[Fraction(3, 2), 2], [1, 0]]) == [[3, 2], [2, 0]]
+    # in the span, but at non-integral coordinates (1/2, 0)
+    assert exact.lattice_coordinates(basis, [[1, 0], [Fraction(1, 4), 0]]) is None
+    # outside the span of a rank-1 basis
+    assert exact.lattice_coordinates([[Fraction(1, 2), 0]], [[0, 1]]) is None
+    assert exact.lattice_coordinates([[Fraction(1, 2), 0]], [[Fraction(-5, 2), 0]]) == [[-5]]
 
 
 def test_rational_hnf_basis_scale_invariance():
@@ -343,7 +348,7 @@ def unimodular_matrices(draw, max_n=6):
 @settings(max_examples=300, deadline=None)
 def test_det_int_matches_det_fraction(mat):
     snapshot = [list(r) for r in mat]
-    assert exact.det_int(mat) == exact.det_fraction(mat)
+    assert exact.det_int(mat) == fo.det_fraction(mat)
     assert mat == snapshot
 
 
@@ -353,7 +358,7 @@ def test_adjugate_identity(mat):
     adj, det = exact.adjugate(mat)
     n = len(mat)
     scalar = [[det if i == j else 0 for j in range(n)] for i in range(n)]
-    assert det == exact.det_fraction(mat)
+    assert det == fo.det_fraction(mat)
     assert exact.mat_mul(adj, mat) == scalar
     assert exact.mat_mul(mat, adj) == scalar
 
@@ -370,17 +375,16 @@ def test_adjugate_frozen():
 @settings(max_examples=200, deadline=None)
 def test_inverse_unimodular_matches_inverse_fraction(mat):
     inv = exact.inverse_unimodular(mat)
-    assert exact.to_fraction_matrix(inv) == exact.inverse_fraction(mat)
+    assert fo.to_fraction_matrix(inv) == fo.inverse_fraction(mat)
 
 
 def test_det_and_inverse_fraction():
     m = [[2, 1], [1, 2]]
-    assert exact.det_fraction(m) == 3
-    inv = exact.inverse_fraction(m)
-    assert exact.mat_mul(m, inv) == exact.to_fraction_matrix(exact.identity(2))
+    assert fo.det_fraction(m) == 3
+    inv = fo.inverse_fraction(m)
+    assert exact.mat_mul(m, inv) == fo.to_fraction_matrix(exact.identity(2))
 
 
 def test_frac_str_roundtrip():
     assert exact.frac_str(Fraction(-3, 4)) == "-3/4"
     assert exact.frac_str(5) == "5"
-    assert exact.parse_frac("-3/4") == Fraction(-3, 4)

@@ -1,0 +1,71 @@
+"""Static hygiene of the package source, checked with the stdlib ``ast``.
+
+Two kinds of dead code are refused anywhere in ``src/latshape``: an import
+whose bound name is never read in its module, and a module-level private
+name (``_x``, not a dunder) that no module of the package ever reads.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latshape"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reads(tree):
+    """Every name read in the tree, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _private_globals(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def test_no_unused_imports():
+    unused = []
+    for mod, tree in _modules().items():
+        reads = _reads(tree)
+        unused += ["%s: %s" % (mod, name) for name in _imported_names(tree) if name not in reads]
+    assert unused == []
+
+
+def test_no_unread_private_globals():
+    modules = _modules()
+    read = set().union(*(_reads(tree) for tree in modules.values()))
+    unread = [
+        "%s.%s" % (mod, name)
+        for mod, tree in modules.items()
+        for name in _private_globals(tree)
+        if name not in read
+    ]
+    assert unread == []

@@ -28,8 +28,8 @@ def _box_search(gram, bound):
     that radius in every coordinate is exhaustive.
     """
     n = len(gram)
-    inv = exact.inverse_fraction(exact.to_fraction_matrix(gram))
-    radius = max(isqrt(int(bound * inv[i][i])) for i in range(n))
+    adj, det = exact.adjugate(gram)
+    radius = max(isqrt(bound * adj[i][i] // det) for i in range(n))
     out = []
     for v in product(range(-radius, radius + 1), repeat=n):
         nonzero = [x for x in v if x]

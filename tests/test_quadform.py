@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from latshape import exact
 from latshape import quadform as qf
+from latshape import verify
+
+import fraction_oracle as fo
 
 F = Fraction
 
@@ -116,7 +119,7 @@ def test_dual_pairing_characterization():
         exact.transpose([list(r) for r in lat.basis]),
     )
     assert all(x.denominator == 1 for row in pair for x in row)
-    assert abs(exact.det_fraction(pair)) == 1
+    assert abs(exact.det_int([[int(x) for x in row] for row in pair])) == 1
 
 
 def test_orth_complement_values():
@@ -256,14 +259,16 @@ def test_lambda_group_search_cap_falls_back():
 def _integral_part(lam):
     """Basis of lam ∩ Z^n for a full-rank lattice.
 
-    x ∈ lam iff x @ lam^{-1} is integral; after scaling the inverse to
-    d^{-1} * (integer matrix m) this is the congruence x @ m ≡ 0 (mod d),
-    solved as an integer kernel with slack variables.
+    x ∈ lam iff x @ lam^{-1} is integral; with lam = R/r for an integer R
+    the inverse is r adj(R) / det R, so after scaling it to d^{-1} * (integer
+    matrix m) this is the congruence x @ m ≡ 0 (mod d), solved as an integer
+    kernel with slack variables.
     """
     rows = [list(r) for r in lam.basis]
     n = len(rows)
-    inv = exact.inverse_fraction(exact.to_fraction_matrix(rows))
-    d, m = exact.scale_to_int(inv)
+    r, ir = exact.scale_to_int(rows)
+    adj, det = exact.adjugate(ir)
+    d, m = exact.scale_to_int([[Fraction(r * x, det) for x in row] for row in adj])
     stacked = [list(r) for r in m] + [[d if j == i else 0 for j in range(n)] for i in range(n)]
     ker = exact.kernel_basis(exact.transpose(stacked))
     sol = [k[:n] for k in ker if any(k[:n])]
@@ -535,3 +540,81 @@ def test_content_not_controlled_by_ambient_disc():
 def _vp_frac(x, p):
     x = Fraction(x)
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+
+
+# ---------------------------------------------------------------------------
+# integer elimination against the Fraction Gauss-Jordan oracle, on the
+# verification forms that are not diagonal or not unimodular
+
+ORACLE_FORMS = [q for q in verify._default_forms() if not q.is_sum_of_squares()]
+
+
+@st.composite
+def oracle_subspace(draw):
+    q = draw(st.sampled_from(ORACLE_FORMS))
+    k = draw(st.integers(min_value=1, max_value=q.n - 1))
+    entry = st.integers(min_value=-5, max_value=5)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=q.n, max_size=q.n), min_size=k, max_size=k)
+    )
+    if exact.rank_int(rows) != k:
+        rows = exact.identity(q.n)[:k]
+    return q, qf.Subspace.from_rows(q, rows)
+
+
+def _oracle_gram(q, rows):
+    return exact.mat_mul(exact.mat_mul(rows, [list(r) for r in q.gram]), exact.transpose(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_subspace())
+def test_projection_and_dual_match_fraction_oracle(data):
+    q, L = data
+    b = [list(r) for r in L.basis]
+    m = [list(r) for r in q.gram]
+    ginv = fo.inverse_fraction(_oracle_gram(q, b))
+    expected = exact.mat_mul(exact.mat_mul(exact.mat_mul(m, exact.transpose(b)), ginv), b)
+    assert qf.projection_matrix(q, L) == expected
+    # the dual of a rational lattice: the tau_perp lattice L ∩ (Z^n)^#
+    t = qf.lattice_intersect_subspace(qf.standard_dual(q), L)
+    rows = [list(r) for r in t.basis]
+    tinv = fo.inverse_fraction(_oracle_gram(q, rows))
+    assert qf.dual_lattice(q, t) == qf.Lattice.from_rows(q.n, exact.mat_mul(tinv, rows))
+    assert q.inverse_gram() == fo.inverse_fraction(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_subspace(), st.integers(min_value=1, max_value=12))
+def test_restricted_disc_matches_fraction_oracle(data, scale):
+    q, L = data
+    lattices = [
+        qf.lattice_intersect_subspace(qf.standard_dual(q), L),
+        qf.dual_lattice(q, L.lattice()),
+        qf.Lattice.from_rows(q.n, [[Fraction(x, scale) for x in r] for r in L.basis]),
+    ]
+    for lat in lattices:
+        rf = qf.gram_restriction(q, lat)
+        assert rf.disc() == fo.det_fraction(rf.gram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oracle_subspace(),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_lattice_coordinates_match_fraction_oracle(data, coeffs, den):
+    q, L = data
+    basis = [list(r) for r in qf.dual_lattice(q, L.lattice()).basis]
+    vectors = [
+        # in the span, integral exactly when den divides every coefficient
+        [sum(Fraction(c, den) * row[j] for c, row in zip(coeffs, basis)) for j in range(q.n)],
+        # a lattice vector plus a vector of Z^n, possibly outside the span
+        [x + int(j == coeffs[0] % q.n) for j, x in enumerate(basis[0])],
+    ]
+    for vec in vectors:
+        c = fo.solve_row_coordinates(basis, vec)
+        expected = None
+        if c is not None and all(x.denominator == 1 for x in c):
+            expected = [[int(x) for x in c]]
+        assert exact.lattice_coordinates(basis, [vec]) == expected

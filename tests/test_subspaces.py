@@ -197,7 +197,7 @@ def test_compose_rejects_v_not_orthogonal_to_lbar():
 
 def test_projection_data_matches_fraction_projection():
     # integer data (P, adj, D', lifts) against the rational projection of
-    # Z^4 onto lbar^perp, built with the Fraction projection matrix
+    # Z^4 onto lbar^perp, built with the rational projection matrix
     q = Q0_4
     std = quadform.Lattice.standard(q.n)
     checked = 0
@@ -290,6 +290,13 @@ def test_count_small_primitive_shapes():
     q = quadform.QuadraticForm.diagonal([1, 1, 2])
     lines = sp.enumerate_by_disc(q, 1, 2).get(2)
     assert sp.count_small_primitive_shapes(q, lines, 2) == 3
+    # both sides of the middle in Z^5: 2k < n and 2k > n, where the content
+    # of L^perp is read off the invariant factors of L's Gram
+    for k in (2, 3):
+        table = sp.schmidt_table(5, k, 8)
+        for D, M in ((4, 1), (4, 5), (8, 1), (8, 2)):
+            fast = sp.count_small_primitive_shapes(Q0_5, table.get(D), M)
+            assert fast == _small_shape_count_reference(Q0_5, table.get(D), M), (k, D, M)
 
 
 def test_count_small_primitive_shapes_6_3():
