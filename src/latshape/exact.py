@@ -11,7 +11,8 @@ too, below every module that needs them.
 Elimination is integer-only: HNF, SNF and fraction-free (Bareiss)
 determinants and adjugates.  ``Fraction`` appears only at the boundary: a
 rational matrix enters as ``scale_to_int``'s ``(den, integer matrix)``, and
-exact rationals leave as ``Fraction(x, den)``.
+exact rationals leave as ``Fraction(x, den)``; ``det_fraction`` and
+``inverse_fraction`` do both for rational determinants and inverses.
 
 Conventions:
   * ``hnf`` returns the unique fully reduced row HNF: pivots positive,
@@ -362,6 +363,24 @@ def adjugate(mat):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
         prev = p
     return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
+def det_fraction(mat):
+    """Determinant of a square rational matrix: det(d*mat) / d^n by Bareiss."""
+    d, imat = scale_to_int(mat)
+    return Fraction(det_int(imat), d ** len(imat))
+
+
+def inverse_fraction(mat):
+    """Inverse of a square rational matrix: d * adj(d*mat) / det(d*mat).
+
+    Raises ``ValueError`` on a singular matrix.
+    """
+    d, imat = scale_to_int(mat)
+    adj, det = adjugate(imat)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    return [[Fraction(d * x, det) for x in row] for row in adj]
 
 
 def lattice_coordinates(basis, vectors):

@@ -101,8 +101,7 @@ def _form_disc(gram):
 
 @lru_cache(maxsize=None)
 def _inverse_gram(gram):
-    adj, det = exact.adjugate(gram)
-    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    return _freeze(exact.inverse_fraction(gram))
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,7 @@ class RestrictedForm:
         return len(self.gram)
 
     def disc(self) -> Fraction:
-        den, ig = exact.scale_to_int(self.gram)
-        return Fraction(exact.det_int(ig), den ** self.dim)
+        return exact.det_fraction(self.gram)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.gram for x in row)
@@ -600,13 +598,10 @@ def rotate_subspace(g, L: Subspace) -> Subspace:
 def rotation_ord_p(g, p: int) -> int:
     """Smallest ℓ with p^ℓ g and p^ℓ g^{-1} both p-integral.
 
-    That is the larger p-valuation of the two denominator lcms; with
-    g = G/den the inverse is den adj(G) / det G.
+    That is the larger p-valuation of the two denominator lcms.
     """
-    den, gi = exact.scale_to_int(_thaw(g))
-    adj, det = exact.adjugate(gi)
-    inv_den = exact.denominator_lcm([[Fraction(den * x, det) for x in row] for row in adj])
-    return max(exact.valuation(den, p), exact.valuation(inv_den, p))
+    dens = (exact.denominator_lcm(g), exact.denominator_lcm(exact.inverse_fraction(g)))
+    return max(exact.valuation(d, p) for d in dens)
 
 
 @lru_cache(maxsize=None)

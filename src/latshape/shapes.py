@@ -363,8 +363,7 @@ def moduli_point(
         raise ValueError("L(Z) is not inside the given lattice")
     u = exact.complete_to_unimodular(coords)
     basis_rows = exact.mat_mul(u, lam_rows)
-    den, ibasis = exact.scale_to_int(basis_rows)
-    det = Fraction(exact.det_int(ibasis), den ** n)
+    det = exact.det_fraction(basis_rows)
     if det < 0:
         basis_rows[-1] = [-x for x in basis_rows[-1]]
         det = -det

@@ -410,26 +410,25 @@ def _suite_moduli(forms, samples, seed):
 
 def _cayley_rotation(q, rng):
     """Random rational g in SO_Q via g = (I - A)(I + A)^{-1}, A = M^{-1} S
-    with S skew; retries until I + A is invertible.
-
-    With M^{-1} = adj(M)/d and N = adj(M) S, I ± A = (d I ± N)/d, so
-    g = (d I - N) adj(d I + N) / det(d I + N) over the integers.
-    """
+    with S skew; retries until I + A is invertible."""
     n = q.n
-    madj, d = exact.adjugate(q.gram)
+    minv = q.inverse_gram()
     while True:
         s = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 s[i][j] = rng.randint(-3, 3)
                 s[j][i] = -s[i][j]
-        a = exact.mat_mul(madj, s)
-        iplus = [[(d if i == j else 0) + a[i][j] for j in range(n)] for i in range(n)]
-        adj, det = exact.adjugate(iplus)
-        if det == 0:
+        a = exact.mat_mul(minv, s)
+        iplus = [
+            [(1 if i == j else 0) + a[i][j] for j in range(n)] for i in range(n)
+        ]
+        if exact.det_fraction(iplus) == 0:
             continue
-        iminus = [[(d if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-        return [[Fraction(x, det) for x in row] for row in exact.mat_mul(iminus, adj)]
+        iminus = [
+            [(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)
+        ]
+        return exact.mat_mul(iminus, exact.inverse_fraction(iplus))
 
 
 def _suite_continuity(forms, samples, seed):

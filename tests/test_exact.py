@@ -380,9 +380,22 @@ def test_inverse_unimodular_matches_inverse_fraction(mat):
 
 def test_det_and_inverse_fraction():
     m = [[2, 1], [1, 2]]
-    assert fo.det_fraction(m) == 3
-    inv = fo.inverse_fraction(m)
+    assert exact.det_fraction(m) == 3
+    inv = exact.inverse_fraction(m)
     assert exact.mat_mul(m, inv) == fo.to_fraction_matrix(exact.identity(2))
+    with pytest.raises(ValueError):
+        exact.inverse_fraction([[1, 2], [2, 4]])
+
+
+@given(square_matrices(), st.lists(st.integers(1, 12), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_rational_det_and_inverse_match_oracle(mat, dens):
+    # row i divided by dens[i]: a rational matrix with mixed denominators
+    rat = [[Fraction(x, d) for x in row] for row, d in zip(mat, dens)]
+    det = exact.det_fraction(rat)
+    assert det == fo.det_fraction(rat)
+    if det:
+        assert exact.inverse_fraction(rat) == fo.inverse_fraction(rat)
 
 
 def test_frac_str_roundtrip():
