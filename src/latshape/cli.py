@@ -13,6 +13,7 @@ import json
 import sys
 from typing import List, Optional
 
+from . import exact
 from . import experiment
 from . import padic
 from . import quadform
@@ -83,6 +84,8 @@ def _cmd_invariants(args) -> int:
     perp = quadform.orth_complement(q, L)
     glue = quadform.glue_group(q, L)
     q_l, q_p, tau = quadform.restricted_forms(q, L)
+    content_l, prim_l = quadform.content_and_primitive(q_l)
+    content_p, prim_p = quadform.content_and_primitive(q_p)
     lam, clean = quadform.lambda_L_detail(q, L)
     disc_l = quadform.disc(q, L)
     local = {}
@@ -100,11 +103,11 @@ def _cmd_invariants(args) -> int:
             "glue_order": glue.order,
             "i_L": quadform.index_iL(q, L),
             "i_Lperp": quadform.index_iL(q, perp),
-            "content_L": int(q_l.content),
-            "content_Lperp": int(q_p.content),
-            "disc_prim_L": int(quadform.content_and_primitive(q_l)[1].disc()),
-            "disc_prim_Lperp": int(quadform.content_and_primitive(q_p)[1].disc()),
-            "disc_tau_perp": str(tau.disc()),
+            "content_L": content_l,
+            "content_Lperp": content_p,
+            "disc_prim_L": exact.det_int(prim_l),
+            "disc_prim_Lperp": exact.det_int(prim_p),
+            "disc_tau_perp": str(exact.det_fraction(tau)),
             "lambda_clean": clean,
             "local_disc": local,
         }
@@ -125,12 +128,12 @@ def _cmd_isotropy(args) -> int:
     q = _parse_form(args.Q)
     L = quadform.Subspace.from_rows(q, _parse_rows(args.L))
     perp = quadform.orth_complement(q, L)
-    q_l, q_p, _ = quadform.restricted_forms(q, L)
+    q_l, q_p = quadform.gram_restriction(q, L), quadform.gram_restriction(q, perp)
     report = {"hnf": L.hnf_key(), "places": {}}
     for p in _isotropy_places(args):
         entry = {
-            "q_L_isotropic": padic.is_isotropic_local(q_l.gram, p),
-            "q_Lperp_isotropic": padic.is_isotropic_local(q_p.gram, p),
+            "q_L_isotropic": padic.is_isotropic_local(q_l, p),
+            "q_Lperp_isotropic": padic.is_isotropic_local(q_p, p),
         }
         if p != 2:
             entry["strongly_isotropic"] = padic.stabilizer_strongly_isotropic(q, L, p)
@@ -160,16 +163,14 @@ def _cmd_shapes(args) -> int:
     for label, sub in (("shape_L", L), ("shape_Lperp", perp)):
         out[label] = shapes.shape(q, sub).to_json()
         if sub.k == 2:
-            pt = shapes.upper_half_point(quadform.gram_restriction(q, sub).gram)
+            pt = shapes.upper_half_point(quadform.gram_restriction(q, sub))
             out[label]["uhp"] = [pt.x, pt.y]
     if args.moduli_check:
         import numpy as np
 
         pt = shapes.moduli_point(q, L)
         gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
-        exact_l = np.array(
-            [[float(x) for x in row] for row in quadform.gram_restriction(q, L).gram]
-        )
+        exact_l = np.array(quadform.gram_restriction(q, L), dtype=float)
         s = (pt.alpha * pt.lam) ** 2
         out["moduli"] = {
             "residuals": {k: float(v) for k, v in pt.residuals().items()},

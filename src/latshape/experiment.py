@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import exact
 from . import quadform
 from . import shapes
 from . import subspaces
@@ -173,26 +174,26 @@ def two_sample_ks(a, b, weights_a=None) -> float:
 def _record(q: quadform.QuadraticForm, sub: quadform.Subspace, stab: int) -> RecordRow:
     proj = shapes.grassmann_coordinates(sub)
     perp = quadform.orth_complement(q, sub)
-    rf_l = quadform.gram_restriction(q, sub, tag="q_L")
-    rf_p = quadform.gram_restriction(q, perp, tag="q_perp")
-    _, prim_l = quadform.content_and_primitive(rf_l)
-    _, prim_p = quadform.content_and_primitive(rf_p)
+    gram_l = quadform.gram_restriction(q, sub)
+    gram_p = quadform.gram_restriction(q, perp)
+    _, prim_l = quadform.content_and_primitive(gram_l)
+    _, prim_p = quadform.content_and_primitive(gram_p)
     point_l = None
     if sub.k == 2:
-        pt = shapes.upper_half_point(rf_l.gram)
+        pt = shapes.upper_half_point(gram_l)
         point_l = (pt.x, pt.y)
     point_p = None
     if perp.k == 2:
-        pt = shapes.upper_half_point(rf_p.gram)
+        pt = shapes.upper_half_point(gram_p)
         point_p = (pt.x, pt.y)
     return RecordRow(
-        disc=int(rf_l.disc()),
+        disc=exact.det_int(gram_l),
         hnf=sub.hnf_key(),
         proj=tuple(float(x) for x in proj.reshape(-1)),
         shape_l=point_l,
         shape_perp=point_p,
-        disc_prim_l=int(prim_l.disc()),
-        disc_prim_perp=int(prim_p.disc()),
+        disc_prim_l=exact.det_int(prim_l),
+        disc_prim_perp=exact.det_int(prim_p),
         stab_order=stab,
     )
 

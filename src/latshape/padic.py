@@ -251,8 +251,10 @@ def stabilizer_strongly_isotropic(q: "quadform.QuadraticForm", L, p: int) -> boo
         raise ValueError("p must be an odd prime")
     if L.k == 0 or L.k == L.n:
         raise ValueError("need a proper nonzero subspace")
-    q_l, q_perp, _ = quadform.restricted_forms(q, L)
-    return is_isotropic_local(q_l.gram, p) and is_isotropic_local(q_perp.gram, p)
+    perp = quadform.orth_complement(q, L)
+    return all(
+        is_isotropic_local(quadform.gram_restriction(q, side), p) for side in (L, perp)
+    )
 
 
 def sufficient_criterion(k: int, n_minus_k: int, p: int, disc_l: int, disc_lperp: int) -> bool:

@@ -7,7 +7,11 @@ so structurally equal dataclasses describe the same subspace.  Lattices
 (full rank or not, rational entries allowed) carry canonical rational
 HNF bases with the same property.
 
-The invariants provided here: restricted Gram forms, discriminants
+A restricted Gram B M B^T is a plain tuple of rows: int entries on an
+integer basis such as L(Z) or L^⊥(Z), Fraction entries only on a rational
+lattice such as L^⊥ ∩ (Z^n)^#.
+
+The invariants provided here: restricted Gram matrices, discriminants
 (global and local), dual and projected lattices, glue groups, the index
 of L(Z) in L ∩ (Z^n)^#, primitive parts, a distinguished lattice between
 Z^n and its dual attached to L, rational rotations, and the stabilizer
@@ -148,14 +152,8 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, form: QuadraticForm, rows) -> "Subspace":
-        cleared = []
-        for row in rows:
-            # row scaling preserves the span, so clear denominators per row
-            fr = [Fraction(x) for x in row]
-            den = lcm(*(x.denominator for x in fr))
-            cleared.append([int(x * den) for x in fr])
-        sat = exact.saturate(cleared) if cleared else []
-        return cls(form, _freeze(sat))
+        rows = _thaw(rows)
+        return cls(form, _freeze(exact.saturate(rows) if rows else []))
 
     @classmethod
     def from_saturated_rows(cls, form: QuadraticForm, rows) -> "Subspace":
@@ -206,32 +204,6 @@ class GlueGroup:
         return [exact.valuation(d, p) for d in self.factors]
 
 
-@dataclass(frozen=True)
-class RestrictedForm:
-    """Gram matrix of the form restricted to a lattice, with provenance tag."""
-
-    gram: tuple
-    tag: str
-
-    def __post_init__(self):
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", frozen)
-
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
-
-    def disc(self) -> Fraction:
-        return exact.det_fraction(self.gram)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.gram for x in row)
-
-    @property
-    def content(self) -> Fraction:
-        return gram_content(self.gram)[0]
-
-
 def gram_content(gram):
     """(c, P) with gram = c * P for a rational matrix, P integral with
     coprime entries and c > 0; c is 0 and P the zero matrix for zero input."""
@@ -249,11 +221,13 @@ def _basis_rows(obj):
     return [list(r) for r in obj]
 
 
-def gram_restriction(q: QuadraticForm, lat, tag: str = "restriction") -> RestrictedForm:
-    """Gram matrix B M B^T of the form on the given lattice basis."""
+def gram_restriction(q: QuadraticForm, lat):
+    """Gram matrix B M B^T of the form on the given lattice basis, as a
+    tuple of rows: int entries for an integer basis (every Subspace),
+    Fraction entries for a rational one."""
     rows = _basis_rows(lat)
     bm = exact.mat_mul(rows, _thaw(q.gram))
-    return RestrictedForm(_freeze(exact.mat_mul(bm, exact.transpose(rows))), tag)
+    return _freeze(exact.mat_mul(bm, exact.transpose(rows)))
 
 
 def disc(q: QuadraticForm, L: Subspace) -> int:
@@ -320,9 +294,7 @@ def glue_group(q: QuadraticForm, L: Subspace) -> GlueGroup:
     The Gram matrix is the coordinate matrix of L(Z) inside L(Z)^#, so its
     invariant factors present the quotient; their product is disc_Q(L).
     """
-    g = gram_restriction(q, L).gram
-    ig = [[int(x) for x in row] for row in g]
-    return GlueGroup(tuple(exact.invariant_factors(ig)))
+    return GlueGroup(tuple(exact.invariant_factors(gram_restriction(q, L))))
 
 
 def local_glue(q: QuadraticForm, L: Subspace, p: int):
@@ -370,26 +342,25 @@ def local_disc(q: QuadraticForm, L: Subspace, p: int):
 
 
 def restricted_forms(q: QuadraticForm, L: Subspace):
-    """(q_L, q_perp, tau_perp) for the subspace and its complement.
+    """Grams (q_L, q_perp, tau_perp) of the subspace and its complement.
 
-    q_L lives on L(Z), q_perp on L^⊥(Z), and tau_perp on L^⊥ ∩ (Z^n)^#;
-    the last Gram matrix is rational in general, with
-    disc(q_perp) = i(L^⊥)^2 · disc(tau_perp).
+    q_L lives on L(Z) and q_perp on L^⊥(Z): tuples of int rows.  tau_perp
+    lives on L^⊥ ∩ (Z^n)^#: tuple of Fraction rows, rational in general,
+    with disc(q_perp) = i(L^⊥)^2 · disc(tau_perp).
     """
     perp = orth_complement(q, L)
-    q_l = gram_restriction(q, L, tag="q_L")
-    q_p = gram_restriction(q, perp, tag="q_perp")
     t = lattice_intersect_subspace(standard_dual(q), perp)
-    tau = gram_restriction(q, t, tag="tau_perp")
-    return q_l, q_p, tau
+    return gram_restriction(q, L), gram_restriction(q, perp), gram_restriction(q, t)
 
 
-def content_and_primitive(rf: RestrictedForm):
-    """Split an integral form as content * primitive part."""
-    if not rf.is_integral():
+def content_and_primitive(gram):
+    """(c, P) with gram = c * P for an integral Gram (rows of int or
+    integral Fraction entries): c the int content, P the primitive Gram as
+    a tuple of int rows.  Raises ValueError on a non-integral Gram."""
+    if any(x.denominator != 1 for row in gram for x in row):
         raise ValueError("content_and_primitive: form is not integral")
-    g, prim = gram_content(rf.gram)
-    return int(g), RestrictedForm(_freeze(prim), tag="primitive")
+    g, prim = gram_content(gram)
+    return int(g), _freeze(prim)
 
 
 # ---------------------------------------------------------------------------

@@ -88,21 +88,19 @@ def _check_pd(ig):
             raise ValueError("form is not positive definite")
 
 
-def _gauss_reduce(a: int, b: int, c: int) -> Tuple[int, int, int]:
-    # GL_2(Z) domain: 0 <= 2b <= a <= c.  Reduction reaches |2b| <= a <= c
-    # and the det -1 move y -> -y then flips b to its absolute value
+def _reduce_binary(a: int, b: int, c: int) -> Tuple[int, int, int]:
+    """SL_2(Z)-reduced form of the PD binary Gram [[a, b], [b, c]]:
+    |2b| <= a <= c, with b >= 0 when 2|b| = a or a = c."""
     while True:
-        if a > c:
-            a, c = c, a
-        t = round(Fraction(b, a))
-        if t:
-            c += t * t * a - 2 * t * b
-            b -= t * a
-            continue
-        if a > c:
-            continue
-        break
-    return a, abs(b), c
+        t = (2 * b + a) // (2 * a)  # nearest integer to b/a
+        c += t * t * a - 2 * t * b
+        b -= t * a
+        if a <= c:
+            break
+        a, b, c = c, -b, a
+    if b < 0 and (2 * b == -a or a == c):
+        b = -b
+    return a, b, c
 
 
 def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -142,8 +140,9 @@ def _canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
     if k == 1:
         return ((1,),)
     if k == 2:
-        a, b, c = _gauss_reduce(ig[0][0], ig[0][1], ig[1][1])
-        return ((a, b), (b, c))
+        # the det -1 move y -> -y takes the SL_2 class to the GL_2 one
+        a, b, c = _reduce_binary(ig[0][0], ig[0][1], ig[1][1])
+        return ((a, abs(b)), (abs(b), c))
     if k > 4:
         raise SearchBoundError(
             "canonicalization implemented for rank <= 4, got %d" % k
@@ -208,8 +207,7 @@ def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:
         rows = [list(r) for r in lam]
     if not rows:
         raise ValueError("shape of a rank-zero lattice is undefined")
-    gram = quadform.gram_restriction(q, rows).gram
-    content, ig = quadform.gram_content(gram)
+    content, ig = quadform.gram_content(quadform.gram_restriction(q, rows))
     _check_pd(ig)
     return ShapeClass(_canonical_gram(ig), content)
 
@@ -258,31 +256,16 @@ def forms_equivalent(g1, g2) -> bool:
 
 def upper_half_point(gram) -> UpperHalfPoint:
     """Fundamental-domain point of a binary PD Gram [[a,b],[b,c]]: the
-    root z = (-b + i sqrt(ac - b^2))/a reduced by the modular group.
+    root z = (-b + i sqrt(ac - b^2))/a of the SL_2(Z)-reduced form.
     Scaling-invariant by construction."""
-    a = Fraction(gram[0][0])
-    b = Fraction(gram[0][1])
-    c = Fraction(gram[1][1])
-    if Fraction(gram[1][0]) != b:
+    _, ((a, b), (b_low, c)) = exact.scale_to_int(gram)
+    if b_low != b:
         raise ValueError("gram must be symmetric")
     if a <= 0 or a * c - b * b <= 0:
         raise ValueError("form is not positive definite")
-    x = -b / a
-    y2 = (a * c - b * b) / (a * a)
-    # exact modular reduction on (x, y^2)
-    while True:
-        t = round(x)
-        x -= t
-        norm2 = x * x + y2
-        if norm2 < 1:
-            x, y2 = -x / norm2, y2 / (norm2 * norm2)
-            continue
-        break
-    if x * x + y2 == 1 and x > 0:
-        x = -x
-    if x == Fraction(1, 2):
-        x = -x
-    return UpperHalfPoint(float(x), math.sqrt(float(y2)))
+    a, b, c = _reduce_binary(a, b, c)
+    # int true division rounds correctly, so x and y^2 are the nearest floats
+    return UpperHalfPoint(-b / a, math.sqrt((a * c - b * b) / (a * a)))
 
 
 def grassmann_coordinates(L: quadform.Subspace) -> np.ndarray:
@@ -363,6 +346,16 @@ def moduli_point(
         raise ValueError("L(Z) is not inside the given lattice")
     u = exact.complete_to_unimodular(coords)
     basis_rows = exact.mat_mul(u, lam_rows)
+    # size-reduce the completion rows against L(Z): subtract the rounded
+    # coordinates c = r M B^T adj(G) / det G of their projection onto
+    # span L.  The lattice and det are kept and g_L stays well conditioned.
+    mbt = exact.mat_mul(q.gram, exact.transpose(L.basis))
+    adj, gdet = exact.adjugate(exact.mat_mul(L.basis, mbt))
+    for i in range(k, n):
+        c = exact.vec_mat(exact.vec_mat(basis_rows[i], mbt), adj)
+        t = [(2 * x + gdet) // (2 * gdet) for x in c]
+        shift = exact.vec_mat(t, L.basis)
+        basis_rows[i] = [x - y for x, y in zip(basis_rows[i], shift)]
     det = exact.det_fraction(basis_rows)
     if det < 0:
         basis_rows[-1] = [-x for x in basis_rows[-1]]

@@ -190,37 +190,6 @@ def lines_with_disc(
     return out
 
 
-def _xgcd_combination(values: Sequence[int]) -> Tuple[int, List[int]]:
-    # returns (g, a) with g = gcd(values) > 0 and sum a_i values_i = g
-    g, coeffs = 0, [0] * len(values)
-    for i, val in enumerate(values):
-        if val == 0:
-            continue
-        if g == 0:
-            g = abs(val)
-            coeffs = [0] * len(values)
-            coeffs[i] = 1 if val > 0 else -1
-            continue
-        old_g = g
-        gg, x, y = _xgcd(g, val)
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] += y
-        g = gg
-        assert 0 < g <= old_g
-    return g, coeffs
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        qq, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qq * x1
-        y0, y1 = y1, y0 - qq * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     """Split L <= Q^n along the last-coordinate hyperplane.
 
@@ -236,16 +205,13 @@ def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     last = [r[-1] for r in rows]
     if not any(last):
         raise ValueError("subspace is contained in the hyperplane")
-    h, coeffs = _xgcd_combination(last)
-    u_full = [sum(coeffs[t] * rows[t][c] for t in range(len(rows))) for c in range(n1)]
-    assert u_full[-1] == h
+    # U @ last = (h, 0, ..., 0): U[0] lifts the generator h and the
+    # unimodular rest U[1:] spans the combinations inside the hyperplane
+    hmat, umat = exact.hnf([[x] for x in last])
+    h = hmat[0][0]
+    u_full, *lbar_rows = exact.mat_mul(umat, rows)
     small = quadform.QuadraticForm.sum_of_squares(n1 - 1)
-    combos = exact.kernel_basis([last])
-    lbar_rows = [
-        [sum(a[t] * rows[t][c] for t in range(len(rows))) for c in range(n1 - 1)]
-        for a in combos
-    ]
-    lbar = quadform.Subspace.from_rows(small, lbar_rows)
+    lbar = quadform.Subspace.from_rows(small, [r[:-1] for r in lbar_rows])
     u = u_full[:-1]
     perp, adj, dprime, _ = _projection_data(lbar)
     # v = sum_i c_i p_i^# with c_i = u.p_i and dual basis adj @ perp / dprime
@@ -421,7 +387,7 @@ def count_small_primitive_shapes(
     for sub in subs:
         for side in (sub, quadform.orth_complement(q, sub)):
             _, prim = quadform.content_and_primitive(quadform.gram_restriction(q, side))
-            if prim.disc() <= M:
+            if exact.det_int(prim) <= M:
                 count += 1
                 break
     return count

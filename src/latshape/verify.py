@@ -166,9 +166,8 @@ def _suite_orders(forms, samples, seed):
     glob = _Check("disc is the product of its local orders")
     for q, L in _spread(forms, samples, seed):
         perp = quadform.orth_complement(q, L)
-        q_l, q_p, _tau = quadform.restricted_forms(q, L)
         i_l = quadform.index_iL(q, L)
-        dl, dp = int(q_l.disc()), int(q_p.disc())
+        dl, dp = quadform.disc(q, L), quadform.disc(q, perp)
         ratio.record(dp * i_l * i_l == dl * q.disc(), L.hnf_key())
         ok = all(
             abs(exact.valuation(dl, p) - exact.valuation(dp, p))
@@ -193,12 +192,10 @@ def _suite_primitive(forms, samples, seed):
         i1, i2 = quadform.index_iL(q, L), quadform.index_iL(q, perp)
         comp.record(Fraction(d1, i1) <= d2 <= i2 * d1, L.hnf_key())
         q_l, q_p, t = quadform.restricted_forms(q, L)
-        tau.record(q_p.disc() == i2 * i2 * t.disc(), L.hnf_key())
-        k, nk = L.k, perp.k
-        if k > nk:
-            gdiv.record(q.disc() % int(q_l.content) == 0, L.hnf_key())
-        elif nk > k:
-            gdiv.record(q.disc() % int(q_p.content) == 0, L.hnf_key())
+        tau.record(d2 == i2 * i2 * exact.det_fraction(t), L.hnf_key())
+        if L.k != perp.k:
+            content, _ = quadform.content_and_primitive(q_l if L.k > perp.k else q_p)
+            gdiv.record(q.disc() % content == 0, L.hnf_key())
     return [comp, tau, gdiv]
 
 
@@ -380,21 +377,13 @@ def _suite_moduli(forms, samples, seed):
             residual.record(res < 1e-9, "%.3g on %s" % (res, L.hnf_key()))
             unit_det.record(abs(np.linalg.det(pt.m) - 1.0) < 1e-9, L.hnf_key())
             gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
-            exact_l = np.array(
-                [
-                    [float(x) for x in row]
-                    for row in quadform.gram_restriction(q, L).gram
-                ]
-            )
+            exact_l = np.array(quadform.gram_restriction(q, L), dtype=float)
             s = (pt.alpha * pt.lam) ** 2
             side_l.record(
                 float(np.abs(gram_l / s - exact_l).max()) < 1e-9, L.hnf_key()
             )
             perp = quadform.orth_complement(q, L)
-            exact_p = [
-                [int(x) for x in row]
-                for row in quadform.gram_restriction(q, perp).gram
-            ]
+            exact_p = quadform.gram_restriction(q, perp)
             ratio = np.linalg.det(gram_p) / np.linalg.det(
                 np.array(exact_p, dtype=float)
             )

@@ -1,11 +1,17 @@
-"""Fraction Gauss-Jordan elimination, kept as an independent test oracle.
+"""Fraction routines, kept as independent test oracles.
 
 The package eliminates over the integers only (Bareiss determinants and
 adjugates, HNF/SNF solves).  These routines do the same jobs by plain
 Gaussian elimination over ``fractions.Fraction``, so the tests can check
 the integer routines against a second, unrelated implementation.
+
+The package also reduces binary forms over the integers only.
+``gauss_reduce`` and ``upper_half_point`` are the earlier rational
+versions: a GL_2(Z) reduction that rounds b/a as a Fraction, and the
+modular-group reduction of the root z = x + iy carried out on (x, y^2).
 """
 
+import math
 from fractions import Fraction
 
 
@@ -116,3 +122,38 @@ def solve_row_coordinates(basis, vector):
         if rows[i][k] != 0:
             return None
     return sol
+
+
+def gauss_reduce(a, b, c):
+    """GL_2(Z)-reduced triple of [[a, b], [b, c]]: 0 <= 2b <= a <= c."""
+    while True:
+        if a > c:
+            a, c = c, a
+        t = round(Fraction(b, a))
+        if t:
+            c += t * t * a - 2 * t * b
+            b -= t * a
+            continue
+        if a > c:
+            continue
+        break
+    return a, abs(b), c
+
+
+def upper_half_point(gram):
+    """(x, y) of the fundamental-domain point of a binary PD Gram, by exact
+    modular reduction of (x, y^2) = (-b/a, (ac - b^2)/a^2)."""
+    a, b, c = (Fraction(gram[0][0]), Fraction(gram[0][1]), Fraction(gram[1][1]))
+    x = -b / a
+    y2 = (a * c - b * b) / (a * a)
+    while True:
+        x -= round(x)
+        norm2 = x * x + y2
+        if norm2 >= 1:
+            break
+        x, y2 = -x / norm2, y2 / (norm2 * norm2)
+    if x * x + y2 == 1 and x > 0:
+        x = -x
+    if x == Fraction(1, 2):
+        x = -x
+    return float(x), math.sqrt(float(y2))

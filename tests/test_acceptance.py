@@ -260,15 +260,11 @@ def test_criterion_08_moduli_consistency():
             res = max(pt.residuals().values())
             worst_residual = max(worst_residual, res)
             gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
-            exact_l = np.array(
-                [[float(x) for x in row] for row in qf.gram_restriction(q, L).gram]
-            )
+            exact_l = np.array(qf.gram_restriction(q, L), float)
             err_l = float(np.abs(gram_l / (pt.alpha * pt.lam) ** 2 - exact_l).max())
             worst_l = max(worst_l, err_l)
             perp = qf.orth_complement(q, L)
-            exact_p = [
-                [int(x) for x in row] for row in qf.gram_restriction(q, perp).gram
-            ]
+            exact_p = qf.gram_restriction(q, perp)
             ratio = np.linalg.det(gram_p) / np.linalg.det(np.array(exact_p, float))
             snapped = gram_p / ratio ** (1.0 / len(exact_p))
             rounded = [[round(v) for v in row] for row in snapped]
@@ -410,10 +406,10 @@ def test_criterion_10_badly_behaved_chart():
                 qf.content_and_primitive(qf.gram_restriction(Q6, side))
                 for side in (L, qf.orth_complement(Q6, L))
             ]
-            if not any(prim.disc() <= 2 for _, prim in sides):
+            if not any(exact.det_int(prim) <= 2 for _, prim in sides):
                 continue
             counted[d].add(L.basis)
-            if any((g, prim.disc()) != (2, d // 8) for g, prim in sides):
+            if any((g, exact.det_int(prim)) != (2, d // 8) for g, prim in sides):
                 not_copies.append((d, L.hnf_key()))
     generic_counts = {d: len(c) for d, c in counted.items()}
     closed_form = _matching_spans()

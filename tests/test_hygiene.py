@@ -1,14 +1,17 @@
 """Static hygiene of the package source, checked with the stdlib ``ast``.
 
-Two kinds of dead code are refused anywhere in ``src/latshape``: an import
-whose bound name is never read in its module, and a module-level private
-name (``_x``, not a dunder) that no module of the package ever reads.
+Three kinds of dead code are refused anywhere in ``src/latshape``: an
+import whose bound name is never read in its module, a module-level private
+name (``_x``, not a dunder) that no module of the package ever reads, and a
+method or property of a package class (dunders aside) that no module of the
+package or of the tests ever reads.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latshape"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "latshape"
 
 
 def _modules():
@@ -67,5 +70,22 @@ def test_no_unread_private_globals():
         for mod, tree in modules.items()
         for name in _private_globals(tree)
         if name not in read
+    ]
+    assert unread == []
+
+
+def test_no_unread_methods():
+    modules = _modules()
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
+    read = set().union(*(_reads(tree) for tree in list(modules.values()) + tests))
+    unread = [
+        "%s.%s.%s" % (mod, cls.name, node.name)
+        for mod, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("__")
+        and node.name not in read
     ]
     assert unread == []

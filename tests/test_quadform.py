@@ -84,9 +84,10 @@ def test_disc_diagonal_prefix():
 
 def test_gram_restriction_values():
     L = qf.Subspace.from_rows(Q0_3, [[1, 2, 0]])
-    assert qf.gram_restriction(Q0_3, L).gram == ((F(5),),)
+    assert qf.gram_restriction(Q0_3, L) == ((5,),)
+    assert type(qf.gram_restriction(Q0_3, L)[0][0]) is int
     full = qf.Lattice.standard(3)
-    assert qf.gram_restriction(Q112, full).gram == (
+    assert qf.gram_restriction(Q112, full) == (
         (F(1), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(0), F(0), F(2)),
@@ -145,22 +146,26 @@ def test_project_lattice_values():
 def test_glue_non_primitive_example():
     q6 = qf.QuadraticForm.sum_of_squares(6)
     L = qf.Subspace.from_rows(q6, [[1, 2, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0], [0, 0, 0, 0, 1, 2]])
-    rf = qf.gram_restriction(q6, L)
-    assert rf.gram == ((F(5), F(0), F(0)), (F(0), F(5), F(0)), (F(0), F(0), F(5)))
+    gram = qf.gram_restriction(q6, L)
+    assert gram == ((5, 0, 0), (0, 5, 0), (0, 0, 5))
     assert qf.disc(q6, L) == 125
     assert qf.glue_group(q6, L).factors == (5, 5, 5)
-    content, prim = qf.content_and_primitive(rf)
+    content, prim = qf.content_and_primitive(gram)
     assert content == 5
-    assert prim.gram == ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+    assert prim == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_content_examples():
-    c, prim = qf.content_and_primitive(qf.RestrictedForm(((2, 2), (2, 4)), tag="q_L"))
-    assert c == 2 and prim.gram == ((F(1), F(1)), (F(1), F(2)))
-    c, prim = qf.content_and_primitive(qf.RestrictedForm(((1, 0), (0, 3)), tag="q_L"))
-    assert c == 1 and prim.gram == ((F(1), F(0)), (F(0), F(3)))
+    c, prim = qf.content_and_primitive(((2, 2), (2, 4)))
+    assert c == 2 and prim == ((1, 1), (1, 2))
+    c, prim = qf.content_and_primitive(((1, 0), (0, 3)))
+    assert c == 1 and prim == ((1, 0), (0, 3))
+    # an integral Gram with Fraction entries splits into ints as well
+    c, prim = qf.content_and_primitive(((F(4), F(2)), (F(2), F(6))))
+    assert (c, prim) == (2, ((2, 1), (1, 3)))
+    assert type(c) is int and all(type(x) is int for row in prim for x in row)
     with pytest.raises(ValueError):
-        qf.content_and_primitive(qf.RestrictedForm(((F(1, 2),),), tag="tau_perp"))
+        qf.content_and_primitive(((F(1, 2),),))
 
 
 def test_local_glue():
@@ -194,18 +199,18 @@ def test_local_disc():
 def test_restricted_forms_values():
     Le1 = qf.Subspace.from_rows(Q112, [[1, 0, 0]])
     q_l, q_p, tau = qf.restricted_forms(Q112, Le1)
-    assert q_l.gram == ((F(1),),)
-    assert q_p.gram == ((F(1), F(0)), (F(0), F(2)))
-    assert tau.gram == ((F(1), F(0)), (F(0), F(1, 2)))
+    assert q_l == ((1,),)
+    assert q_p == ((1, 0), (0, 2))
+    assert tau == ((F(1), F(0)), (F(0), F(1, 2)))
     i_perp = qf.index_iL(Q112, qf.orth_complement(Q112, Le1))
     assert i_perp == 2
-    assert q_p.disc() == i_perp**2 * tau.disc()
+    assert exact.det_int(q_p) == i_perp**2 * exact.det_fraction(tau)
     # unimodular ambient: tau and q_perp coincide
     L = qf.Subspace.from_rows(Q0_3, [[1, 2, 0]])
     q_l, q_p, tau = qf.restricted_forms(Q0_3, L)
-    assert q_l.gram == ((F(5),),)
-    assert q_p.gram == ((F(5), F(0)), (F(0), F(1)))
-    assert tau.gram == q_p.gram
+    assert q_l == ((5,),)
+    assert q_p == ((5, 0), (0, 1))
+    assert tau == q_p
 
 
 def test_lambda_examples():
@@ -464,7 +469,7 @@ def test_disc_comparison_and_tau(data):
     i1, i2 = qf.index_iL(q, L), qf.index_iL(q, perp)
     assert Fraction(d1, i1) <= d2 <= i2 * d1
     q_l, q_p, tau = qf.restricted_forms(q, L)
-    assert q_p.disc() == i2 * i2 * tau.disc()
+    assert exact.det_int(q_p) == i2 * i2 * exact.det_fraction(tau)
 
 
 @settings(max_examples=80, deadline=None)
@@ -504,7 +509,7 @@ def test_disc_ratio_law_and_gcd_divisibility(data):
     k, nk = L.k, perp.k
     # exact covolume identity: disc(q_perp) * i(L)^2 == disc(q_L) * disc(Q)
     i_l = qf.index_iL(q, L)
-    assert q_p.disc() * i_l * i_l == q_l.disc() * q.disc()
+    assert exact.det_int(q_p) * i_l * i_l == exact.det_int(q_l) * q.disc()
     # corollary: disc valuations of the two restrictions differ by at
     # most the ambient valuation, at every prime
     primes = set()
@@ -517,13 +522,13 @@ def test_disc_ratio_law_and_gcd_divisibility(data):
             while rem % p == 0:
                 rem //= p
     for p in primes:
-        dv_l = _vp_frac(q_l.disc(), p)
-        dv_p = _vp_frac(q_p.disc(), p)
+        dv_l = _vp_frac(exact.det_int(q_l), p)
+        dv_p = _vp_frac(exact.det_int(q_p), p)
         assert abs(dv_l - dv_p) <= _vp_int(q.disc(), p)
     if k > nk and nk > 0:
-        assert q.disc() % int(q_l.content) == 0
+        assert q.disc() % qf.content_and_primitive(q_l)[0] == 0
     if nk > k:
-        assert q.disc() % int(q_p.content) == 0
+        assert q.disc() % qf.content_and_primitive(q_p)[0] == 0
 
 
 def test_content_not_controlled_by_ambient_disc():
@@ -532,8 +537,8 @@ def test_content_not_controlled_by_ambient_disc():
     # restricts to 3x^2 (content 3) while its complement has content 1.
     L = qf.Subspace.from_rows(Q0_3, [[1, 1, 1]])
     q_l, q_p, _ = qf.restricted_forms(Q0_3, L)
-    assert q_l.content == 3
-    assert q_p.content == 1
+    assert qf.content_and_primitive(q_l)[0] == 3
+    assert qf.content_and_primitive(q_p)[0] == 1
     assert Q0_3.disc() == 1
 
 
@@ -593,8 +598,8 @@ def test_restricted_disc_matches_fraction_oracle(data, scale):
         qf.Lattice.from_rows(q.n, [[Fraction(x, scale) for x in r] for r in L.basis]),
     ]
     for lat in lattices:
-        rf = qf.gram_restriction(q, lat)
-        assert rf.disc() == fo.det_fraction(rf.gram)
+        gram = qf.gram_restriction(q, lat)
+        assert exact.det_fraction(gram) == fo.det_fraction(gram)
 
 
 @settings(max_examples=150, deadline=None)

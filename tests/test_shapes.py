@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latshape import quadform, shapes
 from latshape import subspaces as sp
+
+import fraction_oracle as fo
 
 Q0_3 = quadform.QuadraticForm.sum_of_squares(3)
 Q0_4 = quadform.QuadraticForm.sum_of_squares(4)
@@ -57,14 +60,74 @@ def test_shape_frozen_examples():
     assert sc.canonical_gram == ((1,),) and sc.scale == 3
 
 
+def _gl2_reduce(a, b, c):
+    # the GL_2(Z) triple (a, |b|, c) of the integer SL_2(Z) reduction
+    a, b, c = shapes._reduce_binary(a, b, c)
+    return a, abs(b), c
+
+
 def test_gauss_reduce_frozen():
-    assert shapes._gauss_reduce(5, 1, 5) == (5, 1, 5)
-    assert shapes._gauss_reduce(2, -1, 2) == (2, 1, 2)
-    assert shapes._gauss_reduce(10, 7, 6) == (2, 1, 6)
-    assert shapes._gauss_reduce(1, 0, 1) == (1, 0, 1)
+    assert _gl2_reduce(5, 1, 5) == (5, 1, 5)
+    assert _gl2_reduce(2, -1, 2) == (2, 1, 2)
+    assert _gl2_reduce(10, 7, 6) == (2, 1, 6)
+    assert _gl2_reduce(1, 0, 1) == (1, 0, 1)
     # off the boundary a negative off-diagonal still flips: y -> -y is a
     # GL_2(Z) move, so (3,-1,5) and (3,1,5) are one class
-    assert shapes._gauss_reduce(3, -1, 5) == (3, 1, 5)
+    assert _gl2_reduce(3, -1, 5) == (3, 1, 5)
+    # SL_2(Z) keeps the sign off the boundary and fixes it on the boundary
+    assert shapes._reduce_binary(3, -1, 5) == (3, -1, 5)
+    assert shapes._reduce_binary(2, -1, 5) == (2, 1, 5)
+    assert shapes._reduce_binary(3, -1, 3) == (3, 1, 3)
+
+
+@st.composite
+def binary_pd_gram(draw, rational):
+    """[[a, b], [b, c]] with b^2 < ac; entries over their own denominators
+    when rational, else integers."""
+    dens = [draw(st.integers(1, 40)) if rational else 1 for _ in range(3)]
+    pa, pc = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    # (m/d_b)^2 < (pa/d_a)(pc/d_c)  <=>  m^2 d_a d_c <= pa pc d_b^2 - 1
+    bound = math.isqrt((pa * pc * dens[1] ** 2 - 1) // (dens[0] * dens[2]))
+    m = draw(st.integers(-bound, bound))
+    a, b, c = Fraction(pa, dens[0]), Fraction(m, dens[1]), Fraction(pc, dens[2])
+    if not rational:
+        a, b, c = int(a), int(b), int(c)
+    return [[a, b], [b, c]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(binary_pd_gram(rational=False))
+def test_binary_reduction_matches_fraction_oracle(g):
+    (a, b), (_, c) = g
+    ra, rb, rc = shapes._reduce_binary(a, b, c)
+    assert abs(2 * rb) <= ra <= rc and ra * rc - rb * rb == a * c - b * b
+    if 2 * abs(rb) == ra or ra == rc:
+        assert rb >= 0
+    assert (ra, abs(rb), rc) == fo.gauss_reduce(a, b, c)
+    assert shapes._canonical_gram(g) == ((ra, abs(rb)), (abs(rb), rc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(binary_pd_gram(rational=False), binary_pd_gram(rational=True)))
+def test_upper_half_point_matches_fraction_oracle(g):
+    pt = shapes.upper_half_point(g)
+    assert (pt.x, pt.y) == fo.upper_half_point(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(binary_pd_gram(rational=False), binary_pd_gram(rational=True)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=8),
+)
+def test_upper_half_point_sl2_invariant(g, moves):
+    # u is a word in T^t = [[1, t], [0, 1]] and S = [[0, -1], [1, 0]]: det +1
+    u = [[1, 0], [0, 1]]
+    for t in moves:
+        u = [[u[0][0], t * u[0][0] + u[0][1]], [u[1][0], t * u[1][0] + u[1][1]]]
+        u = [[u[0][1], -u[0][0]], [u[1][1], -u[1][0]]]
+    ug = [[sum(u[i][r] * g[r][s] for r in range(2)) for s in range(2)] for i in range(2)]
+    ugu = [[sum(ug[i][s] * u[j][s] for s in range(2)) for j in range(2)] for i in range(2)]
+    assert shapes.upper_half_point(ugu) == shapes.upper_half_point(g)
 
 
 def test_shape_invariance_under_unimodular_change():
@@ -250,16 +313,12 @@ def test_shapes_from_moduli_consistency():
         pt = shapes.moduli_point(q, L)
         gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
         # L side shares the HNF basis, so it matches after one scalar
-        ex_l = np.array(
-            [[float(x) for x in r] for r in quadform.gram_restriction(q, L).gram]
-        )
+        ex_l = np.array(quadform.gram_restriction(q, L), dtype=float)
         s = (pt.alpha * pt.lam) ** 2
         assert np.abs(gram_l / s - ex_l).max() < 1e-9
         # perp side may differ by a unimodular change: snap and search
         perp = quadform.orth_complement(q, L)
-        ex_p = [
-            [int(x) for x in r] for r in quadform.gram_restriction(q, perp).gram
-        ]
+        ex_p = quadform.gram_restriction(q, perp)
         det_ratio = np.linalg.det(gram_p) / np.linalg.det(
             np.array(ex_p, dtype=float)
         )
@@ -267,6 +326,19 @@ def test_shapes_from_moduli_consistency():
         rounded = [[round(x) for x in row] for row in snapped]
         assert np.abs(snapped - np.array(rounded, dtype=float)).max() < 1e-9
         assert shapes.forms_equivalent(rounded, ex_p)
+
+
+def test_moduli_point_size_reduced_completion():
+    # a k = 5 subspace of Z^6 with large HNF entries: an unreduced
+    # completion row left g_L with condition number ~3.6e12
+    q6 = quadform.QuadraticForm.sum_of_squares(6)
+    key = "1;0;2;15;0;34;0;1;1;84;2;191;0;0;4;66;0;147;0;0;0;91;2;207;0;0;0;0;3;4"
+    v = [int(x) for x in key.split(";")]
+    L = quadform.Subspace.from_rows(q6, [v[i:i + 6] for i in range(0, 30, 6)])
+    assert L.hnf_key() == key
+    pt = shapes.moduli_point(q6, L)
+    assert max(pt.residuals().values()) < 1e-9
+    assert abs(np.linalg.det(pt.m) - 1.0) < 1e-9
 
 
 def test_moduli_point_argument_validation():

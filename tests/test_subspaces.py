@@ -273,7 +273,7 @@ def _small_shape_count_reference(q, subs, M):
         q_l, q_perp, _ = quadform.restricted_forms(q, sub)
         _, prim_l = quadform.content_and_primitive(q_l)
         _, prim_p = quadform.content_and_primitive(q_perp)
-        if prim_l.disc() <= M or prim_p.disc() <= M:
+        if exact.det_int(prim_l) <= M or exact.det_int(prim_p) <= M:
             count += 1
     return count
 
