@@ -9,10 +9,12 @@ valuation and unit square class shared by the invariant modules live here
 too, below every module that needs them.
 
 Elimination is integer-only: HNF, SNF and fraction-free (Bareiss)
-determinants and adjugates.  ``Fraction`` appears only at the boundary: a
-rational matrix enters as ``scale_to_int``'s ``(den, integer matrix)``, and
-exact rationals leave as ``Fraction(x, den)``; ``det_fraction`` and
-``inverse_fraction`` do both for rational determinants and inverses.
+determinants, adjugates and the ``ldl_int`` completion of a positive
+definite Gram, which also decides positive definiteness.  ``Fraction``
+appears only at the boundary: a rational matrix enters as
+``scale_to_int``'s ``(den, integer matrix)``, and exact rationals leave as
+``Fraction(x, den)``; ``det_fraction`` and ``inverse_fraction`` do both for
+rational determinants and inverses.
 
 Conventions:
   * ``hnf`` returns the unique fully reduced row HNF: pivots positive,
@@ -332,6 +334,37 @@ def det_int(mat):
                 ai[j] = (p * ai[j] - f * rk[j]) // prev
         prev = p
     return sign * a[-1][-1] if n else 1
+
+
+def ldl_int(gram):
+    """Fraction-free LDL^T of a symmetric positive definite integer matrix.
+
+    Bareiss elimination without row swaps.  Returns ``(rows, minors)``:
+    ``rows[i]`` is row i of the echelon form, zero left of the diagonal,
+    whose entry j >= i is the minor on rows 0..i and columns 0..i-1, j;
+    ``minors[i] = rows[i][i]`` is the leading principal minor D_{i+1}.
+    With D_0 = 1 and y_i = sum_j rows[i][j] x_j,
+
+        x gram x^T = sum_i y_i^2 / (D_i D_{i+1}).
+
+    Raises ``ValueError`` at the first leading minor <= 0, so it succeeds
+    exactly on positive definite input.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    prev = 1
+    for k in range(n):
+        p, rk = a[k][k], a[k]
+        if p <= 0:
+            raise ValueError("matrix is not positive definite")
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (p * ai[j] - f * rk[j]) // prev
+        prev = p
+    rows = [[0] * i + a[i][i:] for i in range(n)]
+    return rows, [rows[i][i] for i in range(n)]
 
 
 def adjugate(mat):

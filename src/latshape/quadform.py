@@ -55,10 +55,7 @@ class QuadraticForm:
                     raise ValueError("gram entries must be integers")
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = [list(row[:k]) for row in g[:k]]
-            if exact.det_int(minor) <= 0:
-                raise ValueError("gram matrix must be positive definite")
+        exact.ldl_int(g)  # raises unless positive definite
 
     @classmethod
     def sum_of_squares(cls, n: int) -> "QuadraticForm":
@@ -78,7 +75,7 @@ class QuadraticForm:
         return self.gram == _freeze(exact.identity(self.n))
 
     def disc(self) -> int:
-        return _form_disc(self.gram)
+        return exact.det_int(self.gram)
 
     def bilinear(self, v, w):
         n = self.n
@@ -88,7 +85,7 @@ class QuadraticForm:
         return self.bilinear(v, v)
 
     def inverse_gram(self):
-        return _thaw(_inverse_gram(self.gram))
+        return exact.inverse_fraction(self.gram)
 
     def to_json(self):
         return {"n": self.n, "gram": _thaw(self.gram)}
@@ -96,16 +93,6 @@ class QuadraticForm:
     @classmethod
     def from_json(cls, obj) -> "QuadraticForm":
         return cls(obj["gram"])
-
-
-@lru_cache(maxsize=None)
-def _form_disc(gram):
-    return exact.det_int(gram)
-
-
-@lru_cache(maxsize=None)
-def _inverse_gram(gram):
-    return _freeze(exact.inverse_fraction(gram))
 
 
 @dataclass(frozen=True)
@@ -575,7 +562,7 @@ def rotation_ord_p(g, p: int) -> int:
     return max(exact.valuation(d, p) for d in dens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _special_orthogonal_group(gram):
     """All g ∈ SO_Q(Z), as row-major tuples.  Finite since M is definite.
 
@@ -584,18 +571,17 @@ def _special_orthogonal_group(gram):
     the Gram entries while backtracking.
     """
     n = len(gram)
-    m = _thaw(gram)
     cands = {}
     for j in range(n):
         t = gram[j][j]
         if t not in cands:
-            half = kernel.vectors_with_norm(m, t)
+            half = kernel.vectors_with_norm(gram, t)
             cands[t] = [v for v in half] + [tuple(-x for x in v) for v in half]
     out = []
     cols = [None] * n
 
     def pair(v, w):
-        return sum(v[i] * m[i][j] * w[j] for i in range(n) for j in range(n))
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
 
     def rec(j):
         if j == n:

@@ -82,12 +82,6 @@ class UpperHalfPoint:
             raise ValueError("y must be positive")
 
 
-def _check_pd(ig):
-    for t in range(1, len(ig) + 1):
-        if exact.det_int([row[:t] for row in ig[:t]]) <= 0:
-            raise ValueError("form is not positive definite")
-
-
 def _reduce_binary(a: int, b: int, c: int) -> Tuple[int, int, int]:
     """SL_2(Z)-reduced form of the PD binary Gram [[a, b], [b, c]]:
     |2b| <= a <= c, with b >= 0 when 2|b| = a or a = c."""
@@ -208,23 +202,28 @@ def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:
     if not rows:
         raise ValueError("shape of a rank-zero lattice is undefined")
     content, ig = quadform.gram_content(quadform.gram_restriction(q, rows))
-    _check_pd(ig)
+    exact.ldl_int(ig)  # raises unless positive definite
     return ShapeClass(_canonical_gram(ig), content)
 
 
 def forms_equivalent(g1, g2) -> bool:
     """Whether two integral PD Grams are GL_k(Z)-equivalent, by
-    norm-by-norm backtracking over short vectors."""
+    norm-by-norm backtracking over short vectors.
+
+    Raises ``ValueError`` on a non-integral entry or a Gram that is not
+    positive definite.
+    """
     a = [[int(x) for x in row] for row in g1]
     b = [[int(x) for x in row] for row in g2]
+    if a != [list(row) for row in g1] or b != [list(row) for row in g2]:
+        raise ValueError("gram entries must be integers")
     if len(a) != len(b):
         return False
     k = len(a)
     if k == 0:
         return True
-    _check_pd(a)
-    _check_pd(b)
-    if exact.det_int(a) != exact.det_int(b):
+    # the last leading minor is the determinant
+    if exact.ldl_int(a)[1][-1] != exact.ldl_int(b)[1][-1]:
         return False
 
     def bilin(u, w):

@@ -181,7 +181,7 @@ def lines_with_disc(
     """
     if disc < 1:
         raise ValueError("disc must be >= 1")
-    shell = kernel.vectors_with_norm([list(r) for r in q.gram], disc)
+    shell = kernel.vectors_with_norm(q.gram, disc)
     _check_candidates(len(shell), max_candidates)
     out = [
         quadform.Subspace.from_rows(q, [list(v)]) for v in shell if math.gcd(*v) == 1

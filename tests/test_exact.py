@@ -371,6 +371,37 @@ def test_adjugate_frozen():
     assert exact.adjugate([[1, 2], [2, 4]]) == ([[4, -2], [-2, 1]], 0)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    # M M^T is positive semidefinite (definite when M is nonsingular);
+    # M + M^T is usually indefinite
+    mat = draw(square_matrices(max_n=5))
+    if draw(st.booleans()):
+        return exact.mat_mul(mat, exact.transpose(mat))
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(mat, zip(*mat))]
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_ldl_int_minors_and_completion(mat):
+    n = len(mat)
+    leading = [exact.det_int([row[:k] for row in mat[:k]]) for k in range(1, n + 1)]
+    if any(m <= 0 for m in leading):
+        with pytest.raises(ValueError):
+            exact.ldl_int(mat)
+        return
+    rows, minors = exact.ldl_int(mat)
+    assert minors == leading
+    # mat == U^T diag(1 / (D_i D_{i+1})) U, i.e. x mat x^T = sum y_i^2 / (D_i D_{i+1})
+    d = [1] + minors
+    assert all(rows[i][j] == 0 for i in range(n) for j in range(i))
+    assert mat == [
+        [sum(Fraction(rows[k][i] * rows[k][j], d[k] * d[k + 1]) for k in range(n))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 @given(unimodular_matrices())
 @settings(max_examples=200, deadline=None)
 def test_inverse_unimodular_matches_inverse_fraction(mat):

@@ -4,7 +4,8 @@ Three kinds of dead code are refused anywhere in ``src/latshape``: an
 import whose bound name is never read in its module, a module-level private
 name (``_x``, not a dunder) that no module of the package ever reads, and a
 method or property of a package class (dunders aside) that no module of the
-package or of the tests ever reads.
+package or of the tests ever reads.  Caches must be bounded: no
+``lru_cache(maxsize=None)`` and no ``functools.cache``.
 """
 
 import ast
@@ -89,3 +90,28 @@ def test_no_unread_methods():
         and node.name not in read
     ]
     assert unread == []
+
+
+def _unbounded_caches(tree):
+    """Functions decorated by ``cache`` or by ``lru_cache`` with maxsize None."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target, sizes = dec, []
+            if isinstance(dec, ast.Call):
+                target = dec.func
+                sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            unbounded = any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+            if name == "cache" or (name == "lru_cache" and unbounded):
+                yield node.name
+
+
+def test_caches_are_bounded():
+    unbounded = [
+        "%s.%s" % (mod, name)
+        for mod, tree in _modules().items()
+        for name in _unbounded_caches(tree)
+    ]
+    assert unbounded == []

@@ -1,11 +1,15 @@
-"""Tests for the short-vector kernel against an exhaustive box search."""
+"""Tests for the short-vector kernel against an exhaustive box search and
+against the earlier Fraction kernel kept in ``fraction_oracle``."""
 
 from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latshape import exact, kernel
+
+import fraction_oracle as fo
 
 A4 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
 GRAMS = [
@@ -67,6 +71,36 @@ def test_one_dimensional_kernel():
     assert kernel.vectors_with_norm([[3]], 11) == []
 
 
+@st.composite
+def pd_grams(draw):
+    # B B^T for a nonsingular B of rank 1-5, or its adjugate: leading
+    # minors above 1, so the completion has nontrivial denominators
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    b = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    assume(exact.det_int(b) != 0)
+    gram = exact.mat_mul(b, exact.transpose(b))
+    if draw(st.booleans()):
+        gram = exact.adjugate(gram)[0]
+    return gram
+
+
+@given(pd_grams(), st.integers(min_value=0, max_value=40))
+@settings(max_examples=120, deadline=None)
+def test_short_vectors_match_fraction_oracle(gram, bound):
+    assert kernel.short_vectors(gram, bound) == fo.short_vectors(gram, bound)
+
+
+@given(pd_grams())
+@settings(max_examples=30, deadline=None)
+def test_vectors_with_norm_match_fraction_oracle(gram):
+    for target in range(41):
+        assert kernel.vectors_with_norm(gram, target) == fo.vectors_with_norm(gram, target)
+
+
 def test_rejects_indefinite_gram():
-    with pytest.raises(ValueError):
-        kernel.short_vectors([[1, 2], [2, 1]], 4)
+    # indefinite, then semidefinite
+    for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]]):
+        for enumerate_ in (kernel.short_vectors, kernel.vectors_with_norm):
+            with pytest.raises(ValueError):
+                enumerate_(gram, 4)

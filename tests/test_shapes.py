@@ -177,6 +177,16 @@ def test_forms_equivalent_examples():
         assert shapes.forms_equivalent(g, _conjugate(g, u))
 
 
+def test_forms_equivalent_refuses_non_integral_entries():
+    with pytest.raises(ValueError):
+        shapes.forms_equivalent([[Fraction(3, 2)]], [[1]])
+    with pytest.raises(ValueError):
+        shapes.forms_equivalent([[2.9, 0], [0, 1]], [[2, 0], [0, 1]])
+    assert shapes.forms_equivalent([[Fraction(4, 2)]], [[2]])
+    with pytest.raises(ValueError):
+        shapes.forms_equivalent([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+
+
 def test_equivalence_matches_canonical_forms():
     pool = []
     for a in range(1, 4):
