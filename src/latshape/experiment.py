@@ -18,7 +18,11 @@ into a summary report:
 
 Empirical measures are plain counting measures by default; the
 stabilizer weighting puts mass 1/|stab| on a subspace, where stab is
-the stabilizer of L in SO_Q(Z).
+the stabilizer of L in SO_Q(Z).  Stabilizer orders come from the
+SO_Q(Z)-orbits of each bucket (``quadform.orbits``): by orbit-stabiliser
+|Stab(L)| = |SO_Q(Z)| / |orbit of L|, so the group acts once per orbit,
+not once per subspace.  Each per-discriminant summary reports the number
+of orbits and the histogram of stabilizer orders over the subspaces.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -219,13 +224,21 @@ def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndar
 
 def _bucket_worker(args):
     q, k, d, subs, kind, weighting, seed, mc_samples = args
-    rows = [_record(q, sub, quadform.integral_stabilizer_order(q, sub)) for sub in subs]
+    order = len(quadform.special_orthogonal_group(q))
+    orbit_of = quadform.orbits(q, subs)
+    rows = [_record(q, sub, order // size) for sub, (_id, size) in zip(subs, orbit_of)]
+    histogram = Counter(r.stab_order for r in rows)
 
     weights = None
     if weighting == "stabilizer":
         weights = [1.0 / r.stab_order for r in rows]
 
-    summary: Dict[str, object] = {"disc": d, "count": len(rows)}
+    summary: Dict[str, object] = {
+        "disc": d,
+        "count": len(rows),
+        "orbits": len({orbit_id for orbit_id, _size in orbit_of}),
+        "stab_histogram": {str(s): histogram[s] for s in sorted(histogram)},
+    }
     if q.is_sum_of_squares():
         summary["verdict"] = subspaces.nonempty_criterion(q.n, k, d).value
         summary["consistent"] = (len(rows) > 0) == (

@@ -14,8 +14,9 @@ lattice such as L^⊥ ∩ (Z^n)^#.
 The invariants provided here: restricted Gram matrices, discriminants
 (global and local), dual and projected lattices, glue groups, the index
 of L(Z) in L ∩ (Z^n)^#, primitive parts, a distinguished lattice between
-Z^n and its dual attached to L, rational rotations, and the stabilizer
-of L in the integral special orthogonal group.
+Z^n and its dual attached to L, rational rotations, the orbits of the
+integral special orthogonal group on a list of subspaces, and the
+stabilizer of L in that group.
 """
 
 from __future__ import annotations
@@ -604,28 +605,46 @@ def special_orthogonal_group(q: QuadraticForm):
     return _special_orthogonal_group(q.gram)
 
 
-def integral_stabilizer_order(q: QuadraticForm, L: Subspace) -> int:
-    """|{g ∈ SO_Q(Z) : g·L = L}|.
+def orbits(q: QuadraticForm, subs):
+    """SO_Q(Z)-orbits of the subspaces ``subs``: one ``(orbit_id,
+    orbit_size)`` per subspace, aligned with ``subs``.
 
-    g is a unimodular isometry, so g·L(Z) is saturated of rank k and
-    g·L = L as soon as every rotated basis row lies in L(Z).  The rotated
-    row row·g^T is the row dotted with each row of g; membership is
-    decided by back-substitution on the pivots of the HNF basis.
+    The subspaces are walked in order.  Each one not yet covered is the
+    representative of a new orbit (ids count up from 0 in order of
+    discovery): every g ∈ SO_Q(Z) maps its basis rows by row ↦ row·g^T,
+    and the HNF basis of the image is g·L, since g is unimodular and keeps
+    L(Z) saturated.  The distinct images form the orbit G·L; the members
+    found in ``subs`` get its id and size |G·L|.  Images outside ``subs``
+    are ignored, so the sizes are right even when ``subs`` is not
+    G-invariant.  By orbit-stabiliser |Stab(L)| = |G| / |G·L|, the same
+    for every member of an orbit (Plesken-Souvignier, "Computing
+    isometries of lattices", J. Symb. Comp. 24, 1997).
     """
-    basis = L.basis
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    subs = list(subs)
+    index = {}
+    for i, sub in enumerate(subs):
+        index.setdefault(sub.basis, []).append(i)
+    out = [None] * len(subs)
+    group = _special_orthogonal_group(q.gram) if subs else ()
+    orbit_id = 0
+    for i, sub in enumerate(subs):
+        if out[i] is not None:
+            continue
+        basis = sub.basis
+        orbit = set()
+        for g in group:
+            rows = [[sum(a * b for a, b in zip(row, grow)) for grow in g] for row in basis]
+            orbit.add(_freeze(exact.hnf_basis(rows)))
+        entry = (orbit_id, len(orbit))
+        out[i] = entry
+        for image in orbit:
+            for j in index.get(image, ()):
+                out[j] = entry
+        orbit_id += 1
+    return out
 
-    def fixed(g):
-        for row in basis:
-            w = [sum(a * b for a, b in zip(row, grow)) for grow in g]
-            for brow, p in zip(basis, pivots):
-                c, rem = divmod(w[p], brow[p])
-                if rem:
-                    return False
-                if c:
-                    w = [x - c * y for x, y in zip(w, brow)]
-            if any(w):
-                return False
-        return True
 
-    return sum(1 for g in special_orthogonal_group(q) if fixed(g))
+def integral_stabilizer_order(q: QuadraticForm, L: Subspace) -> int:
+    """|{g ∈ SO_Q(Z) : g·L = L}|, by orbit-stabiliser: |G| / |G·L| with
+    the orbit G·L from ``orbits``."""
+    return len(special_orthogonal_group(q)) // orbits(q, [L])[0][1]

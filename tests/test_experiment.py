@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from importlib import resources
@@ -157,6 +158,66 @@ def test_run_experiment_deterministic_across_jobs(tmp_path):
         reports.append(report)
     assert outs[0] == outs[1]
     assert reports[0] == reports[1]
+
+
+def test_run_experiment_deterministic_across_jobs_k2(tmp_path):
+    q = quadform.QuadraticForm.sum_of_squares(4)
+    outs = []
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / ("r%d.csv" % jobs)
+        cfg = ex.ExperimentConfig(
+            form=q, k=2, discs=(5, 13, 21), weighting="stabilizer",
+            out_path=str(out), jobs=jobs, mc_samples=64,
+        )
+        _, report = ex.run_experiment(cfg)
+        outs.append(out.read_bytes())
+        report.pop("csv_path")
+        reports.append(report)
+    assert outs[0] == outs[1]
+    assert reports[0] == reports[1]
+
+
+# sha256 of the CSV of sumsq:4, k = 2, D = 5, 13, 21, seed 0, recorded at
+# commit cb86b46, where the stabiliser order was still a membership test of
+# every group element per subspace; the orbit route must keep these bytes.
+# The CSV does not depend on the weighting or the Monte-Carlo sample, so
+# both weightings give the same bytes.
+FROZEN_PLANES_CSV_SHA256 = "a3591eb62dc63e0d26d2d7a4e1fca3f07bf22e0fa3ed1e414bf672ae56cc6d40"
+
+
+@pytest.mark.parametrize("weighting", ex.WEIGHTINGS)
+def test_planes_csv_bytes_frozen(tmp_path, weighting):
+    q = quadform.QuadraticForm.sum_of_squares(4)
+    out = tmp_path / "p.csv"
+    cfg = ex.ExperimentConfig(
+        form=q, k=2, discs=(5, 13, 21), weighting=weighting, out_path=str(out), seed=0
+    )
+    ex.run_experiment(cfg)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_PLANES_CSV_SHA256
+
+
+@pytest.mark.parametrize(
+    "form, k, discs",
+    [
+        (quadform.QuadraticForm.sum_of_squares(4), 2, (7, 9, 11, 17, 27)),
+        (quadform.QuadraticForm.sum_of_squares(3), 1, (9, 25, 50)),
+        (quadform.QuadraticForm.diagonal([1, 1, 2]), 2, (11, 14)),
+    ],
+)
+def test_per_disc_orbit_diagnostics(form, k, discs):
+    order = len(quadform.special_orthogonal_group(form))
+    cfg = ex.ExperimentConfig(form=form, k=k, discs=discs, kind="shape_L", mc_samples=2)
+    _, report = ex.run_experiment(cfg)
+    for sec in report["per_disc"]:
+        hist = sec["stab_histogram"]
+        assert isinstance(sec["orbits"], int)
+        assert all(isinstance(s, str) for s in hist)
+        # every subspace is counted once; each orbit of size |G|/s
+        # contributes s per member, so |G| per orbit
+        assert sum(hist.values()) == sec["count"]
+        assert sum(int(s) * c for s, c in hist.items()) == sec["orbits"] * order
+    assert any(len(sec["stab_histogram"]) > 1 for sec in report["per_disc"])
 
 
 def test_run_experiment_weightings_agree_when_stabilizers_tie():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from latshape import exact
 from latshape import quadform as qf
+from latshape import subspaces
 from latshape import verify
 
 import fraction_oracle as fo
@@ -350,6 +351,91 @@ def test_stabilizer_order_matches_rotation_count():
             L = qf.Subspace.from_rows(q, rows)
             fixed = sum(1 for g in group if qf.rotate_subspace(g, L) == L)
             assert qf.integral_stabilizer_order(q, L) == fixed, (q.gram, rows)
+
+
+def stabilizer_order_by_membership(q, L):
+    """|{g ∈ SO_Q(Z) : g·L = L}| by testing every group element.
+
+    This is the package's earlier stabiliser count, kept here as an oracle
+    for ``qf.orbits``: g is a unimodular isometry, so g·L(Z) is saturated
+    of rank k and g·L = L as soon as every rotated basis row lies in L(Z).
+    The rotated row row·g^T is the row dotted with each row of g;
+    membership is decided by back-substitution on the pivots of the HNF
+    basis.
+    """
+    basis = L.basis
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+
+    def fixed(g):
+        for row in basis:
+            w = [sum(a * b for a, b in zip(row, grow)) for grow in g]
+            for brow, p in zip(basis, pivots):
+                c, rem = divmod(w[p], brow[p])
+                if rem:
+                    return False
+                if c:
+                    w = [x - c * y for x, y in zip(w, brow)]
+            if any(w):
+                return False
+        return True
+
+    return sum(1 for g in qf.special_orthogonal_group(q) if fixed(g))
+
+
+def _orbit_buckets():
+    q4 = qf.QuadraticForm.sum_of_squares(4)
+    table = subspaces.schmidt_table(4, 2, 30)
+    for d in range(1, 31):
+        yield q4, table.get(d)
+    for d in (5, 9, 14, 25, 50):
+        yield Q0_3, subspaces.lines_with_disc(Q0_3, d)
+    for k in (1, 2):
+        table = subspaces.enumerate_by_disc(Q112, k, 30)
+        for d in range(1, 31):
+            yield Q112, table.get(d)
+
+
+def test_orbits_match_membership_oracle():
+    # Each id class is checked to be exactly the orbit of its first member,
+    # rotated here through the public (saturating) constructor, and every
+    # member must carry that orbit's size; the brute-force count then
+    # checks |G| / size on the first member and on every fifth subspace.
+    seen = 0
+    for q, subs in _orbit_buckets():
+        group = qf.special_orthogonal_group(q)
+        got = qf.orbits(q, subs)
+        assert len(got) == len(subs)
+        classes = {}
+        for i, (sub, (orbit_id, size)) in enumerate(zip(subs, got)):
+            classes.setdefault(orbit_id, []).append((sub, size))
+            if i % 5 == 0 or len(classes[orbit_id]) == 1:
+                assert len(group) // size == stabilizer_order_by_membership(q, sub)
+        # ids number the orbits 0, 1, ... in order of first appearance
+        assert list(classes) == list(range(len(classes)))
+        for members in classes.values():
+            rep = members[0][0]
+            images = {
+                qf.Subspace.from_rows(q, exact.mat_mul(rep.basis, exact.transpose(g)))
+                for g in group
+            }
+            # the buckets are G-invariant, so each class is a whole orbit:
+            # the classes partition the bucket into G-closed sets
+            assert images == {sub for sub, _size in members}
+            assert {size for _sub, size in members} == {len(images)}
+            assert len(group) % len(images) == 0
+        seen += len(subs)
+    assert seen > 6000
+
+
+def test_orbits_ignore_images_outside_the_list():
+    q4 = qf.QuadraticForm.sum_of_squares(4)
+    subs = subspaces.schmidt_table(4, 2, 13).get(13)
+    full = qf.orbits(q4, subs)
+    part = qf.orbits(q4, subs[1::3])
+    assert [size for _id, size in part] == [size for _id, size in full][1::3]
+    assert qf.orbits(q4, []) == []
+    # a repeated subspace lands in the orbit of its first copy
+    assert qf.orbits(q4, [subs[0], subs[1], subs[0]]) == [full[0], full[1], full[0]]
 
 
 def test_form_validation():

@@ -187,6 +187,17 @@ def test_forms_equivalent_refuses_non_integral_entries():
         shapes.forms_equivalent([[1, 1], [1, 1]], [[1, 0], [0, 1]])
 
 
+def test_shape_class_refuses_non_integral_entries():
+    with pytest.raises(ValueError):
+        shapes.ShapeClass([[Fraction(3, 2)]], 1)
+    with pytest.raises(ValueError):
+        shapes.ShapeClass([[2.9, 0], [0, 1]], 1)
+    cls = shapes.ShapeClass([[Fraction(4, 2), 0.0], [0, 1]], 1)
+    assert cls.canonical_gram == ((2, 0), (0, 1))
+    assert all(type(x) is int for row in cls.canonical_gram for x in row)
+    assert cls == shapes.ShapeClass([[2, 0], [0, 1]], 3)
+
+
 def test_equivalence_matches_canonical_forms():
     pool = []
     for a in range(1, 4):
