@@ -3,18 +3,24 @@
 Everything in this module is pure Python over arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point.  Matrices are lists of lists, rows
 first.  The three workhorses are the row Hermite normal form, the Smith
-normal form, and saturation, with the transformation matrices exposed so
-callers can solve lattice membership and completion problems.  The p-adic
-valuation and unit square class shared by the invariant modules live here
-too, below every module that needs them.
+normal form, and saturation; callers solve lattice membership and
+completion problems with them.  The p-adic valuation and unit square class
+shared by the invariant modules live here too, below every module that
+needs them.
 
-Elimination is integer-only: HNF, SNF and fraction-free (Bareiss)
-determinants, adjugates and the ``ldl_int`` completion of a positive
-definite Gram, which also decides positive definiteness.  ``Fraction``
-appears only at the boundary: a rational matrix enters as
-``scale_to_int``'s ``(den, integer matrix)``, and exact rationals leave as
-``Fraction(x, den)``; ``det_fraction`` and ``inverse_fraction`` do both for
-rational determinants and inverses.
+Each normal form has one elimination loop, ``hnf_basis`` and ``_smith``;
+transformations are read off identity borders.  ``hnf`` reduces
+``[mat | I]``, ``kernel_basis`` reduces ``[mat^T | I]`` and ``snf`` the
+top-left block of ``[[mat, I], [I, 0]]``.
+
+Elimination is integer-only: HNF, SNF, kernels and saturation take integer
+matrices, and so do the fraction-free (Bareiss) determinants, adjugates
+and the ``ldl_int`` completion of a positive definite Gram, which also
+decides positive definiteness.  ``Fraction`` appears only at the boundary:
+a rational matrix enters as ``scale_to_int``'s ``(den, integer matrix)``,
+and exact rationals leave as ``Fraction(x, den)``; ``det_fraction`` and
+``inverse_fraction`` do both for rational determinants and inverses, and
+``lattice_coordinates`` scales a rational basis and its vectors together.
 
 Conventions:
   * ``hnf`` returns the unique fully reduced row HNF: pivots positive,
@@ -57,6 +63,15 @@ def mat_copy(mat):
     return [list(row) for row in mat]
 
 
+def integral_rows(mat):
+    """The matrix as lists of ints.  Integral values such as Fraction(4, 2)
+    or 2.0 are accepted; raises ``ValueError`` on a non-integral entry."""
+    rows = [[int(x) for x in row] for row in mat]
+    if rows != [list(row) for row in mat]:
+        raise ValueError("entries must be integers")
+    return rows
+
+
 def denominator_lcm(mat):
     """lcm of denominators of all entries (1 for all-integer input)."""
     return lcm(*(x.denominator for row in mat for x in row if isinstance(x, Fraction)))
@@ -75,21 +90,23 @@ def scale_to_int(mat):
 # Hermite normal form
 
 
-def hnf(mat):
-    """Row Hermite normal form with transformation.
+def _bordered(mat):
+    """``[mat | I]``: the border records every row operation."""
+    m = len(mat)
+    return [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
 
-    Returns ``(H, U)`` with ``U`` unimodular, ``U @ mat == H``, and ``H`` the
-    unique canonical representative of the row lattice of ``mat``: pivot
-    entries positive, every entry above a pivot reduced modulo it, zero rows
-    last.
 
-    The input must be an integer matrix; rows may be dependent.
+def hnf_basis(mat):
+    """Canonical basis of the row lattice of an integer matrix: the nonzero
+    rows of its row HNF, pivots positive and entries above a pivot reduced
+    into ``[0, pivot)``.  Rows may be dependent.  This is the one HNF
+    elimination loop; ``hnf`` and ``kernel_basis`` run it on bordered
+    matrices.
     """
     if not mat:
-        return [], []
+        return []
     h = mat_copy(mat)
     m, n = len(h), len(h[0])
-    u = identity(m)
     pivots = []
     row = 0
     for col in range(n):
@@ -104,17 +121,13 @@ def hnf(mat):
         if pivot is None:
             continue
         h[row], h[pivot] = h[pivot], h[row]
-        u[row], u[pivot] = u[pivot], u[row]
         for i in range(row + 1, m):
             while h[i][col] != 0:
                 q = h[row][col] // h[i][col]
                 h[row] = [a - q * b for a, b in zip(h[row], h[i])]
-                u[row] = [a - q * b for a, b in zip(u[row], u[i])]
                 h[row], h[i] = h[i], h[row]
-                u[row], u[i] = u[i], u[row]
         if h[row][col] < 0:
             h[row] = [-a for a in h[row]]
-            u[row] = [-a for a in u[row]]
         pivots.append((row, col))
         row += 1
     # reduce entries above each pivot
@@ -124,14 +137,26 @@ def hnf(mat):
             q = h[i][pcol] // p
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[prow])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[prow])]
-    return h, u
+    # the rows below the last pivot are zero
+    return h[:row]
 
 
-def hnf_basis(mat):
-    """Nonzero rows of ``hnf(mat)``: the canonical basis of the row lattice."""
-    h, _ = hnf(mat)
-    return [row for row in h if any(row)]
+def hnf(mat):
+    """Row Hermite normal form of an integer matrix with transformation.
+
+    Returns ``(H, U)`` with ``U`` unimodular, ``U @ mat == H``, and ``H``
+    the unique canonical representative of the row lattice of ``mat``:
+    pivot entries positive, every entry above a pivot reduced modulo it,
+    zero rows last.  Rows may be dependent.
+
+    ``hnf_basis([mat | I])`` is ``[H | U]``: its rows are independent,
+    and pivots in the border only subtract rows with a zero head.
+    """
+    if not mat:
+        return [], []
+    n = len(mat[0])
+    rows = hnf_basis(_bordered(mat))
+    return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 def rank_int(mat):
@@ -151,38 +176,22 @@ def _snf_find_pivot(a, t, m, n):
     return best
 
 
-def snf(mat):
-    """Smith normal form with transformations.
-
-    Returns ``(d, U, V)`` with ``U @ mat @ V`` diagonal, ``d`` the list of
-    ``min(m, n)`` diagonal entries, each nonnegative and ``d[i] | d[i+1]``.
-    ``U`` and ``V`` are unimodular.
+def _smith(a, m, n):
+    """The one Smith loop: diagonalise the top-left m x n block of ``a`` in
+    place and return its diagonal.  Row and column operations act on whole
+    rows and columns, so borders right of and below the block record them.
     """
-    if not mat:
-        return [], [], []
-    a = mat_copy(mat)
-    m, n = len(a), len(a[0])
-    u, v = identity(m), identity(n)
 
     def row_op(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
-        for r in range(m):
-            a[r][i] -= q * a[r][j]
-        for r in range(n):
-            v[r][i] -= q * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for r in a:
+            r[i] -= q * r[j]
 
     def col_swap(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in a:
+            r[i], r[j] = r[j], r[i]
 
     for t in range(min(m, n)):
         while True:
@@ -191,7 +200,7 @@ def snf(mat):
                 break
             pi, pj = piv
             if pi != t:
-                row_swap(t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 col_swap(t, pj)
             # clear column t
@@ -223,17 +232,32 @@ def snf(mat):
             if offender is None:
                 break
             row_op(t, offender, -1)  # fold offending row in and restart
-        if t < min(m, n) and a[t][t] < 0:
+        if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    d = [a[i][i] for i in range(min(m, n))]
-    return d, u, v
+    return [a[i][i] for i in range(min(m, n))]
+
+
+def snf(mat):
+    """Smith normal form of an integer matrix with transformations.
+
+    Returns ``(d, U, V)`` with ``U @ mat @ V`` diagonal, ``d`` the list of
+    ``min(m, n)`` diagonal entries, each nonnegative and ``d[i] | d[i+1]``.
+    ``U`` and ``V`` are unimodular: the right and bottom borders of
+    ``[[mat, I], [I, 0]]`` after the Smith loop.
+    """
+    if not mat:
+        return [], [], []
+    m, n = len(mat), len(mat[0])
+    a = _bordered(mat) + [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    d = _smith(a, m, n)
+    return d, [row[n:] for row in a[:m]], [row[:n] for row in a[m:]]
 
 
 def invariant_factors(mat):
-    """Nonzero diagonal of the Smith form."""
-    d, _, _ = snf(mat)
-    return [x for x in d if x]
+    """Nonzero diagonal of the Smith form: the Smith loop with no border."""
+    if not mat:
+        return []
+    return [x for x in _smith(mat_copy(mat), len(mat), len(mat[0])) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -241,41 +265,33 @@ def invariant_factors(mat):
 
 
 def kernel_basis(mat):
-    """Canonical basis of the integer kernel ``{x in Z^m_cols : mat @ x^T = 0}``.
+    """Canonical basis of the integer kernel ``{x in Z^n_cols : mat @ x^T = 0}``.
 
-    Accepts integer or Fraction entries; returns the HNF basis of the
-    (automatically saturated) kernel lattice as rows of length ``n_cols``.
+    ``mat`` is an integer matrix.  In ``hnf_basis([mat^T | I])`` the
+    borders of the rows with a zero head are the kernel's reduced HNF.
     """
     if not mat:
         return []
-    _, imat = scale_to_int(mat)
-    h, u = hnf(transpose(imat))
-    # rows of u facing zero rows of h span the kernel lattice (saturated);
-    # canonicalize for a stable answer.
-    out = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf_basis(out) if out else []
+    m = len(mat)
+    return [r[m:] for r in hnf_basis(_bordered(transpose(mat))) if not any(r[:m])]
 
 
 def saturate(basis):
     """Saturation of the row lattice inside Z^n.
 
-    ``basis`` is a k x n integer (or Fraction) matrix of rank k; the result is
-    the canonical HNF basis of ``span_Q(rows) ∩ Z^n``.  Raises ``ValueError``
-    when the rows are dependent.
+    ``basis`` is a k x n integer matrix of rank k; the result is the
+    canonical HNF basis of ``span_Q(rows) ∩ Z^n``, the kernel of its
+    kernel.  Raises ``ValueError`` when the rows are dependent.
     """
     if not basis:
         return []
-    _, ibasis = scale_to_int(basis)
-    k, n = len(ibasis), len(ibasis[0])
-    ker = kernel_basis(ibasis)
+    k, n = len(basis), len(basis[0])
+    ker = kernel_basis(basis)
     if len(ker) != n - k:
         raise ValueError("saturate: input rows are linearly dependent")
     if not ker:
         return identity(n)
-    sat = kernel_basis(ker)
-    if len(sat) != k:
-        raise ValueError("saturate: rank mismatch")
-    return sat
+    return kernel_basis(ker)
 
 
 def complete_to_unimodular(c):
@@ -285,8 +301,8 @@ def complete_to_unimodular(c):
     the rows of ``c``.  Requires that the rows of ``c`` span a saturated
     rank-``k`` sublattice of ``Z^n``.
     """
-    k, n = len(c), len(c[0])
-    d, u, v = snf(c)
+    k = len(c)
+    d, _, v = snf(c)
     if any(x != 1 for x in d):
         raise ValueError("complete_to_unimodular: input is not saturated")
     vinv = inverse_unimodular(v)
@@ -417,19 +433,29 @@ def inverse_fraction(mat):
 
 
 def lattice_coordinates(basis, vectors):
-    """Integer coordinate matrix X with ``X @ basis == vectors`` or None.
+    """Integer coordinate matrix X with ``X @ basis == vectors``, or None.
 
-    Membership test for a list of vectors in the lattice spanned by the
-    independent rows of ``basis`` (entries may be rational), one integer
-    solve per vector.  Returns None when some vector is outside the lattice
+    ``basis`` is a k x n matrix over Q whose rows may be dependent, and
+    ``vectors`` are length-n rows over Q.  Basis and vectors are scaled to
+    integers together, and one Smith form ``U basis V = D`` serves every
+    vector v: ``x @ basis = v`` holds for ``x = y @ U`` with
+    ``y D = v V``.  Returns None when some vector is outside the lattice
     (non-integral coordinates or outside the span).
     """
+    if not basis:
+        return None if any(any(v) for v in vectors) else [[] for _ in vectors]
+    k, n = len(basis), len(basis[0])
+    _, scaled = scale_to_int([list(r) for r in basis] + [list(v) for v in vectors])
+    d, u, v = snf(scaled[:k])
+    d += [0] * (n - len(d))
+    pad = [0] * (k - n)
     out = []
-    for vec in vectors:
-        x = solve_integral(basis, vec)
-        if x is None:
+    for b in scaled[k:]:
+        c = vec_mat(b, v)
+        if any(ci % di if di else ci for ci, di in zip(c, d)):
             return None
-        out.append(x)
+        y = [ci // di if di else 0 for ci, di in zip(c[:k], d)] + pad
+        out.append(vec_mat(y, u))
     return out
 
 
@@ -481,39 +507,10 @@ def rational_hnf_basis(rows):
 
 
 def solve_integral(a_rows, rhs):
-    """One integer solution ``x`` of ``x @ a_rows == rhs`` or None.
-
-    ``a_rows`` is a k x n matrix over Q, ``rhs`` a length-n rational vector.
-    Solves for integer coefficient vectors; used for lattice preimage
-    problems.
-    """
-    if not a_rows:
-        return [] if not any(rhs) else None
-    # clear denominators jointly so lattice structure is preserved
-    all_rows = [list(r) for r in a_rows] + [list(rhs)]
-    d, scaled = scale_to_int(all_rows)
-    mat = scaled[:-1]
-    b = scaled[-1]
-    k = len(mat)
-    dd, u, v = snf(mat)
-    # x @ mat = b  <=>  (x @ U^{-1}) (U mat V) = b V  <=>  y D = c
-    c = vec_mat(b, v)
-    y = []
-    for i in range(k):
-        di = dd[i] if i < len(dd) else 0
-        ci = c[i]
-        if di == 0:
-            if ci != 0:
-                return None
-            y.append(0)
-        else:
-            if ci % di:
-                return None
-            y.append(ci // di)
-    for i in range(k, len(c)):
-        if c[i] != 0:
-            return None
-    return vec_mat(y, u)
+    """One integer solution ``x`` of ``x @ a_rows == rhs``, or None: the
+    one-vector case of ``lattice_coordinates``."""
+    x = lattice_coordinates(a_rows, [rhs])
+    return None if x is None else x[0]
 
 
 def frac_str(x):

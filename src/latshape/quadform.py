@@ -140,7 +140,9 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, form: QuadraticForm, rows) -> "Subspace":
-        rows = _thaw(rows)
+        """Span of independent integer rows, stored by its saturation;
+        raises ``ValueError`` on a non-integral entry or dependent rows."""
+        rows = exact.integral_rows(rows)
         return cls(form, _freeze(exact.saturate(rows) if rows else []))
 
     @classmethod
@@ -482,11 +484,11 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
         tden, ti = exact.scale_to_int(t_rows)
         adj, det = exact.adjugate(exact.mat_mul(ti, exact.transpose(ti)))
         solver = exact.mat_mul(exact.transpose(ti), adj)
+    preimages = exact.lattice_coordinates(system, _thaw(dstar.basis))
+    if preimages is None:
+        raise ValueError("dual basis vector has no integral preimage")
     lifted = []
-    for w in dstar.basis:
-        y = exact.solve_integral(system, list(w))
-        if y is None:
-            raise ValueError("dual basis vector has no integral preimage")
+    for y in preimages:
         v = exact.vec_mat(y, dual_rows)
         if t_rows:
             sden, (s,) = exact.scale_to_int([exact.vec_mat(v, proj_l)])
@@ -550,7 +552,8 @@ def rotate_subspace(g, L: Subspace) -> Subspace:
     if not is_special_orthogonal(q, g):
         raise ValueError("rotate_subspace: matrix is not in SO_Q")
     gt = exact.transpose(_thaw(g))
-    rows = exact.mat_mul(_thaw(L.basis), gt)
+    # scaling the image rows by a positive integer keeps their span
+    _, rows = exact.scale_to_int(exact.mat_mul(_thaw(L.basis), gt))
     return Subspace.from_rows(q, rows)
 
 

@@ -28,15 +28,6 @@ class SearchBoundError(RuntimeError):
     enumerate more candidate vectors than the configured cap."""
 
 
-def _integral_rows(gram):
-    """The Gram as lists of ints.  Integral values such as Fraction(4, 2)
-    or 2.0 are accepted; raises ``ValueError`` on a non-integral entry."""
-    rows = [[int(x) for x in row] for row in gram]
-    if rows != [list(row) for row in gram]:
-        raise ValueError("gram entries must be integers")
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class ShapeClass:
     """Similarity class of a definite form: primitive reduced Gram plus
@@ -54,7 +45,7 @@ class ShapeClass:
     def __post_init__(self):
         object.__setattr__(
             self, "canonical_gram",
-            tuple(tuple(row) for row in _integral_rows(self.canonical_gram)),
+            tuple(tuple(row) for row in exact.integral_rows(self.canonical_gram)),
         )
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
@@ -223,8 +214,8 @@ def forms_equivalent(g1, g2) -> bool:
     Raises ``ValueError`` on a non-integral entry or a Gram that is not
     positive definite.
     """
-    a = _integral_rows(g1)
-    b = _integral_rows(g2)
+    a = exact.integral_rows(g1)
+    b = exact.integral_rows(g2)
     if len(a) != len(b):
         return False
     k = len(a)

@@ -14,11 +14,20 @@ The package enumerates short vectors by an integer (fraction-free) walk.
 ``short_vectors`` and ``vectors_with_norm`` are the earlier Fincke-Pohst
 search over a ``Fraction`` quadratic completion, with ``Fraction`` interval
 endpoints and the innermost coordinate of a shell solved as a quadratic.
+
+The package's HNF and SNF are single elimination loops that carry their
+transformations as identity borders of the matrix they reduce.  ``hnf`` and
+``snf`` are the earlier versions, which update separate transformation
+matrices beside the eliminated one, and ``kernel_basis`` is the earlier
+two-pass kernel: the transformation rows of ``hnf`` facing zero rows,
+canonicalised by a second HNF.
 """
 
 import math
 from fractions import Fraction
 from math import isqrt
+
+from latshape.exact import identity, mat_copy, scale_to_int, transpose
 
 
 def to_fraction_matrix(mat):
@@ -299,3 +308,166 @@ def vectors_with_norm(gram, target):
         rec(n - 1, Fraction(target), False)
     out.sort()
     return out
+
+
+def hnf(mat):
+    """Row Hermite normal form with transformation.
+
+    Returns ``(H, U)`` with ``U`` unimodular, ``U @ mat == H``, and ``H`` the
+    unique canonical representative of the row lattice of ``mat``: pivot
+    entries positive, every entry above a pivot reduced modulo it, zero rows
+    last.
+
+    The input must be an integer matrix; rows may be dependent.
+    """
+    if not mat:
+        return [], []
+    h = mat_copy(mat)
+    m, n = len(h), len(h[0])
+    u = identity(m)
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        # gcd-eliminate below position (row, col)
+        pivot = None
+        for i in range(row, m):
+            if h[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        h[row], h[pivot] = h[pivot], h[row]
+        u[row], u[pivot] = u[pivot], u[row]
+        for i in range(row + 1, m):
+            while h[i][col] != 0:
+                q = h[row][col] // h[i][col]
+                h[row] = [a - q * b for a, b in zip(h[row], h[i])]
+                u[row] = [a - q * b for a, b in zip(u[row], u[i])]
+                h[row], h[i] = h[i], h[row]
+                u[row], u[i] = u[i], u[row]
+        if h[row][col] < 0:
+            h[row] = [-a for a in h[row]]
+            u[row] = [-a for a in u[row]]
+        pivots.append((row, col))
+        row += 1
+    # reduce entries above each pivot
+    for prow, pcol in pivots:
+        p = h[prow][pcol]
+        for i in range(prow):
+            q = h[i][pcol] // p
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[prow])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[prow])]
+    return h, u
+
+
+def hnf_basis(mat):
+    """Nonzero rows of ``hnf(mat)``: the canonical basis of the row lattice."""
+    h, _ = hnf(mat)
+    return [row for row in h if any(row)]
+
+
+def _snf_find_pivot(a, t, m, n):
+    best = None
+    for i in range(t, m):
+        for j in range(t, n):
+            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def snf(mat):
+    """Smith normal form with transformations.
+
+    Returns ``(d, U, V)`` with ``U @ mat @ V`` diagonal, ``d`` the list of
+    ``min(m, n)`` diagonal entries, each nonnegative and ``d[i] | d[i+1]``.
+    ``U`` and ``V`` are unimodular.
+    """
+    if not mat:
+        return [], [], []
+    a = mat_copy(mat)
+    m, n = len(a), len(a[0])
+    u, v = identity(m), identity(n)
+
+    def row_op(i, j, q):  # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for r in range(m):
+            a[r][i] -= q * a[r][j]
+        for r in range(n):
+            v[r][i] -= q * v[r][j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(n):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    for t in range(min(m, n)):
+        while True:
+            piv = _snf_find_pivot(a, t, m, n)
+            if piv is None:
+                break
+            pi, pj = piv
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            # clear column t
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_op(i, t, q)
+                    if a[i][t]:
+                        dirty = True
+            # clear row t
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_op(j, t, q)
+                    if a[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)  # fold offending row in and restart
+        if t < min(m, n) and a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    d = [a[i][i] for i in range(min(m, n))]
+    return d, u, v
+
+
+def kernel_basis(mat):
+    """Canonical basis of the integer kernel ``{x in Z^m_cols : mat @ x^T = 0}``.
+
+    Accepts integer or Fraction entries; returns the HNF basis of the
+    (automatically saturated) kernel lattice as rows of length ``n_cols``.
+    """
+    if not mat:
+        return []
+    _, imat = scale_to_int(mat)
+    h, u = hnf(transpose(imat))
+    # rows of u facing zero rows of h span the kernel lattice (saturated);
+    # canonicalize for a stable answer.
+    out = [u[i] for i in range(len(h)) if not any(h[i])]
+    return hnf_basis(out) if out else []

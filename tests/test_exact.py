@@ -312,6 +312,92 @@ def test_rational_hnf_basis_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
+# bordered HNF/SNF against the transform-carrying oracles
+
+
+@st.composite
+def int_matrices(draw):
+    # 1-5 rows and 1-6 columns with many zeros; optionally one row a
+    # combination of two others (rank-deficient) and a zero column
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    mat = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        others = st.sampled_from([t for t in range(m) if t != i])
+        j, k = draw(others), draw(others)
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[i] = [f * a + g * b for a, b in zip(mat[j], mat[k])]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in mat:
+            row[col] = 0
+    return mat
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_hnf_matches_oracle_form(mat):
+    h, u = exact.hnf(mat)
+    assert h == fo.hnf(mat)[0]
+    assert exact.hnf_basis(mat) == fo.hnf_basis(mat)
+    assert exact.mat_mul(u, mat) == h
+    assert exact.det_int(u) in (1, -1)
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_matches_two_pass_oracle(mat):
+    assert exact.kernel_basis(mat) == fo.kernel_basis(mat)
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_saturate_matches_oracle_kernel_of_kernel(mat):
+    n = len(mat[0])
+    ker = fo.kernel_basis(mat)
+    if len(ker) != n - len(mat):
+        with pytest.raises(ValueError):
+            exact.saturate(mat)
+        return
+    assert exact.saturate(mat) == (fo.kernel_basis(ker) if ker else exact.identity(n))
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_oracle_transforms(mat):
+    # the bordered loop applies the oracle's operations, so U and V agree too
+    assert exact.snf(mat) == fo.snf(mat)
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_oracle_diagonal(mat):
+    d, _, _ = fo.snf(mat)
+    assert exact.invariant_factors(mat) == [x for x in d if x]
+
+
+@given(int_matrices(), st.lists(st.integers(-9, 9), min_size=5, max_size=5), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_lattice_coordinates_membership(mat, coeffs, den):
+    # dependent rows and more rows than columns are allowed; a vector is in
+    # the lattice iff it is integral and adding it keeps the HNF basis
+    inside = exact.vec_mat(coeffs[: len(mat)], mat)
+    probe = [Fraction(x, den) for x in inside]
+    member = all(x.denominator == 1 for x in probe) and (
+        fo.hnf_basis(mat + [[int(x) for x in probe]]) == fo.hnf_basis(mat)
+    )
+    x = exact.lattice_coordinates(mat, [inside, probe])
+    if member:
+        assert exact.mat_mul(x, mat) == [inside, probe]
+    else:
+        assert x is None
+    y = exact.solve_integral(mat, inside)
+    assert exact.vec_mat(y, mat) == inside
+
+
+# ---------------------------------------------------------------------------
 # fraction-free (Bareiss) routines against the Fraction oracles
 
 

@@ -5,7 +5,10 @@ import whose bound name is never read in its module, a module-level private
 name (``_x``, not a dunder) that no module of the package ever reads, and a
 method or property of a package class (dunders aside) that no module of the
 package or of the tests ever reads.  Caches must be bounded: no
-``lru_cache(maxsize=None)`` and no ``functools.cache``.
+``lru_cache(maxsize=None)`` and no ``functools.cache``.  No package function
+calls ``hnf`` or ``snf`` only to throw every transformation away: the
+transformation is paid for, so a caller that needs none calls ``hnf_basis``
+or ``invariant_factors``.
 """
 
 import ast
@@ -115,3 +118,35 @@ def test_caches_are_bounded():
         for name in _unbounded_caches(tree)
     ]
     assert unbounded == []
+
+
+def _discards_transforms(node):
+    """``h, _ = hnf(...)``, ``d, _, _ = snf(...)`` or ``hnf(...)[0]``."""
+    if isinstance(node, ast.Assign):
+        call, targets = node.value, node.targets
+        discarded = any(
+            isinstance(t, ast.Tuple)
+            and all(isinstance(e, ast.Name) and e.id == "_" for e in t.elts[1:])
+            for t in targets
+        )
+    elif isinstance(node, ast.Subscript):
+        call = node.value
+        discarded = isinstance(node.slice, ast.Constant) and node.slice.value == 0
+    else:
+        return False
+    if not (discarded and isinstance(call, ast.Call)):
+        return False
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("hnf", "snf")
+
+
+def test_no_discarded_transforms():
+    wasteful = sorted(
+        "%s.%s" % (mod, func.name)
+        for mod, tree in _modules().items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(_discards_transforms(node) for node in ast.walk(func))
+    )
+    assert wasteful == []

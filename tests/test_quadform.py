@@ -457,6 +457,17 @@ def test_json_round_trip():
     assert L.hnf_key() == "1;0;0"
 
 
+def test_subspace_refuses_non_integral_rows():
+    # a non-integral entry was truncated: 1.5 -> 1, 0.5 -> 0
+    for rows in ([[1.5, 0, 1]], [[F(1, 2), 2, 1]]):
+        with pytest.raises(ValueError):
+            qf.Subspace.from_rows(Q0_3, rows)
+    with pytest.raises(ValueError):
+        qf.Subspace.from_json(Q0_3, {"basis": [[0.5, 2, 1]]})
+    # integral values of other types are accepted
+    assert qf.Subspace.from_rows(Q0_3, [[F(4, 2), 2.0, 0]]).basis == ((1, 1, 0),)
+
+
 # ---------------------------------------------------------------------------
 # property tests over random subspaces
 
