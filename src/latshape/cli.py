@@ -67,13 +67,10 @@ def _cmd_enumerate(args) -> int:
         if args.k == 1:
             subs = subspaces.lines_with_disc(q, args.disc, max_candidates=cap)
         else:
-            table = subspaces.enumerate_by_disc(
-                q, args.k, args.disc, max_candidates=cap
-            )
-            subs = list(table.get(args.disc))
+            subs = subspaces.recursion_table(q, args.k, args.disc, cap).get(args.disc)
         _emit([_subspace_payload(s) for s in subs])
     else:
-        table = subspaces.enumerate_by_disc(q, args.k, args.dmax, max_candidates=cap)
+        table = subspaces.recursion_table(q, args.k, args.dmax, cap)
         _emit({str(d): len(table.get(d)) for d in range(1, args.dmax + 1)})
     return 0
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +53,11 @@ def mat_mul(a, b):
     if not a:
         return []
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def vec_mat(v, a):
-    return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))]
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def mat_copy(mat):
@@ -78,12 +79,9 @@ def denominator_lcm(mat):
 
 
 def scale_to_int(mat):
-    """Return (d, d*mat as ints) where d is the denominator lcm."""
+    """(d, d*mat as ints), d the denominator lcm; ValueError on a non-integral float."""
     d = denominator_lcm(mat)
-    out = []
-    for row in mat:
-        out.append([int(x * d) for x in row])
-    return d, out
+    return d, integral_rows([[x * d for x in row] for row in mat])
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +364,18 @@ def ldl_int(gram):
     Raises ``ValueError`` at the first leading minor <= 0, so it succeeds
     exactly on positive definite input.
     """
+    rows = [[0] * i + r[i:] for i, r in enumerate(bareiss(gram, len(gram)))]
+    return rows, [r[i] for i, r in enumerate(rows)]
+
+
+def bareiss(gram, steps):
+    """``ldl_int``'s elimination stopped after ``steps`` = k pivots: for
+    [[G, B], [B^T, C]] with a k x k block G, the trailing block of the
+    result is det(G) (C - B^T G^-1 B) (Sylvester's identity)."""
     n = len(gram)
     a = [list(row) for row in gram]
     prev = 1
-    for k in range(n):
+    for k in range(steps):
         p, rk = a[k][k], a[k]
         if p <= 0:
             raise ValueError("matrix is not positive definite")
@@ -379,8 +385,7 @@ def ldl_int(gram):
             for j in range(k + 1, n):
                 ai[j] = (p * ai[j] - f * rk[j]) // prev
         prev = p
-    rows = [[0] * i + a[i][i:] for i in range(n)]
-    return rows, [rows[i][i] for i in range(n)]
+    return a
 
 
 def adjugate(mat):

@@ -46,8 +46,8 @@ from . import subspaces
 KINDS = ("grassmann", "shape_L", "shape_Lperp", "joint")
 WEIGHTINGS = ("plain", "stabilizer")
 
-# sweep-based enumeration (k >= 2) walks every discriminant up to the
-# maximum, so keep desk-scale requests honest
+# the recursion (k >= 2) builds every discriminant up to the maximum, so
+# keep desk-scale requests honest
 MAX_SWEEP_DISC = 150
 
 
@@ -292,10 +292,7 @@ def _enumerate_buckets(cfg: ExperimentConfig) -> Dict[int, Tuple[quadform.Subspa
             "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
             % (top, MAX_SWEEP_DISC)
         )
-    if q.is_sum_of_squares():
-        table = subspaces.schmidt_table(q.n, k, top)
-    else:
-        table = subspaces.enumerate_by_disc(q, k, top, cfg.max_candidates)
+    table = subspaces.recursion_table(q, k, top, cfg.max_candidates)
     return {d: table.get(d) for d in cfg.discs}
 
 

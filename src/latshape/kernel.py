@@ -26,13 +26,15 @@ last nonzero coordinate is positive is reported.
 """
 
 from math import isqrt, lcm
+from operator import mul
 
 from . import exact
 
 
-def _walk(gram, bound, shell):
+def _walk(gram, bound, shell, last_positive=False):
     """Sorted (norm, v) with 0 < norm <= bound, or sorted v of norm == bound
-    when ``shell``; one v per sign pair."""
+    when ``shell``; one v per sign pair.  With ``last_positive`` the outer
+    coordinate v[-1] starts at 1, so the layer v[-1] = 0 is never walked."""
     rows, minors = exact.ldl_int(gram)
     n = len(rows)
     if bound < 1 or not n:
@@ -45,7 +47,7 @@ def _walk(gram, bound, shell):
 
     def rec(i, r, nonzero):
         p, wi = minors[i], w[i]
-        s = sum(a * b for a, b in zip(rows[i][i + 1:], x[i + 1:]))
+        s = sum(map(mul, rows[i][i + 1:], x[i + 1:]))
         if shell and i == 0:
             t2, rem = divmod(r, wi)
             t = isqrt(t2)
@@ -60,9 +62,9 @@ def _walk(gram, bound, shell):
             return
         h = isqrt(r // wi)
         lo, hi = -((h + s) // p), (h - s) // p
-        if not nonzero and lo < 0:
+        if not nonzero:
             # outer coordinates all zero: keep the canonical sign only
-            lo = 0
+            lo = max(lo, int(last_positive))
         for xi in range(lo, hi + 1):
             x[i] = xi
             y = p * xi + s
@@ -78,13 +80,14 @@ def _walk(gram, bound, shell):
     return out
 
 
-def short_vectors(gram, bound):
+def short_vectors(gram, bound, last_positive=False):
     """All (norm, v) with 0 < v G v^T <= bound, one per sign pair.
 
     Sorted by (norm, vector).  ``gram`` is any sequence of int rows of an
     integral symmetric positive definite matrix; norms are plain ints.
+    With ``last_positive`` only the v with v[-1] > 0 are walked.
     """
-    return _walk(gram, bound, False)
+    return _walk(gram, bound, False, last_positive)
 
 
 def vectors_with_norm(gram, target):

@@ -1,23 +1,16 @@
 """Enumeration of rational subspaces with a fixed discriminant.
 
-Three enumerators:
+* recursion_table: Schmidt's hyperplane recursion (Monatsh. Math. 125,
+  1998) for any positive definite integral form, behind the CLI and the
+  experiments for k >= 2; schmidt_table runs it on the identity;
+* lines_with_disc: the lines of one discriminant, from the fixed-norm shell;
+* enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
+  independent reference that the recursion is cross-validated against.
 
-* enumerate_by_disc: a Minkowski-bound vector search (a DFS over short
-  vectors), valid for any positive definite integral form;
-* lines_with_disc: the lines of one discriminant, from the fixed-norm
-  shell alone;
-* schmidt_table: the hyperplane recursion, for the sum of squares.
-
-The test suite cross-validates the vector search and the recursion on
-overlapping ranges.
-
-Canonical output: every subspace is stored by the HNF basis of
-L(Z) = L ∩ Z^n, so deduplication is by that basis; lists are sorted by
-it as well.  The vector search and the shell reach it through
-Subspace.from_rows.  The recursion knows its rows are already a basis of
-L(Z): it canonicalises them with Subspace.from_saturated_rows, and embeds
-the subspaces inside the hyperplane by appending a zero column to their
-HNF basis.
+Every subspace is stored, deduplicated and sorted by the HNF basis of
+L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z), so it
+canonicalises with Subspace.from_saturated_rows; it meets each subspace
+exactly once and keeps no dedupe.
 """
 
 from __future__ import annotations
@@ -213,7 +206,8 @@ def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
     small = quadform.QuadraticForm.sum_of_squares(n1 - 1)
     lbar = quadform.Subspace.from_rows(small, [r[:-1] for r in lbar_rows])
     u = u_full[:-1]
-    perp, adj, dprime, _ = _projection_data(lbar)
+    perp, _ = _projection_data(lbar)
+    adj, dprime = exact.adjugate(exact.mat_mul(perp, exact.transpose(perp)))
     # v = sum_i c_i p_i^# with c_i = u.p_i and dual basis adj @ perp / dprime
     c = [sum(x * y for x, y in zip(u, p)) for p in perp]
     v = exact.vec_mat(exact.vec_mat(c, adj), perp) if perp else [0] * len(u)
@@ -221,23 +215,20 @@ def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
 
 
 def _projection_data(lbar: quadform.Subspace):
-    """Integer data of the projection of Z^n onto the complement of lbar.
-
-    Returns ``(P, adj, dprime, lifts)``.  P is the HNF basis of
-    lbar^perp ∩ Z^n.  Z^n is unimodular and P is saturated, so the
-    projection of Z^n is the dual lattice P^#, whose dual basis
-    adj @ P / dprime has Gram (P P^T)^-1 = adj / dprime, with
-    adj = adj(P P^T) and dprime = det(P P^T) = disc(lbar).  A vector u
-    projects to the coordinates c = u @ P^T in that basis, and lifts[i]
-    is an integer u with u @ P^T = e_i: the top rows of U in
-    U @ P^T = H, whose top block is the identity because P is saturated.
+    """(P, lifts) for lbar over any form.  P is the HNF basis of the
+    saturated {x in Z^n : B x^T = 0}, and lifts[i] is an integer u with
+    u @ P^T = e_i: the top rows of U in U @ P^T = H, whose top block is the
+    identity.  The lifts are a basis of Z^n modulo lbar(Z).  Over the sum
+    of squares P spans lbar^perp and Z^n projects onto the dual lattice
+    P^#, whose dual basis adj @ P / dprime has Gram (P P^T)^-1 = adj /
+    dprime, with dprime = det(P P^T) = disc(lbar); a vector u projects to
+    the coordinates c = u @ P^T in that basis.
     """
-    perp = [list(r) for r in quadform.orth_complement(lbar.form, lbar).basis]
-    adj, dprime = exact.adjugate(exact.mat_mul(perp, exact.transpose(perp)))
+    perp = exact.kernel_basis(lbar.basis) if lbar.k else exact.identity(lbar.n)
     h, u = exact.hnf(exact.transpose(perp))
     rank = len(perp)
     assert h[:rank] == exact.identity(rank)
-    return perp, adj, dprime, u[:rank]
+    return perp, u[:rank]
 
 
 def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
@@ -254,7 +245,7 @@ def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
     v = triple.v
     if any(sum(x * y for x, y in zip(v, b)) for b in lbar.basis):
         raise ValueError("v is not orthogonal to lbar")
-    perp, _, _, lifts = _projection_data(lbar)
+    perp, lifts = _projection_data(lbar)
     coords = [sum(x * y for x, y in zip(v, p)) for p in perp]
     if any(x.denominator != 1 for x in coords):
         raise ValueError("v is not in the projected lattice")
@@ -268,78 +259,85 @@ def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
     return quadform.Subspace.from_rows(big, new_rows)
 
 
-def _schmidt_sweep(q: quadform.QuadraticForm, below, lbar_table, max_disc: int):
-    """One step of the hyperplane recursion: dict D -> tuple of subspaces
-    of Q^n, for all D <= max_disc, from the tables of Q^(n-1).
+def recursion_table(
+    q: quadform.QuadraticForm,
+    k: int,
+    max_disc: int,
+    max_candidates: Optional[int] = None,
+) -> DiscClassTable:
+    """H^{n,k}_q(D) for every D <= max_disc, by the hyperplane recursion.
 
-    ``below`` is H^{n-1,k}; with a zero coordinate appended it gives the
-    subspaces inside the hyperplane.  ``lbar_table`` is H^{n-1,k-1}.  A
-    subspace with data (h, lbar, v) has disc D'(h^2 + Q(v)), with
-    D' = disc(lbar).  In the dual basis of the projected lattice (see
-    _projection_data) D' Q(v) = c adj c^T is an integer, so the step runs
-    over every lbar and every short vector c of adj with
-    D' h^2 + c adj c^T <= max_disc.
+    Row m holds H^{m,j}(D), D <= caps[m], over the leading block M_m of the
+    Gram for each j that H^{n,k} needs: H^{m-1,j} inside x_m = 0, and
+    _lifts_over each lbar in H^{m-1,j-1} of disc D' <= caps[m] det M_{m-1}
+    / det M_m.  All walks count against ``max_candidates``.  The entries
+    with D <= D' are the table up to D'.
     """
-    out: Dict[int, Dict[Tuple, quadform.Subspace]] = {}
-    for d, subs in below.items():
-        for sub in subs:
-            # an HNF basis with a zero column appended is still one
-            emb = quadform.Subspace(q, tuple(r + (0,) for r in sub.basis))
-            out.setdefault(d, {})[emb.basis] = emb
-    for dprime, lbars in lbar_table.items():
-        for lbar in lbars:
-            _, adj, _, lifts = _projection_data(lbar)
-            # disc = dprime*h^2 + w with w = c adj c^T and h >= 1
-            norm_cap = max_disc - dprime
-            sols = [(0, tuple(0 for _ in range(len(lifts))))]
-            if norm_cap >= 1:
-                for w, c in kernel.short_vectors(adj, norm_cap):
-                    sols.append((w, c))
-                    sols.append((w, tuple(-x for x in c)))
-            for w, c in sols:
-                content = math.gcd(*c)
-                u = exact.vec_mat(c, lifts)
-                h = 1
-                while dprime * h * h + w <= max_disc:
-                    if math.gcd(h, content) == 1:
-                        d = dprime * h * h + w
-                        # rows are a basis of L(Z): the last coordinate maps
-                        # L(Z) onto hZ with kernel lbar(Z), and coprimality
-                        # blocks any index drop
-                        new_rows = [list(r) + [0] for r in lbar.basis]
-                        new_rows.append(u + [h])
-                        sub = quadform.Subspace.from_saturated_rows(q, new_rows)
-                        out.setdefault(d, {})[sub.basis] = sub
-                    h += 1
-    return {
-        d: tuple(sorted(m.values(), key=lambda s: s.basis)) for d, m in out.items()
-    }
-
-
-def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
-    """H^{n,k}(D) for every D <= max_disc, via the hyperplane recursion.
-
-    Builds the tables bottom-up: row n' holds H^{n',k'} for the k' that
-    H^{n,k} still needs, each from two tables of row n'-1, so every
-    (n', k') is built once and nothing outlives the call.  For
-    D' < max_disc, the entries with D <= D' are the table up to D'.
-    """
+    n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if max_disc < 1:
         raise ValueError("max_disc must be >= 1")
-    row: Dict[int, Dict[int, Tuple[quadform.Subspace, ...]]] = {}
+    dets = [1] + exact.ldl_int(q.gram)[1]
+    caps = [max_disc] * (n + 1)
+    for m in range(n, 1, -1):
+        caps[m - 1] = max(caps[m], caps[m] * dets[m - 1] // dets[m])
+    spent, row = 0, {}
     for m in range(1, n + 1):
-        q = quadform.QuadraticForm.sum_of_squares(m)
+        qm, cap = quadform.QuadraticForm([r[:m] for r in q.gram[:m]]), caps[m]
         lower, row = row, {}
         for j in range(max(0, k - (n - m)), min(k, m) + 1):
             if j == 0:
-                row[j] = {1: (quadform.Subspace.from_rows(q, []),)}
+                row[j] = {1: [quadform.Subspace.from_rows(qm, [])]}
             elif j == m:
-                row[j] = {1: (quadform.Subspace.from_rows(q, exact.identity(m)),)}
+                full = quadform.Subspace.from_rows(qm, exact.identity(m))
+                row[j] = {dets[m]: [full]} if dets[m] <= cap else {}
             else:
-                row[j] = _schmidt_sweep(q, lower[j], lower[j - 1], max_disc)
-    return DiscClassTable(row[k])
+                # an HNF basis with a zero column appended is still one
+                row[j] = {d: [quadform.Subspace(qm, tuple(r + (0,) for r in s.basis))
+                              for s in subs] for d, subs in lower[j].items() if d <= cap}
+                for dprime, lbars in lower[j - 1].items():
+                    if dprime * dets[m] <= cap * dets[m - 1]:
+                        for lbar in lbars:
+                            spent += _lifts_over(qm, lbar, cap, row[j])
+                            _check_candidates(spent, max_candidates)
+    return DiscClassTable(
+        {d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in row[k].items()}
+    )
+
+
+def _lifts_over(q, lbar, cap, out):
+    """Append to ``out`` (D -> list) each L of disc D <= cap that meets
+    x_m = 0 in lbar; return the number of candidates walked.  L(Z) is
+    lbar(Z) + Z x for a unique primitive class x = (c, h), h > 0, of
+    Z^m / lbar(Z) in the basis [lifts; e_m], and its disc is a positive
+    definite form in x: det G times the Schur complement of G = B M B^T in
+    the Gram of [B; lifts; e_m].
+    """
+    m, j = q.n, lbar.k
+    head = [list(r) + [0] for r in lbar.basis]
+    _, lifts = _projection_data(lbar)
+    gram = quadform.gram_restriction(q, head + [r + [0] for r in lifts] + [[0] * (m - 1) + [1]])
+    schur = [r[j:] for r in exact.bareiss(gram, j)[j:]]
+    sols = kernel.short_vectors(schur, cap, last_positive=True)
+    lifted = {}
+    for d, x in sols:
+        c, h = x[:-1], x[-1]
+        if c not in lifted:
+            lifted[c] = (math.gcd(*c), exact.vec_mat(c, lifts))
+        content, u = lifted[c]
+        if math.gcd(h, content) == 1:
+            # rows are a basis of L(Z): the last coordinate maps L(Z) onto
+            # hZ with kernel lbar(Z), and coprimality blocks any index drop
+            sub = quadform.Subspace.from_saturated_rows(q, head + [u + [h]])
+            out.setdefault(d, []).append(sub)
+    return len(sols)
+
+
+def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
+    """H^{n,k}(D) for every D <= max_disc over the sum of squares: the
+    hyperplane recursion on the identity Gram."""
+    return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
 
 
 def nonempty_criterion(n: int, k: int, D: int) -> Verdict:

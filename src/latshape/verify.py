@@ -233,26 +233,25 @@ def _suite_schmidt(samples, seed, dmax=None):
     dmax = 16 if dmax is None else dmax
     agree31 = _Check("schmidt matches vector enumeration (3,1)")
     agree42 = _Check("schmidt matches vector enumeration (4,2)")
+    agree_a4 = _Check("recursion matches vector enumeration on A4 (k=2)")
     roundtrip = _Check("compose(decompose(L)) = L")
     recursion = _Check("disc recursion D = D' (h^2 + Q(v))")
     q3 = quadform.QuadraticForm.sum_of_squares(3)
     q4 = quadform.QuadraticForm.sum_of_squares(4)
-    table31 = subspaces.schmidt_table(3, 1, dmax)
-    table42 = subspaces.schmidt_table(4, 2, dmax)
-    pairs = (
-        (agree31, table31, subspaces.enumerate_by_disc(q3, 1, dmax)),
-        (agree42, table42, subspaces.enumerate_by_disc(q4, 2, dmax)),
-    )
-    for check, recursion_side, vector_side in pairs:
+    a4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
+    tables = {}
+    for check, q, k in ((agree31, q3, 1), (agree42, q4, 2), (agree_a4, a4, 2)):
+        tables[q, k] = subspaces.recursion_table(q, k, dmax)
+        vector_side = subspaces.enumerate_by_disc(q, k, dmax)
         for d in range(1, dmax + 1):
-            a = {s.basis for s in recursion_side.get(d)}
+            a = {s.basis for s in tables[q, k].get(d)}
             b = {s.basis for s in vector_side.get(d)}
             check.record(a == b, "D=%d: %d vs %d" % (d, len(a), len(b)))
     rng = random.Random(seed)
     pool = [
         s
         for d in range(1, dmax + 1)
-        for s in table42.get(d)
+        for s in tables[q4, 2].get(d)
         if any(r[-1] for r in s.basis)  # decompose rejects hyperplane residents
     ]
     rng.shuffle(pool)
@@ -265,7 +264,7 @@ def _suite_schmidt(samples, seed, dmax=None):
         lhs = Fraction(quadform.disc(L.form, L))
         rhs = quadform.disc(triple.lbar.form, triple.lbar) * m
         recursion.record(lhs == rhs, L.hnf_key())
-    return [agree31, agree42, roundtrip, recursion]
+    return [agree31, agree42, agree_a4, roundtrip, recursion]
 
 
 def _suite_nonempty(samples, seed, dmax=None):

@@ -150,6 +150,34 @@ def test_criterion_05_schmidt_cross_validation():
     )
 
 
+def test_recursion_matches_vector_search_on_general_forms():
+    # beside criterion 5: the recursion against the independent vector DFS
+    # on forms that are not the sum of squares.  The last form has
+    # det M_2 / det M_3 = 3, so its planes lie over lines of disc up to
+    # 3 * max_disc.
+    a4 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    rng = random.Random(7)
+    perm = rng.sample(range(4), 4)
+    signs = [rng.choice((1, -1)) for _ in range(4)]
+    permuted = [[signs[i] * signs[j] * a4[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
+    grams = (
+        a4,
+        permuted,
+        [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+        [[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 3, 1], [1, 0, 0, 1, 4]],
+        [[2, 1, 1], [1, 2, 1], [1, 1, 1]],
+    )
+    cases = [(g, k, 30) for g in grams for k in range(1, len(g) + 1)] + [(a4, 2, 60)]
+    problems = []
+    for gram, k, top in cases:
+        q = qf.QuadraticForm(gram)
+        if sp.recursion_table(q, k, top).table != sp.enumerate_by_disc(q, k, top).table:
+            problems.append((gram, k, top))
+    assert not problems, problems
+
+
 def test_criterion_06_isotropy_oracle_and_reciprocity():
     pool = (1, -1, 2, -2, 3, -3, 5, -5)
     cache = {}

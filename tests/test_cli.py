@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latshape import cli
+from latshape import cli, quadform, subspaces
 
 
 def _run(capsys, *argv):
@@ -52,6 +52,37 @@ def test_form_from_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "gram": [[1]]}))
     assert cli.main(["enumerate", "--Q", "file:%s" % bad, "--k", "1", "--disc", "1"]) == 1
+
+
+def test_enumerate_planes_of_a4_match_the_vector_search(tmp_path, capsys):
+    gram = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps({"n": 4, "gram": gram}))
+    brute = subspaces.enumerate_by_disc(quadform.QuadraticForm(gram), 2, 12)
+    code, payload = _run(
+        capsys, "enumerate", "--Q", "file:%s" % path, "--k", "2", "--dmax", "12"
+    )
+    assert code == 0
+    assert payload == {str(d): len(brute.get(d)) for d in range(1, 13)}
+    assert sum(payload.values()) > 0
+    # A4 has no plane of disc 5 and 30 of disc 7
+    for disc in (5, 7):
+        code, payload = _run(
+            capsys, "enumerate", "--Q", "file:%s" % path, "--k", "2", "--disc", str(disc)
+        )
+        assert code == 0
+        assert [row["basis"] for row in payload] == [
+            [list(r) for r in s.basis] for s in brute.get(disc)
+        ]
+        assert len(payload) == (0 if disc == 5 else 30)
+
+
+def test_candidate_cap_is_a_runtime_error(capsys):
+    argv = ["--k", "2", "--max-candidates", "1"]
+    assert cli.main(["enumerate", "--Q", "sumsq:4", "--disc", "5"] + argv) == 1
+    assert "candidate bound exceeded" in capsys.readouterr().err
+    assert cli.main(["experiment", "--n", "4", "--dlist", "5"] + argv) == 1
+    assert "candidate bound exceeded" in capsys.readouterr().err
 
 
 def test_invariants(capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latshape import exact
+from latshape import quadform
 
 import fraction_oracle as fo
 
@@ -518,3 +519,16 @@ def test_rational_det_and_inverse_match_oracle(mat, dens):
 def test_frac_str_roundtrip():
     assert exact.frac_str(Fraction(-3, 4)) == "-3/4"
     assert exact.frac_str(5) == "5"
+
+
+def test_scaling_refuses_non_integral_floats():
+    # a non-integral float was truncated: 1.5 -> 1, 2.5 -> 2
+    with pytest.raises(ValueError):
+        quadform.Lattice.from_rows(3, [[1.5, 0, 0]])
+    with pytest.raises(ValueError):
+        exact.det_fraction([[2.5]])
+    with pytest.raises(ValueError):
+        exact.lattice_coordinates([[1, 0]], [[1.5, 0]])
+    # integral floats and Fractions still scale
+    assert exact.det_fraction([[2.0]]) == 2
+    assert exact.scale_to_int([[Fraction(1, 2), 2.0]]) == (2, [[1, 4]])

@@ -239,6 +239,14 @@ def test_run_experiment_sweep_guard():
         ex.run_experiment(cfg)
 
 
+def test_run_experiment_honours_the_candidate_cap():
+    # the cap applies to every enumeration path, the sum of squares included
+    q = quadform.QuadraticForm.sum_of_squares(4)
+    cfg = ex.ExperimentConfig(form=q, k=2, discs=(5,), max_candidates=1)
+    with pytest.raises(subspaces.BoundExceededError):
+        ex.run_experiment(cfg)
+
+
 def test_shape_columns_populated_for_k2(tmp_path):
     q = quadform.QuadraticForm.sum_of_squares(4)
     out = tmp_path / "s.csv"

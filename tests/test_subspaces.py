@@ -196,15 +196,17 @@ def test_compose_rejects_v_not_orthogonal_to_lbar():
 
 
 def test_projection_data_matches_fraction_projection():
-    # integer data (P, adj, D', lifts) against the rational projection of
-    # Z^4 onto lbar^perp, built with the rational projection matrix
+    # integer data (P, lifts) and schmidt_decompose's (adj, D') against the
+    # rational projection of Z^4 onto lbar^perp, built with the rational
+    # projection matrix
     q = Q0_4
     std = quadform.Lattice.standard(q.n)
     checked = 0
     for table in (sp.schmidt_table(4, 1, 30), sp.schmidt_table(4, 2, 12)):
         for d, lbars in table.table.items():
             for lbar in lbars:
-                perp_rows, adj, dprime, lifts = sp._projection_data(lbar)
+                perp_rows, lifts = sp._projection_data(lbar)
+                adj, dprime = exact.adjugate(exact.mat_mul(perp_rows, exact.transpose(perp_rows)))
                 perp = quadform.orth_complement(q, lbar)
                 assert [list(r) for r in perp.basis] == perp_rows
                 assert dprime == d
@@ -313,6 +315,10 @@ def test_candidate_cap():
     with pytest.raises(sp.BoundExceededError):
         sp.enumerate_by_disc(Q0_4, 2, 20, max_candidates=5)
     assert sp.enumerate_by_disc(Q0_4, 2, 20, max_candidates=10**6)
+    # the recursion counts the candidates of all its walks
+    with pytest.raises(sp.BoundExceededError):
+        sp.recursion_table(Q0_4, 2, 20, max_candidates=5)
+    assert sp.recursion_table(Q0_4, 2, 20, max_candidates=10**6)
 
 
 def test_disc_class_table_validation():
