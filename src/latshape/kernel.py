@@ -23,12 +23,30 @@ scanned: w_0 y_0^2 == r needs w_0 | r, r / w_0 = t^2 and D_1 | ±t - S.
 
 Sign convention: of each pair ``{v, -v}`` only the representative whose
 last nonzero coordinate is positive is reported.
+
+The isometry search (Plesken-Souvignier, "Computing isometries of
+lattices", J. Symb. Comp. 24, 1997) is built on the shells.  ``isometries(a,
+b)`` yields every integer U with U a U^T = b, row by row: row j runs over
+the shell of norm b[j][j] under a, the half-shell of ``vectors_with_norm``
+first and then the same vectors negated, and a candidate is kept when it
+meets every earlier row i in b[i][j].  The rows fixed so far have Gram the
+leading block of b, which is positive definite, so they are independent
+and the search needs no rank test.  A shell with more than ``_POOL_CAP``
+vectors per sign pair raises ``SearchBoundError``; the same cap bounds
+SO_Q(Z), the equivalence test and the canonicalization pool of ``shapes``.
 """
 
 from math import isqrt, lcm
 from operator import mul
 
 from . import exact
+
+_POOL_CAP = 20000
+
+
+class SearchBoundError(RuntimeError):
+    """Raised when an isometry or canonicalization search would need to
+    enumerate more candidate vectors than the configured cap."""
 
 
 def _walk(gram, bound, shell, last_positive=False):
@@ -98,3 +116,43 @@ def vectors_with_norm(gram, target):
     budget left, not by the target itself.
     """
     return _walk(gram, target, True)
+
+
+def isometries(a, b):
+    """Every integer U, as a tuple of row tuples, with U a U^T == b.
+
+    Rows are searched as the module docstring says; each shell vector's
+    image v a is computed once.  The shells are built and capped when
+    ``isometries`` is called, and the U are found lazily.  Raises
+    ``SearchBoundError`` when a half-shell exceeds ``_POOL_CAP`` vectors.
+    """
+    k = len(b)
+    shells = {}
+    for j in range(k):
+        t = b[j][j]
+        if t not in shells:
+            half = vectors_with_norm(a, t)
+            if len(half) > _POOL_CAP:
+                raise SearchBoundError(
+                    "isometry search pool too large: %d vectors" % len(half)
+                )
+            shell = half + [tuple(-x for x in v) for v in half]
+            shells[t] = [(v, exact.vec_mat(v, a)) for v in shell]
+    cols = list(zip(*b))
+    rows = [None] * k
+    images = [None] * k
+
+    def rec(j):
+        if j == k:
+            yield tuple(rows)
+            return
+        bj = cols[j]
+        for v, va in shells[bj[j]]:
+            for i in range(j):
+                if sum(map(mul, images[i], v)) != bj[i]:
+                    break
+            else:
+                rows[j], images[j] = v, va
+                yield from rec(j + 1)
+
+    return rec(0)

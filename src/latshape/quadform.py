@@ -16,7 +16,8 @@ The invariants provided here: restricted Gram matrices, discriminants
 of L(Z) in L ∩ (Z^n)^#, primitive parts, a distinguished lattice between
 Z^n and its dual attached to L, rational rotations, the orbits of the
 integral special orthogonal group on a list of subspaces, and the
-stabilizer of L in that group.
+stabilizer of L in that group, which the shell search
+``kernel.isometries`` builds.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class QuadraticForm:
 
     def disc(self) -> int:
         return exact.det_int(self.gram)
-
-    def bilinear(self, v, w):
-        n = self.n
-        return sum(v[i] * self.gram[i][j] * w[j] for i in range(n) for j in range(n))
-
-    def norm(self, v):
-        return self.bilinear(v, v)
 
     def inverse_gram(self):
         return exact.inverse_fraction(self.gram)
@@ -570,37 +564,15 @@ def rotation_ord_p(g, p: int) -> int:
 def _special_orthogonal_group(gram):
     """All g ∈ SO_Q(Z), as row-major tuples.  Finite since M is definite.
 
-    Columns are images of the standard basis vectors; candidates for
-    column j are the lattice vectors of norm M_jj, matched back against
-    the Gram entries while backtracking.
+    The columns of g are the images of the standard basis vectors, so g^T
+    is an isometry U of M onto itself, U M U^T = M.  ``kernel.isometries``
+    yields every such U; g = U^T is kept when det g = 1.  The group comes
+    in the search's order, which ``verify``'s sampling depends on.  Raises
+    ``kernel.SearchBoundError`` when a shell exceeds the search's cap.
     """
-    n = len(gram)
-    cands = {}
-    for j in range(n):
-        t = gram[j][j]
-        if t not in cands:
-            half = kernel.vectors_with_norm(gram, t)
-            cands[t] = [v for v in half] + [tuple(-x for x in v) for v in half]
-    out = []
-    cols = [None] * n
-
-    def pair(v, w):
-        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
-
-    def rec(j):
-        if j == n:
-            g = [[cols[c][r] for c in range(n)] for r in range(n)]
-            if exact.det_int(g) == 1:
-                out.append(_freeze(g))
-            return
-        for v in cands[gram[j][j]]:
-            if all(pair(cols[i], v) == gram[i][j] for i in range(j)):
-                cols[j] = v
-                rec(j + 1)
-        cols[j] = None
-
-    rec(0)
-    return tuple(out)
+    return tuple(
+        _freeze(zip(*u)) for u in kernel.isometries(gram, gram) if exact.det_int(u) == 1
+    )
 
 
 def special_orthogonal_group(q: QuadraticForm):

@@ -1,10 +1,12 @@
 """Shape classes of definite lattices and the real moduli pipeline.
 
 The exact half canonicalizes restricted Gram matrices up to unimodular
-base change and positive scaling.  The float half builds the matrix data
-(rho, alpha, a, m) attached to a subspace and recovers both shapes from
-it; exact arithmetic remains the source of truth, the float pipeline is
-validated against it by residuals.
+base change and positive scaling.  It decides GL_k(Z)-equivalence of two
+Grams with ``kernel.isometries``, the shell search that also builds
+SO_Q(Z), and its canonicalization pool is bounded by that search's cap.
+The float half builds the matrix data (rho, alpha, a, m) attached to a
+subspace and recovers both shapes from it; exact arithmetic remains the
+source of truth, the float pipeline is validated against it by residuals.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -19,13 +22,7 @@ import numpy as np
 from . import exact
 from . import kernel
 from . import quadform
-
-_POOL_CAP = 20000
-
-
-class SearchBoundError(RuntimeError):
-    """Raised when an isometry or canonicalization search would need to
-    enumerate more candidate vectors than the configured cap."""
+from .kernel import SearchBoundError
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +47,6 @@ class ShapeClass:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    @property
-    def rank(self) -> int:
-        return len(self.canonical_gram)
 
     def __eq__(self, other):
         if not isinstance(other, ShapeClass):
@@ -104,7 +97,7 @@ def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
     k = len(ig)
     bound = max(ig[i][i] for i in range(k))
     vecs = kernel.short_vectors(ig, bound)
-    if len(vecs) > _POOL_CAP:
+    if len(vecs) > kernel._POOL_CAP:
         raise SearchBoundError(
             "canonicalization pool too large: %d vectors" % len(vecs)
         )
@@ -147,9 +140,10 @@ def _canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
         pool.append((norm, v))
         pool.append((norm, tuple(-x for x in v)))
     pool.sort(key=lambda t: (t[0], t[1]))
+    image = {v: exact.vec_mat(v, ig) for _, v in pool}
 
     def bilin(u, w):
-        return sum(u[i] * ig[i][j] * w[j] for i in range(k) for j in range(k))
+        return sum(map(mul, image[u], w))
 
     best_u: Optional[List[Tuple[int, ...]]] = None
     best_key: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -194,62 +188,34 @@ def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:
     raw basis rows.  Content is stripped first, the primitive integral
     Gram is canonicalized, and the stripped factor is reported as scale.
     """
-    if isinstance(lam, quadform.Subspace):
-        rows = [list(r) for r in lam.basis]
-    elif isinstance(lam, quadform.Lattice):
-        rows = [list(r) for r in lam.basis]
-    else:
-        rows = [list(r) for r in lam]
-    if not rows:
+    gram = quadform.gram_restriction(q, lam)
+    if not gram:
         raise ValueError("shape of a rank-zero lattice is undefined")
-    content, ig = quadform.gram_content(quadform.gram_restriction(q, rows))
+    content, ig = quadform.gram_content(gram)
     exact.ldl_int(ig)  # raises unless positive definite
     return ShapeClass(_canonical_gram(ig), content)
 
 
 def forms_equivalent(g1, g2) -> bool:
-    """Whether two integral PD Grams are GL_k(Z)-equivalent, by
-    norm-by-norm backtracking over short vectors.
+    """Whether two integral PD Grams are GL_k(Z)-equivalent.
 
-    Raises ``ValueError`` on a non-integral entry or a Gram that is not
-    positive definite.
+    Equal rank and determinant are checked first; then the grams are
+    equivalent exactly when ``kernel.isometries`` finds one U with
+    U g1 U^T = g2, which the equal determinants make unimodular.  Raises
+    ``ValueError`` on a non-integral entry or a Gram that is not positive
+    definite, and ``SearchBoundError`` when a shell exceeds the search's
+    cap.
     """
     a = exact.integral_rows(g1)
     b = exact.integral_rows(g2)
     if len(a) != len(b):
         return False
-    k = len(a)
-    if k == 0:
+    if not a:
         return True
     # the last leading minor is the determinant
     if exact.ldl_int(a)[1][-1] != exact.ldl_int(b)[1][-1]:
         return False
-
-    def bilin(u, w):
-        return sum(u[i] * a[i][j] * w[j] for i in range(k) for j in range(k))
-
-    cand: List[List[Tuple[int, ...]]] = []
-    for i in range(k):
-        vs = list(kernel.vectors_with_norm(a, b[i][i]))
-        if len(vs) > _POOL_CAP:
-            raise SearchBoundError("isometry search pool too large")
-        cand.append([v for v in vs] + [tuple(-x for x in v) for v in vs])
-
-    def extend(rows):
-        depth = len(rows)
-        if depth == k:
-            return True
-        for v in cand[depth]:
-            if any(bilin(rows[j], v) != b[j][depth] for j in range(depth)):
-                continue
-            new_rows = rows + [v]
-            if exact.rank_int(new_rows) <= depth:
-                continue
-            if extend(new_rows):
-                return True
-        return False
-
-    return extend([])
+    return next(kernel.isometries(a, b), None) is not None
 
 
 def upper_half_point(gram) -> UpperHalfPoint:

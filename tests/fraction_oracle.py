@@ -21,13 +21,25 @@ transformations as identity borders of the matrix they reduce.  ``hnf`` and
 matrices beside the eliminated one, and ``kernel_basis`` is the earlier
 two-pass kernel: the transformation rows of ``hnf`` facing zero rows,
 canonicalised by a second HNF.
+
+The package runs one isometry search, ``kernel.isometries``, for both
+SO_Q(Z) and GL_k(Z)-equivalence.  ``special_orthogonal_group`` and
+``forms_equivalent`` are the earlier two searches, kept verbatim: one
+matches columns against the Gram with its own pairing, the other matches
+rows with its own bilinear form, a rank test per candidate and its own
+pool cap.  The group is compared element for element and in order.
 """
 
 import math
 from fractions import Fraction
 from math import isqrt
+from typing import List, Tuple
 
+from latshape import exact, kernel
 from latshape.exact import identity, mat_copy, scale_to_int, transpose
+from latshape.kernel import SearchBoundError
+
+_POOL_CAP = 20000
 
 
 def to_fraction_matrix(mat):
@@ -471,3 +483,88 @@ def kernel_basis(mat):
     # canonicalize for a stable answer.
     out = [u[i] for i in range(len(h)) if not any(h[i])]
     return hnf_basis(out) if out else []
+
+
+def _freeze(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def special_orthogonal_group(gram):
+    """All g ∈ SO_Q(Z), as row-major tuples.  Finite since M is definite.
+
+    Columns are images of the standard basis vectors; candidates for
+    column j are the lattice vectors of norm M_jj, matched back against
+    the Gram entries while backtracking.
+    """
+    n = len(gram)
+    cands = {}
+    for j in range(n):
+        t = gram[j][j]
+        if t not in cands:
+            half = kernel.vectors_with_norm(gram, t)
+            cands[t] = [v for v in half] + [tuple(-x for x in v) for v in half]
+    out = []
+    cols = [None] * n
+
+    def pair(v, w):
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+
+    def rec(j):
+        if j == n:
+            g = [[cols[c][r] for c in range(n)] for r in range(n)]
+            if exact.det_int(g) == 1:
+                out.append(_freeze(g))
+            return
+        for v in cands[gram[j][j]]:
+            if all(pair(cols[i], v) == gram[i][j] for i in range(j)):
+                cols[j] = v
+                rec(j + 1)
+        cols[j] = None
+
+    rec(0)
+    return tuple(out)
+
+
+def forms_equivalent(g1, g2) -> bool:
+    """Whether two integral PD Grams are GL_k(Z)-equivalent, by
+    norm-by-norm backtracking over short vectors.
+
+    Raises ``ValueError`` on a non-integral entry or a Gram that is not
+    positive definite.
+    """
+    a = exact.integral_rows(g1)
+    b = exact.integral_rows(g2)
+    if len(a) != len(b):
+        return False
+    k = len(a)
+    if k == 0:
+        return True
+    # the last leading minor is the determinant
+    if exact.ldl_int(a)[1][-1] != exact.ldl_int(b)[1][-1]:
+        return False
+
+    def bilin(u, w):
+        return sum(u[i] * a[i][j] * w[j] for i in range(k) for j in range(k))
+
+    cand: List[List[Tuple[int, ...]]] = []
+    for i in range(k):
+        vs = list(kernel.vectors_with_norm(a, b[i][i]))
+        if len(vs) > _POOL_CAP:
+            raise SearchBoundError("isometry search pool too large")
+        cand.append([v for v in vs] + [tuple(-x for x in v) for v in vs])
+
+    def extend(rows):
+        depth = len(rows)
+        if depth == k:
+            return True
+        for v in cand[depth]:
+            if any(bilin(rows[j], v) != b[j][depth] for j in range(depth)):
+                continue
+            new_rows = rows + [v]
+            if exact.rank_int(new_rows) <= depth:
+                continue
+            if extend(new_rows):
+                return True
+        return False
+
+    return extend([])

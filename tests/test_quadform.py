@@ -325,6 +325,27 @@ def test_special_orthogonal_against_box_oracle():
         assert sorted(tuple(map(tuple, g)) for g in oracle) == sorted(got)
 
 
+# I_1..I_6, then eight forms whose groups have orders 1 to 120 (A4)
+ORDER_FORMS = [exact.identity(n) for n in range(1, 7)] + [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+    [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+    [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]],
+    [[3, 1, 1], [1, 5, 2], [1, 2, 7]],
+    [[2, 1, 1], [1, 2, 1], [1, 1, 1]],
+    [[2, 1], [1, 2]],
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+]
+
+
+def test_special_orthogonal_group_matches_the_earlier_search_in_order():
+    # verify's continuity suite samples group members by index, so the
+    # order of the tuple is part of the output
+    for gram in ORDER_FORMS:
+        q = qf.QuadraticForm(gram)
+        assert qf.special_orthogonal_group(q) == fo.special_orthogonal_group(q.gram), gram
+
+
 def test_trivial_automorphism_group():
     assert len(qf.special_orthogonal_group(QGEN)) == 1
     L = qf.Subspace.from_rows(QGEN, [[1, 4, 2]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latshape import quadform, shapes
+from latshape import cli, kernel, quadform, shapes
 from latshape import subspaces as sp
 
 import fraction_oracle as fo
@@ -130,6 +130,19 @@ def test_upper_half_point_sl2_invariant(g, moves):
     assert shapes.upper_half_point(ugu) == shapes.upper_half_point(g)
 
 
+def test_shape_of_a_lattice_is_the_shape_of_its_subspace():
+    q4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
+    for q, rows in [
+        (Q0_3, [[1, 1, 1]]),
+        (Q0_3, [[1, 2, 0], [0, 1, 3]]),
+        (Q0_4, [[1, 0, 1, 2], [0, 1, 1, 1]]),
+        (q4, [[1, 0, 0, 1], [0, 1, -1, 0], [0, 0, 1, 1]]),
+    ]:
+        L = quadform.Subspace.from_rows(q, rows)
+        by_lattice, by_subspace = shapes.shape(q, L.lattice()), shapes.shape(q, L)
+        assert by_lattice == by_subspace and by_lattice.scale == by_subspace.scale
+
+
 def test_shape_invariance_under_unimodular_change():
     rng = random.Random(7)
     grams = [
@@ -156,6 +169,8 @@ def test_shape_invariance_under_unimodular_change():
 def test_shape_errors():
     with pytest.raises(ValueError):
         shapes.shape(Q0_3, [])
+    with pytest.raises(ValueError):
+        shapes.shape(Q0_3, quadform.Lattice.from_rows(3, []))
     with pytest.raises(shapes.SearchBoundError):
         shapes.shape(
             quadform.QuadraticForm.sum_of_squares(5),
@@ -175,6 +190,48 @@ def test_forms_equivalent_examples():
     for _ in range(5):
         u = _random_unimodular(3, rng)
         assert shapes.forms_equivalent(g, _conjugate(g, u))
+    # the early returns: different ranks, and the empty form
+    assert not shapes.forms_equivalent([[1]], [[1, 0], [0, 1]])
+    assert shapes.forms_equivalent([], [])
+
+
+def test_forms_equivalent_matches_the_earlier_search():
+    binaries = [
+        [[a, b], [b, c]]
+        for a in range(1, 5)
+        for b in range(-2, 3)
+        for c in range(1, 7)
+        if a * c - b * b > 0
+    ]
+    for g1 in binaries:
+        for g2 in binaries:
+            assert shapes.forms_equivalent(g1, g2) == fo.forms_equivalent(g1, g2), (g1, g2)
+    rng = random.Random(5)
+    ternaries = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 25]],
+        [[1, 0, 0], [0, 5, 0], [0, 0, 5]],
+        [[2, 1, 0], [1, 2, 1], [0, 1, 5]],
+    ]
+    ternaries += [_conjugate(g, _random_unimodular(3, rng)) for g in ternaries for _ in range(3)]
+    for g1 in ternaries:
+        for g2 in ternaries:
+            assert shapes.forms_equivalent(g1, g2) == fo.forms_equivalent(g1, g2), (g1, g2)
+    g5 = [[2, 1, 0, 0, 0], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [0, 0, 0, 1, 3]]
+    moved = _conjugate(g5, _random_unimodular(5, rng))
+    assert shapes.forms_equivalent(g5, moved) and fo.forms_equivalent(g5, moved)
+
+
+def test_isometry_search_cap_binds_every_caller(monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_POOL_CAP", 2)
+    # three vectors of norm 1 per sign pair in Z^3
+    with pytest.raises(shapes.SearchBoundError):
+        shapes.forms_equivalent(Q0_3.gram, Q0_3.gram)
+    quadform._special_orthogonal_group.cache_clear()
+    with pytest.raises(shapes.SearchBoundError):
+        quadform.special_orthogonal_group(Q0_3)
+    code = cli.main(["experiment", "--Q", "sumsq:3", "--k", "1", "--dlist", "2"])
+    assert code == 1
+    assert "isometry search pool too large" in capsys.readouterr().err
 
 
 def test_forms_equivalent_refuses_non_integral_entries():
