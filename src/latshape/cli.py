@@ -64,10 +64,7 @@ def _cmd_enumerate(args) -> int:
     q = _parse_form(args.Q)
     cap = args.max_candidates
     if args.disc is not None:
-        if args.k == 1:
-            subs = subspaces.lines_with_disc(q, args.disc, max_candidates=cap)
-        else:
-            subs = subspaces.recursion_table(q, args.k, args.disc, cap).get(args.disc)
+        subs = subspaces.disc_buckets(q, args.k, [args.disc], cap)[args.disc]
         _emit([_subspace_payload(s) for s in subs])
     else:
         table = subspaces.recursion_table(q, args.k, args.dmax, cap)

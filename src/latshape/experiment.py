@@ -46,10 +46,6 @@ from . import subspaces
 KINDS = ("grassmann", "shape_L", "shape_Lperp", "joint")
 WEIGHTINGS = ("plain", "stabilizer")
 
-# the recursion (k >= 2) builds every discriminant up to the maximum, so
-# keep desk-scale requests honest
-MAX_SWEEP_DISC = 150
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -279,23 +275,6 @@ def _bucket_worker(args):
     return rows, summary
 
 
-def _enumerate_buckets(cfg: ExperimentConfig) -> Dict[int, Tuple[quadform.Subspace, ...]]:
-    q, k = cfg.form, cfg.k
-    if k == 1:
-        return {
-            d: tuple(subspaces.lines_with_disc(q, d, cfg.max_candidates))
-            for d in cfg.discs
-        }
-    top = max(cfg.discs)
-    if top > MAX_SWEEP_DISC:
-        raise subspaces.BoundExceededError(
-            "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
-            % (top, MAX_SWEEP_DISC)
-        )
-    table = subspaces.recursion_table(q, k, top, cfg.max_candidates)
-    return {d: table.get(d) for d in cfg.discs}
-
-
 def _csv_header(n: int) -> List[str]:
     head = ["D", "hnf"]
     head += ["p_%d_%d" % (i, j) for i in range(n) for j in range(n)]
@@ -328,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig):
     """Returns (csv_path or None, report dict); writes the CSV if an
     output path is configured.  Output is deterministic for a fixed
     seed, independent of the parallelism degree."""
-    buckets = _enumerate_buckets(cfg)
+    buckets = subspaces.disc_buckets(cfg.form, cfg.k, cfg.discs, cfg.max_candidates)
     payloads = [
         (cfg.form, cfg.k, d, buckets[d], cfg.kind, cfg.weighting, cfg.seed, cfg.mc_samples)
         for d in cfg.discs

@@ -341,10 +341,11 @@ def content_and_primitive(gram):
     """(c, P) with gram = c * P for an integral Gram (rows of int or
     integral Fraction entries): c the int content, P the primitive Gram as
     a tuple of int rows.  Raises ValueError on a non-integral Gram."""
-    if any(x.denominator != 1 for row in gram for x in row):
-        raise ValueError("content_and_primitive: form is not integral")
-    g, prim = gram_content(gram)
-    return int(g), _freeze(prim)
+    rows = exact.integral_rows(gram)
+    g = gcd(*(x for row in rows for x in row))
+    if g == 0:
+        return 0, _freeze(rows)
+    return g, _freeze([[x // g for x in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +354,9 @@ def content_and_primitive(gram):
 # The discriminant group A = (Z^n)^#/Z^n is presented by the SNF of M:
 # with U M V = diag(d), the rows u_i/d_i of D^{-1}U generate (Z^n)^# and
 # their images generate A with independent orders d_i.  Elements of A are
-# coordinate tuples mod (d_1..d_n).
-
-_GROUP_CAP = 1 << 16
-
-
-class GroupTooLargeError(RuntimeError):
-    """Raised when a subgroup of the discriminant group has more than
-    _GROUP_CAP elements, so listing it is refused."""
+# coordinate tuples mod (d_1..d_n).  A complement of T̄, the image of
+# L ∩ (Z^n)^#, is decided by integer linear algebra on generators, one
+# solve per cyclic factor of A/T̄; no element of A is ever listed.
 
 
 def _disc_group(q: QuadraticForm):
@@ -384,32 +380,6 @@ def _group_coords(t_rows, d, uinv):
     return out
 
 
-def _group_add(a, b, d):
-    return tuple((x + y) % m for x, y, m in zip(a, b, d))
-
-
-def _group_order(a, d):
-    return lcm(*(m // gcd(m, x) if m else 1 for x, m in zip(a, d)))
-
-
-def _subgroup_elements(gens, d, cap=_GROUP_CAP):
-    zero = tuple(0 for _ in d)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = _group_add(a, g, d)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    if len(seen) > cap:
-                        raise GroupTooLargeError("discriminant group too large")
-        frontier = nxt
-    return sorted(seen)
-
-
 def _group_vector(a, d, u):
     """The dual vector sum a_i u_i / d_i for a coordinate tuple."""
     n = len(d)
@@ -419,39 +389,52 @@ def _group_vector(a, d, u):
 
 
 def _complement_lifts(q: QuadraticForm, L: Subspace):
-    """Generators of a complement of the image of L ∩ (Z^n)^# in A, or None.
+    """Generators of a complement of T̄ in A, or None when none exists.
 
-    A complement exists iff the quotient map A -> A/T̄ admits a group
-    section; sections are found one cyclic factor at a time by searching
-    each generator's coset for an element of the right order.
+    T̄ is the image of L ∩ (Z^n)^# in A.  The SNF of [diag(d); T̄'s
+    generators] writes A/T̄ as ⊕ Z/m_j, freely generated by the images of
+    base_j.  So base_j ↦ base_j + h_j (h_j ∈ T̄) is a section, and its
+    image a complement, exactly when every m_j·(base_j + h_j) = 0 in A.
+    Such an h_j exists iff -m_j·base_j lies in the row lattice of
+    S = [diag(d); m_j·gens]: one integer solve per factor with m_j > 1.
+
+    The valid h_j form a coset of T̄ ∩ A[m_j], whose preimage in Z^n is
+    spanned by d·Z^n and the left kernel of S mapped through the rows of
+    [diag(d); gens].  The solver may return any point of that coset, and
+    different points give different (equally valid) complements, so Λ_L
+    would depend on the solver.  Reducing the solution against the
+    lattice's HNF, coordinate by coordinate, fixes the choice: the
+    lexicographically least valid h_j with entries in [0, d_i), which is
+    the first valid element in the sorted listing of T̄.
     """
     d, u, uinv = _disc_group(q)
     if all(x == 1 for x in d):
         return []
     t = lattice_intersect_subspace(standard_dual(q), L)
-    tbar_gens = _group_coords(_thaw(t.basis), d, uinv)
-    tbar = _subgroup_elements(tbar_gens, d)
-    # present A/T̄ by stacking the cyclic relations of A over T̄'s generators
+    gens = [list(a) for a in _group_coords(_thaw(t.basis), d, uinv)]
     n = q.n
-    rel = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    rel += [list(a) for a in tbar_gens]
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    # present A/T̄ by stacking the cyclic relations of A over T̄'s generators
+    rel = diag + gens
     m, _, v = exact.snf(rel)
     vinv = exact.inverse_unimodular(v)
     lifts = []
-    for j in range(n):
-        mj = m[j] if j < len(m) else 1
+    for mj, base in zip(m, vinv):
         if mj == 1:
             continue
-        base = tuple(x % dd if dd else x for x, dd in zip(vinv[j], d))
-        found = None
-        for tt in tbar:
-            cand = _group_add(base, tt, d)
-            if mj % _group_order(cand, d) == 0:
-                found = cand
-                break
-        if found is None:
+        # x @ stacked = -mj·base makes h = x @ rel a valid element of T̄
+        stacked = diag + [[mj * a for a in g] for g in gens]
+        x = exact.solve_integral(stacked, [-mj * b for b in base])
+        if x is None:
             return None
-        lifts.append(_group_vector(found, d, u))
+        h = exact.vec_mat(x, rel)
+        ker = exact.kernel_basis(exact.transpose(stacked))
+        # full rank and upper triangular: row i has its pivot in column i
+        red = exact.hnf_basis([exact.vec_mat(c, rel) for c in ker] + diag)
+        for i, row in enumerate(red):
+            s = h[i] // row[i]
+            h = [a - s * b for a, b in zip(h, row)]
+        lifts.append(_group_vector([(a + b) % dd for a, b, dd in zip(base, h, d)], d, u))
     return lifts
 
 
@@ -505,17 +488,20 @@ def lambda_L(q: QuadraticForm, L: Subspace) -> Lattice:
     complement of the image of L ∩ (Z^n)^#, the result also satisfies
     Z^n ⊆ Λ ⊆ (Z^n)^#; such a complement need not exist, in which case
     the lift construction is used and only [Z^n : Λ ∩ Z^n] ≤ disc(M) is
-    guaranteed alongside the three identities.
+    guaranteed alongside the three identities.  Which construction runs
+    depends only on whether the complement exists, never on the size of
+    the discriminant group.
     """
     return lambda_L_detail(q, L)[0]
 
 
 def lambda_L_detail(q: QuadraticForm, L: Subspace):
-    """(Λ_L, flag): flag is True when Z^n ⊆ Λ_L was achieved."""
-    try:
-        lifts = _complement_lifts(q, L)
-    except GroupTooLargeError:
-        lifts = None
+    """(Λ_L, flag): flag is True when Z^n ⊆ Λ_L was achieved.
+
+    Λ_L is Z^n plus the complement's lifts when ``_complement_lifts``
+    finds a complement, and the lift construction exactly when it finds
+    none; the flag is then read off the lattice."""
+    lifts = _complement_lifts(q, L)
     if lifts is not None:
         rows = exact.identity(q.n) + [list(v) for v in lifts]
         return Lattice.from_rows(q.n, rows), True

@@ -91,6 +91,14 @@ def _reduce_binary(a: int, b: int, c: int) -> Tuple[int, int, int]:
     return a, b, c
 
 
+def _grow_gram(gram, dots, norm):
+    """The Gram of rows r_1..r_j, v from that of the r_i, the products
+    <r_i, v> and <v, v>; None when v depends on the r_i.  The form is
+    positive definite, so independence is a positive determinant."""
+    grown = [row + [x] for row, x in zip(gram, dots)] + [dots + [norm]]
+    return grown if exact.det_int(grown) > 0 else None
+
+
 def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
     # all +-pairs of norm up to the k-th successive minimum; the basis
     # diagonal bounds that minimum, so one sweep suffices
@@ -101,13 +109,15 @@ def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
         raise SearchBoundError(
             "canonicalization pool too large: %d vectors" % len(vecs)
         )
-    rows: List[List[int]] = []
+    images: List[List[int]] = []
+    gram: List[List[int]] = []
     lam_k = None
     for norm, v in vecs:
-        rows.append(list(v))
-        if exact.rank_int(rows) < len(rows):
-            rows.pop()
-        if len(rows) == k:
+        grown = _grow_gram(gram, [sum(map(mul, w, v)) for w in images], norm)
+        if grown is not None:
+            gram = grown
+            images.append(exact.vec_mat(v, ig))
+        if len(gram) == k:
             lam_k = norm
             break
     assert lam_k is not None
@@ -145,40 +155,35 @@ def _canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
     def bilin(u, w):
         return sum(map(mul, image[u], w))
 
-    best_u: Optional[List[Tuple[int, ...]]] = None
+    best_gram: Optional[List[List[int]]] = None
     best_key: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     # key = per-depth Gram columns; prune against best only while the
     # prefix still ties it
-    def extend(rows, key, tied):
-        nonlocal best_u, best_key
+    def extend(rows, gram, key, tied):
+        nonlocal best_gram, best_key
         depth = len(rows)
         if depth == k:
             if exact.det_int(rows) in (1, -1):
                 if best_key is None or key < best_key:
-                    best_key, best_u = key, rows
+                    best_key, best_gram = key, gram
             return
         for norm, v in pool:
-            col = (norm,) + tuple(
-                (abs(x), 0 if x >= 0 else 1)
-                for x in (bilin(r, v) for r in rows)
-            )
+            dots = [bilin(r, v) for r in rows]
+            col = (norm,) + tuple((abs(x), 0 if x >= 0 else 1) for x in dots)
             still = tied
             if tied and best_key is not None:
                 if col > best_key[depth]:
                     continue
                 still = col == best_key[depth]
-            new_rows = rows + [v]
-            if exact.rank_int(new_rows) <= depth:
+            grown = _grow_gram(gram, dots, norm)
+            if grown is None:
                 continue
-            extend(new_rows, key + (col,), still)
+            extend(rows + [v], grown, key + (col,), still)
 
-    extend([], (), True)
-    assert best_u is not None, "pool contained no unimodular basis"
-    u = best_u
-    return tuple(
-        tuple(bilin(u[i], u[j]) for j in range(k)) for i in range(k)
-    )
+    extend([], [], (), True)
+    assert best_gram is not None, "pool contained no unimodular basis"
+    return tuple(tuple(row) for row in best_gram)
 
 
 def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:

@@ -4,6 +4,8 @@
   1998) for any positive definite integral form, behind the CLI and the
   experiments for k >= 2; schmidt_table runs it on the identity;
 * lines_with_disc: the lines of one discriminant, from the fixed-norm shell;
+* disc_buckets: the subspaces of each discriminant in a list, by one of the
+  two above, behind the CLI's ``--disc`` and the experiments;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
 
@@ -338,6 +340,33 @@ def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
     """H^{n,k}(D) for every D <= max_disc over the sum of squares: the
     hyperplane recursion on the identity Gram."""
     return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
+
+
+# the recursion (k >= 2) builds every discriminant up to the maximum, so
+# keep desk-scale requests honest
+MAX_SWEEP_DISC = 150
+
+
+def disc_buckets(
+    q: quadform.QuadraticForm,
+    k: int,
+    discs: Sequence[int],
+    max_candidates: Optional[int] = None,
+) -> Dict[int, Tuple[quadform.Subspace, ...]]:
+    """H^{n,k}_q(D) for each D in ``discs``, the one front door for a list
+    of discriminants: the lines of each D from its shell when k = 1, else
+    one recursion table up to max(discs).  Raises ``BoundExceededError``
+    when that sweep would pass MAX_SWEEP_DISC."""
+    if k == 1:
+        return {d: tuple(lines_with_disc(q, d, max_candidates)) for d in discs}
+    top = max(discs)
+    if top > MAX_SWEEP_DISC:
+        raise BoundExceededError(
+            "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
+            % (top, MAX_SWEEP_DISC)
+        )
+    table = recursion_table(q, k, top, max_candidates)
+    return {d: table.get(d) for d in discs}
 
 
 def nonempty_criterion(n: int, k: int, D: int) -> Verdict:

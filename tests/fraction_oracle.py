@@ -28,16 +28,35 @@ SO_Q(Z) and GL_k(Z)-equivalence.  ``special_orthogonal_group`` and
 matches columns against the Gram with its own pairing, the other matches
 rows with its own bilinear form, a rank test per candidate and its own
 pool cap.  The group is compared element for element and in order.
+
+The package decides whether the image T̄ of L ∩ (Z^n)^# has a complement
+in the discriminant group by one integer solve per cyclic factor of A/T̄.
+``complement_lifts`` is the earlier version, kept verbatim with its
+helpers: it lists every element of T̄ by a breadth-first walk (capped at
+``_GROUP_CAP`` elements) and searches each generator's coset in sorted
+order.  ``canonical_gram`` and ``pool_vectors`` are the earlier
+canonicalization, which tests each candidate row for independence with a
+full HNF (``exact.rank_int``) instead of the sign of a Gram determinant.
 """
 
 import math
 from fractions import Fraction
-from math import isqrt
-from typing import List, Tuple
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import List, Optional, Tuple
 
 from latshape import exact, kernel
 from latshape.exact import identity, mat_copy, scale_to_int, transpose
 from latshape.kernel import SearchBoundError
+from latshape.quadform import (
+    _disc_group,
+    _group_coords,
+    _group_vector,
+    _thaw,
+    lattice_intersect_subspace,
+    standard_dual,
+)
+from latshape.shapes import _reduce_binary
 
 _POOL_CAP = 20000
 
@@ -568,3 +587,164 @@ def forms_equivalent(g1, g2) -> bool:
         return False
 
     return extend([])
+
+
+_GROUP_CAP = 1 << 16
+
+
+class GroupTooLargeError(RuntimeError):
+    """Raised when a subgroup of the discriminant group has more than
+    _GROUP_CAP elements, so listing it is refused."""
+
+
+def _group_add(a, b, d):
+    return tuple((x + y) % m for x, y, m in zip(a, b, d))
+
+
+def _group_order(a, d):
+    return lcm(*(m // gcd(m, x) if m else 1 for x, m in zip(a, d)))
+
+
+def _subgroup_elements(gens, d, cap=_GROUP_CAP):
+    zero = tuple(0 for _ in d)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = _group_add(a, g, d)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        raise GroupTooLargeError("discriminant group too large")
+        frontier = nxt
+    return sorted(seen)
+
+
+def complement_lifts(q, L):
+    """Generators of a complement of the image of L ∩ (Z^n)^# in A, or None.
+
+    A complement exists iff the quotient map A -> A/T̄ admits a group
+    section; sections are found one cyclic factor at a time by searching
+    each generator's coset for an element of the right order.
+    """
+    d, u, uinv = _disc_group(q)
+    if all(x == 1 for x in d):
+        return []
+    t = lattice_intersect_subspace(standard_dual(q), L)
+    tbar_gens = _group_coords(_thaw(t.basis), d, uinv)
+    tbar = _subgroup_elements(tbar_gens, d)
+    # present A/T̄ by stacking the cyclic relations of A over T̄'s generators
+    n = q.n
+    rel = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    rel += [list(a) for a in tbar_gens]
+    m, _, v = exact.snf(rel)
+    vinv = exact.inverse_unimodular(v)
+    lifts = []
+    for j in range(n):
+        mj = m[j] if j < len(m) else 1
+        if mj == 1:
+            continue
+        base = tuple(x % dd if dd else x for x, dd in zip(vinv[j], d))
+        found = None
+        for tt in tbar:
+            cand = _group_add(base, tt, d)
+            if mj % _group_order(cand, d) == 0:
+                found = cand
+                break
+        if found is None:
+            return None
+        lifts.append(_group_vector(found, d, u))
+    return lifts
+
+
+def pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
+    # all +-pairs of norm up to the k-th successive minimum; the basis
+    # diagonal bounds that minimum, so one sweep suffices
+    k = len(ig)
+    bound = max(ig[i][i] for i in range(k))
+    vecs = kernel.short_vectors(ig, bound)
+    if len(vecs) > kernel._POOL_CAP:
+        raise SearchBoundError(
+            "canonicalization pool too large: %d vectors" % len(vecs)
+        )
+    rows: List[List[int]] = []
+    lam_k = None
+    for norm, v in vecs:
+        rows.append(list(v))
+        if exact.rank_int(rows) < len(rows):
+            rows.pop()
+        if len(rows) == k:
+            lam_k = norm
+            break
+    assert lam_k is not None
+    return [(norm, v) for norm, v in vecs if norm <= lam_k]
+
+
+def canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
+    """Deterministic representative of the GL_k(Z)-class of an integral
+    primitive PD Gram.
+
+    The candidate pool is every vector of norm at most the k-th
+    successive minimum (a class invariant); a basis within that pool
+    exists for k <= 4.  The representative minimizes, column by column,
+    (norm, |off-diagonal| entries with positive sign preferred) over
+    unimodular tuples from the pool.
+    """
+    k = len(ig)
+    if k == 1:
+        return ((1,),)
+    if k == 2:
+        # the det -1 move y -> -y takes the SL_2 class to the GL_2 one
+        a, b, c = _reduce_binary(ig[0][0], ig[0][1], ig[1][1])
+        return ((a, abs(b)), (abs(b), c))
+    if k > 4:
+        raise SearchBoundError(
+            "canonicalization implemented for rank <= 4, got %d" % k
+        )
+    pool = []
+    for norm, v in pool_vectors(ig):
+        pool.append((norm, v))
+        pool.append((norm, tuple(-x for x in v)))
+    pool.sort(key=lambda t: (t[0], t[1]))
+    image = {v: exact.vec_mat(v, ig) for _, v in pool}
+
+    def bilin(u, w):
+        return sum(map(mul, image[u], w))
+
+    best_u: Optional[List[Tuple[int, ...]]] = None
+    best_key: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    # key = per-depth Gram columns; prune against best only while the
+    # prefix still ties it
+    def extend(rows, key, tied):
+        nonlocal best_u, best_key
+        depth = len(rows)
+        if depth == k:
+            if exact.det_int(rows) in (1, -1):
+                if best_key is None or key < best_key:
+                    best_key, best_u = key, rows
+            return
+        for norm, v in pool:
+            col = (norm,) + tuple(
+                (abs(x), 0 if x >= 0 else 1)
+                for x in (bilin(r, v) for r in rows)
+            )
+            still = tied
+            if tied and best_key is not None:
+                if col > best_key[depth]:
+                    continue
+                still = col == best_key[depth]
+            new_rows = rows + [v]
+            if exact.rank_int(new_rows) <= depth:
+                continue
+            extend(new_rows, key + (col,), still)
+
+    extend([], (), True)
+    assert best_u is not None, "pool contained no unimodular basis"
+    u = best_u
+    return tuple(
+        tuple(bilin(u[i], u[j]) for j in range(k)) for i in range(k)
+    )

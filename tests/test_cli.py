@@ -85,6 +85,16 @@ def test_candidate_cap_is_a_runtime_error(capsys):
     assert "candidate bound exceeded" in capsys.readouterr().err
 
 
+def test_enumerate_one_disc_honours_the_sweep_guard(capsys):
+    # listing one bucket of planes would build every table up to D
+    disc = subspaces.MAX_SWEEP_DISC + 1
+    argv = ["enumerate", "--Q", "sumsq:4", "--k", "2", "--disc", str(disc)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweeps all discriminants up to %d" % disc in captured.err
+
+
 def test_invariants(capsys):
     code, payload = _run(capsys, "invariants", "--Q", "sumsq:3", "--L", "1,1,1")
     assert code == 0

@@ -165,6 +165,9 @@ def test_content_examples():
     c, prim = qf.content_and_primitive(((F(4), F(2)), (F(2), F(6))))
     assert (c, prim) == (2, ((2, 1), (1, 3)))
     assert type(c) is int and all(type(x) is int for row in prim for x in row)
+    # the zero and the empty Gram have content 0
+    assert qf.content_and_primitive(((0, 0), (0, 0))) == (0, ((0, 0), (0, 0)))
+    assert qf.content_and_primitive(()) == (0, ())
     with pytest.raises(ValueError):
         qf.content_and_primitive(((F(1, 2),),))
 
@@ -248,18 +251,52 @@ def test_lambda_complement_found_despite_overlap():
     _assert_lambda_identities(q, L, lam)
 
 
-def test_lambda_group_search_cap_falls_back():
-    # A = Z/70001: the image of L ∩ (Z^3)^# is all of A, more elements
-    # than the subgroup search may list, so the lift construction runs
+def test_lambda_large_discriminant_group_needs_no_listing():
+    # A = Z/70001 and the image of L ∩ (Z^3)^# is all of A: a complement
+    # exists (the zero group), found without listing A's 70001 elements
     q = qf.QuadraticForm.diagonal([1, 1, 70001])
     L = qf.Subspace.from_rows(q, [[0, 0, 1]])
-    d, _, uinv = qf._disc_group(q)
-    t = qf.lattice_intersect_subspace(qf.standard_dual(q), L)
-    with pytest.raises(qf.GroupTooLargeError):
-        qf._subgroup_elements(qf._group_coords([list(r) for r in t.basis], d, uinv), d)
+    assert qf._complement_lifts(q, L) == []
     lam, clean = qf.lambda_L_detail(q, L)
     assert clean and lam == qf.Lattice.standard(3)
     _assert_lambda_identities(q, L, lam)
+
+
+def test_lambda_complement_above_the_old_listing_cap():
+    # A = (Z/2)^2 ⊕ Z/80000 and T̄ = Z/80000: the complement is generated
+    # by the two halves, with a T̄ of more than 2^16 elements
+    q = qf.QuadraticForm.diagonal([2, 2, 80000])
+    L = qf.Subspace.from_rows(q, [[0, 0, 1]])
+    assert len(qf._complement_lifts(q, L)) == 2
+    lam, clean = qf.lambda_L_detail(q, L)
+    assert clean
+    assert lam.basis == ((F(1, 2), 0, 0), (0, F(1, 2), 0), (0, 0, 1))
+    _assert_lambda_identities(q, L, lam)
+
+
+def test_complement_lifts_match_the_earlier_subgroup_search():
+    # the lifts, None included, are the ones the earlier search through
+    # the listed subgroup found first
+    rng = random.Random(13)
+    forms = FORMS + [
+        qf.QuadraticForm.diagonal([1, 4]),
+        qf.QuadraticForm.diagonal([2, 2]),
+        qf.QuadraticForm.diagonal([2, 4, 8]),
+        qf.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]),
+    ]
+    outcomes = set()
+    for q in forms:
+        for _ in range(30):
+            k = rng.randint(1, q.n - 1)
+            rows = [[rng.randint(-5, 5) for _ in range(q.n)] for _ in range(k)]
+            if exact.rank_int(rows) < k:
+                continue
+            L = qf.Subspace.from_rows(q, rows)
+            lifts = qf._complement_lifts(q, L)
+            assert lifts == fo.complement_lifts(q, L), (q.gram, L.basis)
+            outcomes.add(None if lifts is None else len(lifts))
+    # the pool reaches no complement as well as complements of each size
+    assert {None, 0, 1, 2} <= outcomes
 
 
 def _integral_part(lam):

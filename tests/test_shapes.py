@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latshape import cli, kernel, quadform, shapes
+from latshape import cli, exact, kernel, quadform, shapes
 from latshape import subspaces as sp
 
 import fraction_oracle as fo
@@ -270,6 +270,21 @@ def test_equivalence_matches_canonical_forms():
             _, p1 = quadform.gram_content(g1)
             _, p2 = quadform.gram_content(g2)
             assert shapes.forms_equivalent(p1, p2) == (s1 == s2), (g1, g2)
+
+
+def test_canonical_gram_matches_the_earlier_rank_test():
+    # Gram-determinant independence picks the same pool and the same
+    # representative as the earlier full-HNF rank test
+    rng = random.Random(5)
+    for k, count in ((3, 300), (4, 12)):
+        done = 0
+        while done < count:
+            b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if exact.det_int(b) == 0:
+                continue
+            _, g = quadform.gram_content(exact.mat_mul(b, exact.transpose(b)))
+            assert shapes._canonical_gram(g) == fo.canonical_gram(g), g
+            done += 1
 
 
 def test_upper_half_point_frozen():
