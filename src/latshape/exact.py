@@ -79,9 +79,16 @@ def denominator_lcm(mat):
 
 
 def scale_to_int(mat):
-    """(d, d*mat as ints), d the denominator lcm; ValueError on a non-integral float."""
+    """(d, d*mat as ints), d the denominator lcm; ValueError on a non-integral float.
+
+    A Fraction entry scales as numerator * (d // denominator), in integers.
+    """
     d = denominator_lcm(mat)
-    return d, integral_rows([[x * d for x in row] for row in mat])
+    scaled = [
+        [x.numerator * (d // x.denominator) if isinstance(x, Fraction) else x * d for x in row]
+        for row in mat
+    ]
+    return d, integral_rows(scaled)
 
 
 # ---------------------------------------------------------------------------

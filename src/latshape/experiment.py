@@ -23,6 +23,11 @@ SO_Q(Z)-orbits of each bucket (``quadform.orbits``): by orbit-stabiliser
 |Stab(L)| = |SO_Q(Z)| / |orbit of L|, so the group acts once per orbit,
 not once per subspace.  Each per-discriminant summary reports the number
 of orbits and the histogram of stabilizer orders over the subspaces.
+
+Every recorded observable is carried along an orbit by its group
+element, so the complement, the Grams, the contents, the shapes and the
+exact projection are computed once per orbit, on its representative; a
+member's record takes integer products only (``_bucket_records``).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -172,57 +178,118 @@ def two_sample_ks(a, b, weights_a=None) -> float:
 # per-subspace observables
 
 
-def _record(q: quadform.QuadraticForm, sub: quadform.Subspace, stab: int) -> RecordRow:
-    proj = shapes.grassmann_coordinates(sub)
-    perp = quadform.orth_complement(q, sub)
-    gram_l = quadform.gram_restriction(q, sub)
+def _shape_points(gram):
+    """Shape points of a binary Gram [[a,b],[b,c]] and of its mirror
+    [[a,-b],[-b,c]]; None on other ranks."""
+    if len(gram) != 2:
+        return None
+    (a, b), (_, c) = gram
+    pts = (shapes.upper_half_point(gram), shapes.upper_half_point([[a, -b], [-b, c]]))
+    return tuple((pt.x, pt.y) for pt in pts)
+
+
+def _oriented_point(points, basis, u):
+    """The shape point of the saturated rank-2 lattice spanned by basis·u.
+
+    Its HNF basis is T·basis·u for some T in GL_2(Z), and has its first
+    nonzero 2x2 minor (columns in lexicographic order) equal to the product
+    of its pivots, so positive; det T is thus the sign of that minor of
+    basis·u.  The Gram is T G T^T: the representative's SL_2(Z) class when
+    det T = 1 and the mirror's when det T = -1.
+    """
+    if points is None:
+        return None
+    r, s = exact.mat_mul(basis, u)
+    minors = (r[i] * s[j] - r[j] * s[i] for i, j in combinations(range(len(r)), 2))
+    return points[0] if next(m for m in minors if m) > 0 else points[1]
+
+
+def _orbit_records(q: quadform.QuadraticForm, rep: quadform.Subspace, stab: int):
+    """The record maker of the SO_Q(Z)-orbit of ``rep``.
+
+    Everything G-invariant (complement, Grams, contents, discriminant, the
+    projection as the integer N over det, both orientations of each binary
+    shape) is computed here, once.  The returned ``record(sub, u, uinv)``
+    gives the record of the member sub = g·rep with u = g^T: rows map by
+    r ↦ r·u and u is an isometry of the form, so the projection onto sub
+    is u^{-1}·N·u / det, divided with int true division (the nearest
+    float, as ``float(Fraction(x, det))``) and kept transposed as in
+    ``shapes.grassmann_coordinates``.
+    """
+    perp = quadform.orth_complement(q, rep)
+    gram_l = quadform.gram_restriction(q, rep)
     gram_p = quadform.gram_restriction(q, perp)
     _, prim_l = quadform.content_and_primitive(gram_l)
     _, prim_p = quadform.content_and_primitive(gram_p)
-    point_l = None
-    if sub.k == 2:
-        pt = shapes.upper_half_point(gram_l)
-        point_l = (pt.x, pt.y)
-    point_p = None
-    if perp.k == 2:
-        pt = shapes.upper_half_point(gram_p)
-        point_p = (pt.x, pt.y)
-    return RecordRow(
-        disc=exact.det_int(gram_l),
-        hnf=sub.hnf_key(),
-        proj=tuple(float(x) for x in proj.reshape(-1)),
-        shape_l=point_l,
-        shape_perp=point_p,
-        disc_prim_l=exact.det_int(prim_l),
-        disc_prim_perp=exact.det_int(prim_p),
-        stab_order=stab,
-    )
+    num, det = quadform.projection_numerator(q, rep)
+    sides = ((_shape_points(gram_l), rep.basis), (_shape_points(gram_p), perp.basis))
+    disc, disc_prim_l, disc_prim_perp = (exact.det_int(g) for g in (gram_l, prim_l, prim_p))
+
+    def record(sub: quadform.Subspace, u, uinv) -> RecordRow:
+        p = exact.mat_mul(exact.mat_mul(uinv, num), u)
+        shape_l, shape_perp = (_oriented_point(pts, basis, u) for pts, basis in sides)
+        return RecordRow(
+            disc=disc,
+            hnf=sub.hnf_key(),
+            proj=tuple(x / det for col in zip(*p) for x in col),
+            shape_l=shape_l,
+            shape_perp=shape_perp,
+            disc_prim_l=disc_prim_l,
+            disc_prim_perp=disc_prim_perp,
+            stab_order=stab,
+        )
+
+    return record
 
 
 def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndarray:
     """Pooled projection entries of `count` subspaces drawn from the
-    SO_Q(R)-invariant measure on the real Grassmannian."""
-    n = q.n
+    SO_Q(R)-invariant measure on the real Grassmannian.
+
+    One (count, n, k) Gaussian draw, in the order of `count` successive
+    (n, k) draws; each y = S^{-1} x spans a sample and P = y (y^T M y)^{-1}
+    y^T M is its projection, all `count` at once by stacked products.
+    """
     m = np.array([[float(x) for x in row] for row in q.gram])
     sinv = np.linalg.inv(np.linalg.cholesky(m).T)
-    out = np.empty((count, n * n))
-    for i in range(count):
-        x = rng.standard_normal((n, k))
-        y = sinv @ x
-        p = y @ np.linalg.inv(y.T @ m @ y) @ (y.T @ m)
-        out[i] = p.reshape(-1)
-    return out.reshape(-1)
+    y = sinv @ rng.standard_normal((count, q.n, k))
+    ytm = np.swapaxes(y, 1, 2) @ m
+    return (y @ np.linalg.inv(ytm @ y) @ ytm).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # the per-discriminant worker and the driver
 
 
-def _bucket_worker(args):
-    q, k, d, subs, kind, weighting, seed, mc_samples = args
+def _bucket_records(q: quadform.QuadraticForm, subs, orbit_of) -> List[RecordRow]:
+    """One record per subspace of the bucket, by the orbit map of
+    ``quadform.orbits``: the invariants of each orbit are computed once on
+    its representative, and each member's record is carried over from
+    them by its g (integer products only)."""
     order = len(quadform.special_orthogonal_group(q))
+    makers: Dict[int, Callable] = {}
+    units: Dict[tuple, tuple] = {}
+    rows = []
+    for sub, entry in zip(subs, orbit_of):
+        if entry.rep not in makers:
+            makers[entry.rep] = _orbit_records(q, subs[entry.rep], order // entry.size)
+        if entry.g not in units:
+            u = exact.transpose(entry.g)
+            units[entry.g] = (u, exact.inverse_unimodular(u))
+        rows.append(makers[entry.rep](sub, *units[entry.g]))
+    return rows
+
+
+def _bucket_worker(args):
+    """Records and summary of one discriminant.
+
+    The bucket is split into SO_Q(Z)-orbits once (``quadform.orbits``);
+    that gives the stabiliser orders and, through the orbit map, every
+    record from one full computation per orbit (``_bucket_records``).
+    """
+    q, k, d, subs, kind, weighting, seed, mc_samples = args
     orbit_of = quadform.orbits(q, subs)
-    rows = [_record(q, sub, order // size) for sub, (_id, size) in zip(subs, orbit_of)]
+    rows = _bucket_records(q, subs, orbit_of)
     histogram = Counter(r.stab_order for r in rows)
 
     weights = None
@@ -232,7 +299,7 @@ def _bucket_worker(args):
     summary: Dict[str, object] = {
         "disc": d,
         "count": len(rows),
-        "orbits": len({orbit_id for orbit_id, _size in orbit_of}),
+        "orbits": len({entry.orbit_id for entry in orbit_of}),
         "stab_histogram": {str(s): histogram[s] for s in sorted(histogram)},
     }
     if q.is_sum_of_squares():

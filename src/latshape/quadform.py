@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import exact
 from . import kernel
@@ -249,18 +250,25 @@ def orth_complement(q: QuadraticForm, L: Subspace) -> Subspace:
     return Subspace(q, _freeze(exact.kernel_basis(bm)))
 
 
-def projection_matrix(q: QuadraticForm, L: Subspace):
-    """Matrix P with x @ P = orthogonal projection of x onto span(L).
+def projection_numerator(q: QuadraticForm, L: Subspace):
+    """``(N, det)`` with N / det the matrix P of ``projection_matrix``.
 
-    P = M B^T adj(G) B / det G for the integer Gram G = B M B^T of L(Z):
-    integer products and one adjugate, divided once at the end.
+    N = M B^T adj(G) B and det = det G for the integer Gram G = B M B^T
+    of L(Z): integer products and one adjugate.  For L = 0, N is the zero
+    matrix and det is 1.
     """
     b = _thaw(L.basis)
     if not b:
-        return [[Fraction(0)] * q.n for _ in range(q.n)]
+        return [[0] * q.n for _ in range(q.n)], 1
     mbt = exact.mat_mul(_thaw(q.gram), exact.transpose(b))
     adj, det = exact.adjugate(exact.mat_mul(b, mbt))
-    p = exact.mat_mul(exact.mat_mul(mbt, adj), b)
+    return exact.mat_mul(exact.mat_mul(mbt, adj), b), det
+
+
+def projection_matrix(q: QuadraticForm, L: Subspace):
+    """Matrix P with x @ P = orthogonal projection of x onto span(L): the
+    integer N of ``projection_numerator`` divided once by det, as Fractions."""
+    p, det = projection_numerator(q, L)
     return [[Fraction(x, det) for x in row] for row in p]
 
 
@@ -566,20 +574,32 @@ def special_orthogonal_group(q: QuadraticForm):
     return _special_orthogonal_group(q.gram)
 
 
+class OrbitEntry(NamedTuple):
+    """Where a subspace sits in its SO_Q(Z)-orbit: the orbit's id and size,
+    the index ``rep`` of its representative in the list, and one ``g``
+    with g·subs[rep] equal to the subspace."""
+
+    orbit_id: int
+    size: int
+    rep: int
+    g: tuple
+
+
 def orbits(q: QuadraticForm, subs):
-    """SO_Q(Z)-orbits of the subspaces ``subs``: one ``(orbit_id,
-    orbit_size)`` per subspace, aligned with ``subs``.
+    """SO_Q(Z)-orbits of the subspaces ``subs`` and the orbit map: one
+    ``OrbitEntry`` per subspace, aligned with ``subs``.
 
     The subspaces are walked in order.  Each one not yet covered is the
     representative of a new orbit (ids count up from 0 in order of
     discovery): every g ∈ SO_Q(Z) maps its basis rows by row ↦ row·g^T,
     and the HNF basis of the image is g·L, since g is unimodular and keeps
     L(Z) saturated.  The distinct images form the orbit G·L; the members
-    found in ``subs`` get its id and size |G·L|.  Images outside ``subs``
-    are ignored, so the sizes are right even when ``subs`` is not
-    G-invariant.  By orbit-stabiliser |Stab(L)| = |G| / |G·L|, the same
-    for every member of an orbit (Plesken-Souvignier, "Computing
-    isometries of lattices", J. Symb. Comp. 24, 1997).
+    found in ``subs`` get its id, its size |G·L|, the representative's
+    index and the first g, in group order, whose image is that member.
+    Images outside ``subs`` are ignored, so the sizes are right even when
+    ``subs`` is not G-invariant.  By orbit-stabiliser |Stab(L)| = |G| /
+    |G·L|, the same for every member of an orbit (Plesken-Souvignier,
+    "Computing isometries of lattices", J. Symb. Comp. 24, 1997).
     """
     subs = list(subs)
     index = {}
@@ -592,15 +612,13 @@ def orbits(q: QuadraticForm, subs):
         if out[i] is not None:
             continue
         basis = sub.basis
-        orbit = set()
+        orbit = {}
         for g in group:
             rows = [[sum(a * b for a, b in zip(row, grow)) for grow in g] for row in basis]
-            orbit.add(_freeze(exact.hnf_basis(rows)))
-        entry = (orbit_id, len(orbit))
-        out[i] = entry
-        for image in orbit:
+            orbit.setdefault(_freeze(exact.hnf_basis(rows)), g)
+        for image, g in orbit.items():
             for j in index.get(image, ()):
-                out[j] = entry
+                out[j] = OrbitEntry(orbit_id, len(orbit), i, g)
         orbit_id += 1
     return out
 
@@ -608,4 +626,4 @@ def orbits(q: QuadraticForm, subs):
 def integral_stabilizer_order(q: QuadraticForm, L: Subspace) -> int:
     """|{g ∈ SO_Q(Z) : g·L = L}|, by orbit-stabiliser: |G| / |G·L| with
     the orbit G·L from ``orbits``."""
-    return len(special_orthogonal_group(q)) // orbits(q, [L])[0][1]
+    return len(special_orthogonal_group(q)) // orbits(q, [L])[0].size

@@ -37,6 +37,12 @@ helpers: it lists every element of T̄ by a breadth-first walk (capped at
 order.  ``canonical_gram`` and ``pool_vectors`` are the earlier
 canonicalization, which tests each candidate row for independence with a
 full HNF (``exact.rank_int``) instead of the sign of a Gram determinant.
+
+The experiment computes each SO_Q(Z)-orbit's record data once, on its
+representative, and carries it to the members through the orbit map.
+``_record`` is the earlier per-subspace record, kept verbatim: the
+complement, both Grams, both contents, both shapes and the ``Fraction``
+projection matrix of each subspace on its own.
 """
 
 import math
@@ -45,7 +51,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Optional, Tuple
 
-from latshape import exact, kernel
+from latshape import exact, kernel, quadform, shapes
+from latshape.experiment import RecordRow
 from latshape.exact import identity, mat_copy, scale_to_int, transpose
 from latshape.kernel import SearchBoundError
 from latshape.quadform import (
@@ -747,4 +754,31 @@ def canonical_gram(ig) -> Tuple[Tuple[int, ...], ...]:
     u = best_u
     return tuple(
         tuple(bilin(u[i], u[j]) for j in range(k)) for i in range(k)
+    )
+
+
+def _record(q: quadform.QuadraticForm, sub: quadform.Subspace, stab: int) -> RecordRow:
+    proj = shapes.grassmann_coordinates(sub)
+    perp = quadform.orth_complement(q, sub)
+    gram_l = quadform.gram_restriction(q, sub)
+    gram_p = quadform.gram_restriction(q, perp)
+    _, prim_l = quadform.content_and_primitive(gram_l)
+    _, prim_p = quadform.content_and_primitive(gram_p)
+    point_l = None
+    if sub.k == 2:
+        pt = shapes.upper_half_point(gram_l)
+        point_l = (pt.x, pt.y)
+    point_p = None
+    if perp.k == 2:
+        pt = shapes.upper_half_point(gram_p)
+        point_p = (pt.x, pt.y)
+    return RecordRow(
+        disc=exact.det_int(gram_l),
+        hnf=sub.hnf_key(),
+        proj=tuple(float(x) for x in proj.reshape(-1)),
+        shape_l=point_l,
+        shape_perp=point_p,
+        disc_prim_l=exact.det_int(prim_l),
+        disc_prim_perp=exact.det_int(prim_p),
+        stab_order=stab,
     )

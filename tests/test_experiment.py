@@ -6,10 +6,14 @@ from importlib import resources
 
 import pytest
 
+from latshape import exact
 from latshape import experiment as ex
 from latshape import gen_reference
 from latshape import quadform
+from latshape import shapes
 from latshape import subspaces
+
+import fraction_oracle as fo
 
 
 # closed form of the reference law, derived independently of the
@@ -195,6 +199,105 @@ def test_planes_csv_bytes_frozen(tmp_path, weighting):
     )
     ex.run_experiment(cfg)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_PLANES_CSV_SHA256
+
+
+# sha256 of the compact sorted-key JSON of the seed-0 report (no CSV path),
+# recorded at commit 9a44f05, before the per-orbit records and the batched
+# Monte-Carlo draw.  The report carries grassmann_ks, so these bytes pin the
+# Monte-Carlo sample and the pooled projection entries as well.
+FROZEN_REPORT_SHA256 = {
+    (4, 2, "plain"): "11aa789c0c0bf266d4fe26eba7b62eba72ddc77eaaa5268e90d9af8d9e285220",
+    (4, 2, "stabilizer"): "9897127014f21f46d01a9a5f3c4467d03e2a39d7feaacd5f7f3f3fe6ed3d67c2",
+    (3, 1, "plain"): "87eac52abd2967de2d1f8c3ac84dd100d282cfcda958cd012bffa2cb0e78163d",
+    (3, 1, "stabilizer"): "5272663acf1ad574927ba2bfefac8330e529b4731ed47d535e594772cebba4a1",
+}
+
+
+@pytest.mark.parametrize("n, k, weighting", sorted(FROZEN_REPORT_SHA256))
+def test_seed0_report_bytes_frozen(n, k, weighting):
+    discs = {(4, 2): (5, 13, 21), (3, 1): (9, 25, 50)}[n, k]
+    cfg = ex.ExperimentConfig(
+        form=quadform.QuadraticForm.sum_of_squares(n),
+        k=k,
+        discs=discs,
+        weighting=weighting,
+        seed=0,
+    )
+    _, report = ex.run_experiment(cfg)
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == FROZEN_REPORT_SHA256[n, k, weighting]
+
+
+A4 = quadform.QuadraticForm(((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 2)))
+T3 = quadform.QuadraticForm(((2, 1, 0), (1, 3, 1), (0, 1, 4)))
+ORBIT_CASES = [
+    (quadform.QuadraticForm.sum_of_squares(3), 1, (9, 25, 50)),
+    (quadform.QuadraticForm.sum_of_squares(4), 2, (5, 41)),
+    (A4, 2, (12, 20, 28)),
+    (quadform.QuadraticForm.diagonal([1, 1, 2]), 1, (18, 27)),
+    (quadform.QuadraticForm.diagonal([1, 1, 2]), 2, (11, 14, 22)),
+    (T3, 1, (5, 18, 23, 27, 36)),
+    (T3, 2, (27, 41, 59)),
+]
+
+
+def _reduced(q, lat):
+    (a, b), (_, c) = quadform.gram_restriction(q, lat)
+    return shapes._reduce_binary(a, b, c)
+
+
+def _reduced_sides(form, k, sub, rep):
+    """(member, representative) reduced Grams of each rank-2 side."""
+    if k == 2:
+        yield _reduced(form, sub), _reduced(form, rep)
+    if form.n - k == 2:
+        perps = [quadform.orth_complement(form, s) for s in (sub, rep)]
+        yield _reduced(form, perps[0]), _reduced(form, perps[1])
+
+
+@pytest.mark.parametrize("form, k, discs", ORBIT_CASES)
+def test_orbit_records_match_per_subspace_oracle(form, k, discs):
+    # every member's record, carried from its representative through the
+    # orbit map, equals the per-subspace record computed from scratch
+    order = len(quadform.special_orthogonal_group(form))
+    buckets = subspaces.disc_buckets(form, k, discs)
+    mirrored = non_orthogonal = 0
+    for d in discs:
+        subs = buckets[d]
+        assert subs
+        orbit_of = quadform.orbits(form, subs)
+        rows = ex._bucket_records(form, subs, orbit_of)
+        for sub, entry, row in zip(subs, orbit_of, rows):
+            assert row == fo._record(form, sub, order // entry.size)
+            rep = subs[entry.rep]
+            image = exact.mat_mul(rep.basis, exact.transpose(entry.g))
+            assert quadform.Subspace.from_rows(form, image) == sub
+            g_gt = exact.mat_mul(entry.g, exact.transpose(entry.g))
+            non_orthogonal += g_gt != exact.identity(form.n)
+            # a member whose SL_2(Z) class is not its representative's is
+            # reached through the mirror Gram
+            mirrored += sum(mine != theirs for mine, theirs in _reduced_sides(form, k, sub, rep))
+    assert mirrored > 0
+    # off the diagonal forms some g^{-1} is not g^T: the carried
+    # projection needs the adjugate
+    assert (non_orthogonal > 0) == (form in (A4, T3))
+
+
+def test_orbit_oracle_cases_reach_every_boundary():
+    # the oracle cases hold reduced forms [[a,b],[b,c]] on each part of the
+    # fundamental domain's boundary
+    seen = set()
+    for form, k, discs in ORBIT_CASES:
+        for subs in subspaces.disc_buckets(form, k, discs).values():
+            for sub in subs:
+                for (a, b, c), _rep in _reduced_sides(form, k, sub, sub):
+                    seen |= {
+                        name
+                        for name, hit in (("b=0", b == 0), ("2|b|=a", 2 * abs(b) == a), ("a=c", a == c))
+                        if hit
+                    }
+    assert seen == {"b=0", "2|b|=a", "a=c"}
 
 
 @pytest.mark.parametrize(

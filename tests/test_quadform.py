@@ -464,10 +464,19 @@ def test_orbits_match_membership_oracle():
         got = qf.orbits(q, subs)
         assert len(got) == len(subs)
         classes = {}
-        for i, (sub, (orbit_id, size)) in enumerate(zip(subs, got)):
+        for i, (sub, (orbit_id, size, rep, g)) in enumerate(zip(subs, got)):
             classes.setdefault(orbit_id, []).append((sub, size))
             if i % 5 == 0 or len(classes[orbit_id]) == 1:
                 assert len(group) // size == stabilizer_order_by_membership(q, sub)
+            # the orbit map: rep is the orbit's first subspace, and g carries
+            # it onto sub; on every 25th, no earlier group element does
+            assert rep == subs.index(classes[orbit_id][0][0])
+            rotate = lambda h: qf.Subspace.from_rows(
+                q, exact.mat_mul(subs[rep].basis, exact.transpose(h))
+            )
+            assert rotate(g) == sub
+            if i % 25 == 0:
+                assert g == next(h for h in group if rotate(h) == sub)
         # ids number the orbits 0, 1, ... in order of first appearance
         assert list(classes) == list(range(len(classes)))
         for members in classes.values():
@@ -490,7 +499,7 @@ def test_orbits_ignore_images_outside_the_list():
     subs = subspaces.schmidt_table(4, 2, 13).get(13)
     full = qf.orbits(q4, subs)
     part = qf.orbits(q4, subs[1::3])
-    assert [size for _id, size in part] == [size for _id, size in full][1::3]
+    assert [e.size for e in part] == [e.size for e in full][1::3]
     assert qf.orbits(q4, []) == []
     # a repeated subspace lands in the orbit of its first copy
     assert qf.orbits(q4, [subs[0], subs[1], subs[0]]) == [full[0], full[1], full[0]]
