@@ -31,10 +31,7 @@ def _parse_form(spec: str) -> quadform.QuadraticForm:
         path = spec.split(":", 1)[1]
         with open(path) as fh:
             payload = json.load(fh)
-        gram = payload["gram"]
-        if "n" in payload and payload["n"] != len(gram):
-            raise ValueError("declared n does not match the Gram matrix size")
-        return quadform.QuadraticForm(gram)
+        return quadform.QuadraticForm.from_json(payload)
     raise ValueError("--Q must look like sumsq:N or file:PATH, got %r" % spec)
 
 
@@ -56,16 +53,12 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _subspace_payload(sub: quadform.Subspace) -> dict:
-    return {"hnf": sub.hnf_key(), "basis": [list(r) for r in sub.basis]}
-
-
 def _cmd_enumerate(args) -> int:
     q = _parse_form(args.Q)
     cap = args.max_candidates
     if args.disc is not None:
         subs = subspaces.disc_buckets(q, args.k, [args.disc], cap)[args.disc]
-        _emit([_subspace_payload(s) for s in subs])
+        _emit([s.to_json() for s in subs])
     else:
         table = subspaces.recursion_table(q, args.k, args.dmax, cap)
         _emit({str(d): len(table.get(d)) for d in range(1, args.dmax + 1)})
@@ -80,7 +73,7 @@ def _cmd_invariants(args) -> int:
     q_l, q_p, tau = quadform.restricted_forms(q, L)
     content_l, prim_l = quadform.content_and_primitive(q_l)
     content_p, prim_p = quadform.content_and_primitive(q_p)
-    lam, clean = quadform.lambda_L_detail(q, L)
+    lam, clean = quadform.lambda_L(q, L)
     disc_l = quadform.disc(q, L)
     local = {}
     for p in padic.prime_divisors(disc_l):

@@ -1,9 +1,9 @@
 """Equidistribution experiments over H^{n,k}_Q(D).
 
-For each requested discriminant the full set of subspaces is
-enumerated, per-subspace observables are written to CSV (one row per
-subspace), and per-discriminant discrepancy statistics are collected
-into a summary report:
+For each requested discriminant (distinct; a repeated D is refused) the
+full set of subspaces is enumerated, per-subspace observables are
+written to CSV (one row per subspace), and per-discriminant discrepancy
+statistics are collected into a summary report:
 
   * (n,k) = (3,1) over the sum of squares: Kolmogorov-Smirnov distance
     of the z-coordinates of ±v/sqrt(D) against the uniform law on
@@ -22,7 +22,8 @@ the stabilizer of L in SO_Q(Z).  Stabilizer orders come from the
 SO_Q(Z)-orbits of each bucket (``quadform.orbits``): by orbit-stabiliser
 |Stab(L)| = |SO_Q(Z)| / |orbit of L|, so the group acts once per orbit,
 not once per subspace.  Each per-discriminant summary reports the number
-of orbits and the histogram of stabilizer orders over the subspaces.
+of orbits (the distinct representatives of the orbit map) and the
+histogram of stabilizer orders over the subspaces.
 
 Every recorded observable is carried along an orbit by its group
 element, so the complement, the Grams, the contents, the shapes and the
@@ -70,6 +71,8 @@ class ExperimentConfig:
         object.__setattr__(self, "discs", tuple(int(d) for d in self.discs))
         if not self.discs or any(d < 1 for d in self.discs):
             raise ValueError("need a nonempty list of positive discriminants")
+        if len(set(self.discs)) != len(self.discs):
+            raise ValueError("discriminants must not repeat")
         if not 1 <= self.k < self.form.n:
             raise ValueError("need 1 <= k < n")
         if self.kind not in KINDS:
@@ -299,7 +302,7 @@ def _bucket_worker(args):
     summary: Dict[str, object] = {
         "disc": d,
         "count": len(rows),
-        "orbits": len({entry.orbit_id for entry in orbit_of}),
+        "orbits": len({entry.rep for entry in orbit_of}),
         "stab_histogram": {str(s): histogram[s] for s in sorted(histogram)},
     }
     if q.is_sum_of_squares():
@@ -386,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig):
         results = [_bucket_worker(p) for p in payloads]
 
     report = {
-        "form": quadform._thaw(cfg.form.gram),
+        "form": exact.mat_copy(cfg.form.gram),
         "n": cfg.form.n,
         "k": cfg.k,
         "kind": cfg.kind,

@@ -31,7 +31,7 @@ the shell of norm b[j][j] under a, the half-shell of ``vectors_with_norm``
 first and then the same vectors negated, and a candidate is kept when it
 meets every earlier row i in b[i][j].  The rows fixed so far have Gram the
 leading block of b, which is positive definite, so they are independent
-and the search needs no rank test.  A shell with more than ``_POOL_CAP``
+and the search needs no rank test.  A shell with more than ``POOL_CAP``
 vectors per sign pair raises ``SearchBoundError``; the same cap bounds
 SO_Q(Z), the equivalence test and the canonicalization pool of ``shapes``.
 """
@@ -41,7 +41,7 @@ from operator import mul
 
 from . import exact
 
-_POOL_CAP = 20000
+POOL_CAP = 20000
 
 
 class SearchBoundError(RuntimeError):
@@ -124,7 +124,7 @@ def isometries(a, b):
     Rows are searched as the module docstring says; each shell vector's
     image v a is computed once.  The shells are built and capped when
     ``isometries`` is called, and the U are found lazily.  Raises
-    ``SearchBoundError`` when a half-shell exceeds ``_POOL_CAP`` vectors.
+    ``SearchBoundError`` when a half-shell exceeds ``POOL_CAP`` vectors.
     """
     k = len(b)
     shells = {}
@@ -132,7 +132,7 @@ def isometries(a, b):
         t = b[j][j]
         if t not in shells:
             half = vectors_with_norm(a, t)
-            if len(half) > _POOL_CAP:
+            if len(half) > POOL_CAP:
                 raise SearchBoundError(
                     "isometry search pool too large: %d vectors" % len(half)
                 )

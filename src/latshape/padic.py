@@ -1,12 +1,14 @@
 """Local invariants of rational quadratic forms.
 
-Square classes, Hilbert symbols, Hasse invariants, and isotropy over
-the completions of Q.  There is no p-adic number type here: every
+p-adic square classes, Hilbert symbols, Hasse invariants, and isotropy
+over the completions of Q.  There is no p-adic number type here: every
 local question is reduced to integer valuations, residue symbols, and
 finite modular checks, so all answers are exact.
 
 Places are encoded as a prime integer or the string "inf" for the
-real place.
+real place.  The Hilbert symbol and the isotropy tests take either kind
+of place; ``is_square_qp`` is p-adic only, since a real square class is
+just a sign (a is a square at v iff <1, -a> is isotropic there).
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ def _unit_part(x: Rational, p: int) -> Tuple[int, int]:
     return v, num * pow(den, -1, mod) % mod
 
 
-def is_square_real(a: Rational) -> bool:
-    return Fraction(a) > 0
-
-
 def is_square_qp(a: Rational, p: int) -> bool:
     """Whether a nonzero rational is a square in Q_p."""
     if Fraction(a) == 0:
@@ -86,13 +84,6 @@ def is_square_qp(a: Rational, p: int) -> bool:
     if v % 2:
         return False
     return exact.unit_square_class(u, p) == 1
-
-
-def is_square_local(a: Rational, v: Place) -> bool:
-    v = _check_place(v)
-    if v == INF:
-        return is_square_real(a)
-    return is_square_qp(a, v)
 
 
 @dataclass(frozen=True)
@@ -106,10 +97,6 @@ class DiagonalForm:
         if any(a == 0 for a in ents):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", ents)
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
 
     def det(self) -> Fraction:
         d = Fraction(1)

@@ -11,13 +11,16 @@ A restricted Gram B M B^T is a plain tuple of rows: int entries on an
 integer basis such as L(Z) or L^⊥(Z), Fraction entries only on a rational
 lattice such as L^⊥ ∩ (Z^n)^#.
 
-The invariants provided here: restricted Gram matrices, discriminants
-(global and local), dual and projected lattices, glue groups, the index
-of L(Z) in L ∩ (Z^n)^#, primitive parts, a distinguished lattice between
-Z^n and its dual attached to L, rational rotations, the orbits of the
-integral special orthogonal group on a list of subspaces, and the
-stabilizer of L in that group, which the shell search
-``kernel.isometries`` builds.
+The invariants provided here, one function each: restricted Gram
+matrices, discriminants (global and local), dual and projected lattices,
+glue groups (whose local exponents give the p-parts), the index of L(Z)
+in L ∩ (Z^n)^#, the content and primitive part of an integral Gram
+(``content_and_primitive``; a rational Gram is scaled to an integral one
+first), the distinguished lattice Λ_L between Z^n and its dual
+(``lambda_L``), rational rotations, the integral special orthogonal group
+SO_Q(Z), which the shell search ``kernel.isometries`` builds, and its
+orbits on a list of subspaces, which give every stabiliser order by
+orbit-stabiliser (``orbits``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import exact
@@ -34,10 +37,6 @@ from . import kernel
 
 def _freeze(rows):
     return tuple(tuple(r) for r in rows)
-
-
-def _thaw(rows):
-    return [list(r) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,14 @@ class QuadraticForm:
     def inverse_gram(self):
         return exact.inverse_fraction(self.gram)
 
-    def to_json(self):
-        return {"n": self.n, "gram": _thaw(self.gram)}
-
     @classmethod
     def from_json(cls, obj) -> "QuadraticForm":
-        return cls(obj["gram"])
+        """The form of a ``{"n", "gram"}`` payload; ``n`` is optional but
+        must match the Gram's size when given."""
+        gram = obj["gram"]
+        if "n" in obj and obj["n"] != len(gram):
+            raise ValueError("declared n does not match the Gram matrix size")
+        return cls(gram)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "Lattice":
-        canon = exact.rational_hnf_basis(_thaw(rows)) if rows else []
+        canon = exact.rational_hnf_basis(exact.mat_copy(rows)) if rows else []
         frozen = tuple(tuple(Fraction(x) for x in row) for row in canon)
         return cls(n, frozen)
 
@@ -115,15 +116,8 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         if other.rank == 0:
             return True
-        return exact.lattice_coordinates(_thaw(self.basis), _thaw(other.basis)) is not None
-
-    def to_json(self):
-        return {"n": self.n, "basis": [[exact.frac_str(x) for x in row] for row in self.basis]}
-
-    @classmethod
-    def from_json(cls, obj) -> "Lattice":
-        rows = [[Fraction(x) for x in row] for row in obj["basis"]]
-        return cls.from_rows(obj["n"], rows)
+        coords = exact.lattice_coordinates(exact.mat_copy(self.basis), exact.mat_copy(other.basis))
+        return coords is not None
 
 
 @dataclass(frozen=True)
@@ -165,11 +159,7 @@ class Subspace:
         return Lattice.from_rows(self.n, self.basis)
 
     def to_json(self):
-        return {"basis": _thaw(self.basis)}
-
-    @classmethod
-    def from_json(cls, form: QuadraticForm, obj) -> "Subspace":
-        return cls.from_rows(form, obj["basis"])
+        return {"hnf": self.hnf_key(), "basis": exact.mat_copy(self.basis)}
 
 
 @dataclass(frozen=True)
@@ -189,21 +179,10 @@ class GlueGroup:
         return [exact.valuation(d, p) for d in self.factors]
 
 
-def gram_content(gram):
-    """(c, P) with gram = c * P for a rational matrix, P integral with
-    coprime entries and c > 0; c is 0 and P the zero matrix for zero input."""
-    den = lcm(*[x.denominator for row in gram for x in row])
-    ig = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    g = gcd(*[x for row in ig for x in row])
-    if g == 0:
-        return Fraction(0), ig
-    return Fraction(g, den), [[x // g for x in row] for row in ig]
-
-
 def _basis_rows(obj):
     if isinstance(obj, (Lattice, Subspace)):
-        return _thaw(obj.basis)
-    return [list(r) for r in obj]
+        obj = obj.basis
+    return exact.mat_copy(obj)
 
 
 def gram_restriction(q: QuadraticForm, lat):
@@ -211,7 +190,7 @@ def gram_restriction(q: QuadraticForm, lat):
     tuple of rows: int entries for an integer basis (every Subspace),
     Fraction entries for a rational one."""
     rows = _basis_rows(lat)
-    bm = exact.mat_mul(rows, _thaw(q.gram))
+    bm = exact.mat_mul(rows, exact.mat_copy(q.gram))
     return _freeze(exact.mat_mul(bm, exact.transpose(rows)))
 
 
@@ -231,7 +210,7 @@ def dual_lattice(q: QuadraticForm, lat: Lattice) -> Lattice:
     if not rows:
         return Lattice.from_rows(lat.n, [])
     r, ir = exact.scale_to_int(rows)
-    g = exact.mat_mul(exact.mat_mul(ir, _thaw(q.gram)), exact.transpose(ir))
+    g = exact.mat_mul(exact.mat_mul(ir, exact.mat_copy(q.gram)), exact.transpose(ir))
     adj, det = exact.adjugate(g)
     dual = exact.mat_mul(adj, ir)
     return Lattice.from_rows(lat.n, [[Fraction(r * x, det) for x in row] for row in dual])
@@ -246,7 +225,7 @@ def orth_complement(q: QuadraticForm, L: Subspace) -> Subspace:
     """L^⊥ with respect to the form, canonical saturated basis."""
     if L.k == 0:
         return Subspace.from_rows(q, exact.identity(q.n))
-    bm = exact.mat_mul(_thaw(L.basis), _thaw(q.gram))
+    bm = exact.mat_mul(exact.mat_copy(L.basis), exact.mat_copy(q.gram))
     return Subspace(q, _freeze(exact.kernel_basis(bm)))
 
 
@@ -257,10 +236,10 @@ def projection_numerator(q: QuadraticForm, L: Subspace):
     of L(Z): integer products and one adjugate.  For L = 0, N is the zero
     matrix and det is 1.
     """
-    b = _thaw(L.basis)
+    b = exact.mat_copy(L.basis)
     if not b:
         return [[0] * q.n for _ in range(q.n)], 1
-    mbt = exact.mat_mul(_thaw(q.gram), exact.transpose(b))
+    mbt = exact.mat_mul(exact.mat_copy(q.gram), exact.transpose(b))
     adj, det = exact.adjugate(exact.mat_mul(b, mbt))
     return exact.mat_mul(exact.mat_mul(mbt, adj), b), det
 
@@ -289,19 +268,14 @@ def glue_group(q: QuadraticForm, L: Subspace) -> GlueGroup:
     return GlueGroup(tuple(exact.invariant_factors(gram_restriction(q, L))))
 
 
-def local_glue(q: QuadraticForm, L: Subspace, p: int):
-    """Exponents of p in the glue group factors, in nondecreasing order."""
-    return glue_group(q, L).local_exponents(p)
-
-
 def lattice_intersect_subspace(lat: Lattice, L: Subspace) -> Lattice:
     """The lattice lat ∩ span(L)."""
-    rows = _thaw(lat.basis)
+    rows = exact.mat_copy(lat.basis)
     if not rows or L.k == 0:
         return Lattice.from_rows(lat.n, [])
     den, irows = exact.scale_to_int(rows)
     # span(L) = dot-orthogonal complement of kernel_basis(L.basis)
-    ker = exact.kernel_basis(_thaw(L.basis))
+    ker = exact.kernel_basis(exact.mat_copy(L.basis))
     if not ker:
         return lat
     prod = exact.mat_mul(irows, exact.transpose(ker))
@@ -319,7 +293,7 @@ def index_iL(q: QuadraticForm, L: Subspace) -> int:
     t = lattice_intersect_subspace(standard_dual(q), L)
     if L.k == 0:
         return 1
-    return exact.lattice_index(_thaw(L.basis), _thaw(t.basis))
+    return exact.lattice_index(exact.mat_copy(L.basis), exact.mat_copy(t.basis))
 
 
 def local_disc(q: QuadraticForm, L: Subspace, p: int):
@@ -348,7 +322,8 @@ def restricted_forms(q: QuadraticForm, L: Subspace):
 def content_and_primitive(gram):
     """(c, P) with gram = c * P for an integral Gram (rows of int or
     integral Fraction entries): c the int content, P the primitive Gram as
-    a tuple of int rows.  Raises ValueError on a non-integral Gram."""
+    a tuple of int rows.  Raises ValueError on a non-integral Gram; a
+    rational Gram is scaled by ``exact.scale_to_int`` first (``shapes.shape``)."""
     rows = exact.integral_rows(gram)
     g = gcd(*(x for row in rows for x in row))
     if g == 0:
@@ -368,7 +343,7 @@ def content_and_primitive(gram):
 
 
 def _disc_group(q: QuadraticForm):
-    d, u, _ = exact.snf(_thaw(q.gram))
+    d, u, _ = exact.snf(exact.mat_copy(q.gram))
     uinv = exact.inverse_unimodular(u)
     return d, u, uinv
 
@@ -419,7 +394,7 @@ def _complement_lifts(q: QuadraticForm, L: Subspace):
     if all(x == 1 for x in d):
         return []
     t = lattice_intersect_subspace(standard_dual(q), L)
-    gens = [list(a) for a in _group_coords(_thaw(t.basis), d, uinv)]
+    gens = [list(a) for a in _group_coords(exact.mat_copy(t.basis), d, uinv)]
     n = q.n
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     # present A/T̄ by stacking the cyclic relations of A over T̄'s generators
@@ -453,14 +428,14 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
     of L^⊥(Z) taken inside L^⊥; lifting its canonical basis through one
     integral preimage, reduced modulo L ∩ (Z^n)^#, is deterministic.
     """
-    rows = _thaw(L.basis)
+    rows = exact.mat_copy(L.basis)
     perp = orth_complement(q, L)
     if perp.k == 0:
         return Lattice.from_rows(q.n, rows)
     dstar = dual_lattice(q, perp.lattice())
-    dual_rows = _thaw(standard_dual(q).basis)
+    dual_rows = exact.mat_copy(standard_dual(q).basis)
     system = exact.mat_mul(dual_rows, projection_matrix(q, perp))
-    t_rows = _thaw(lattice_intersect_subspace(standard_dual(q), L).basis)
+    t_rows = exact.mat_copy(lattice_intersect_subspace(standard_dual(q), L).basis)
     if t_rows:
         # coordinates of s = S/sden in T = Tᵢ/tden: c = s Tᵀ (T Tᵀ)^{-1}
         # = tden · S Tᵢᵀ adj(Tᵢ Tᵢᵀ) / (sden · det), and c T = s iff the
@@ -469,7 +444,7 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
         tden, ti = exact.scale_to_int(t_rows)
         adj, det = exact.adjugate(exact.mat_mul(ti, exact.transpose(ti)))
         solver = exact.mat_mul(exact.transpose(ti), adj)
-    preimages = exact.lattice_coordinates(system, _thaw(dstar.basis))
+    preimages = exact.lattice_coordinates(system, exact.mat_copy(dstar.basis))
     if preimages is None:
         raise ValueError("dual basis vector has no integral preimage")
     lifted = []
@@ -488,27 +463,20 @@ def _lift_construction(q: QuadraticForm, L: Subspace):
     return Lattice.from_rows(q.n, rows + lifted)
 
 
-def lambda_L(q: QuadraticForm, L: Subspace) -> Lattice:
-    """Distinguished full-rank lattice attached to L.
+def lambda_L(q: QuadraticForm, L: Subspace):
+    """(Λ_L, clean): the distinguished full-rank lattice attached to L, and
+    whether Z^n ⊆ Λ_L was achieved.
 
-    Contains L(Z) as L ∩ Λ, projects onto the dual of L^⊥(Z), and its own
-    dual meets L^⊥ in L^⊥(Z).  When the discriminant group admits a
-    complement of the image of L ∩ (Z^n)^#, the result also satisfies
-    Z^n ⊆ Λ ⊆ (Z^n)^#; such a complement need not exist, in which case
-    the lift construction is used and only [Z^n : Λ ∩ Z^n] ≤ disc(M) is
-    guaranteed alongside the three identities.  Which construction runs
+    Λ_L contains L(Z) as L ∩ Λ, projects onto the dual of L^⊥(Z), and its
+    own dual meets L^⊥ in L^⊥(Z).  When ``_complement_lifts`` finds a
+    complement of the image of L ∩ (Z^n)^# in the discriminant group, Λ_L
+    is Z^n plus the complement's lifts, so Z^n ⊆ Λ ⊆ (Z^n)^# and clean is
+    True.  Such a complement need not exist; then the lift construction is
+    used, only [Z^n : Λ ∩ Z^n] ≤ disc(M) is guaranteed alongside the three
+    identities, and clean is read off the lattice.  Which construction runs
     depends only on whether the complement exists, never on the size of
     the discriminant group.
     """
-    return lambda_L_detail(q, L)[0]
-
-
-def lambda_L_detail(q: QuadraticForm, L: Subspace):
-    """(Λ_L, flag): flag is True when Z^n ⊆ Λ_L was achieved.
-
-    Λ_L is Z^n plus the complement's lifts when ``_complement_lifts``
-    finds a complement, and the lift construction exactly when it finds
-    none; the flag is then read off the lattice."""
     lifts = _complement_lifts(q, L)
     if lifts is not None:
         rows = exact.identity(q.n) + [list(v) for v in lifts]
@@ -526,8 +494,8 @@ def is_special_orthogonal(q: QuadraticForm, g) -> bool:
 
     With g = G/den for an integer G: G^T M G = den^2 M and det G = den^n.
     """
-    den, gi = exact.scale_to_int(_thaw(g))
-    m = _thaw(q.gram)
+    den, gi = exact.scale_to_int(exact.mat_copy(g))
+    m = exact.mat_copy(q.gram)
     lhs = exact.mat_mul(exact.mat_mul(exact.transpose(gi), m), gi)
     if lhs != [[den * den * x for x in row] for row in m]:
         return False
@@ -539,9 +507,9 @@ def rotate_subspace(g, L: Subspace) -> Subspace:
     q = L.form
     if not is_special_orthogonal(q, g):
         raise ValueError("rotate_subspace: matrix is not in SO_Q")
-    gt = exact.transpose(_thaw(g))
+    gt = exact.transpose(exact.mat_copy(g))
     # scaling the image rows by a positive integer keeps their span
-    _, rows = exact.scale_to_int(exact.mat_mul(_thaw(L.basis), gt))
+    _, rows = exact.scale_to_int(exact.mat_mul(exact.mat_copy(L.basis), gt))
     return Subspace.from_rows(q, rows)
 
 
@@ -555,7 +523,7 @@ def rotation_ord_p(g, p: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _special_orthogonal_group(gram):
+def special_orthogonal_group(q: QuadraticForm):
     """All g ∈ SO_Q(Z), as row-major tuples.  Finite since M is definite.
 
     The columns of g are the images of the standard basis vectors, so g^T
@@ -565,21 +533,15 @@ def _special_orthogonal_group(gram):
     ``kernel.SearchBoundError`` when a shell exceeds the search's cap.
     """
     return tuple(
-        _freeze(zip(*u)) for u in kernel.isometries(gram, gram) if exact.det_int(u) == 1
+        _freeze(zip(*u)) for u in kernel.isometries(q.gram, q.gram) if exact.det_int(u) == 1
     )
 
 
-def special_orthogonal_group(q: QuadraticForm):
-    """The finite group SO_Q(Z) as a tuple of integer matrices."""
-    return _special_orthogonal_group(q.gram)
-
-
 class OrbitEntry(NamedTuple):
-    """Where a subspace sits in its SO_Q(Z)-orbit: the orbit's id and size,
-    the index ``rep`` of its representative in the list, and one ``g``
-    with g·subs[rep] equal to the subspace."""
+    """Where a subspace sits in its SO_Q(Z)-orbit: the orbit's size, the
+    index ``rep`` of its representative in the list, which identifies the
+    orbit, and one ``g`` with g·subs[rep] equal to the subspace."""
 
-    orbit_id: int
     size: int
     rep: int
     g: tuple
@@ -590,24 +552,23 @@ def orbits(q: QuadraticForm, subs):
     ``OrbitEntry`` per subspace, aligned with ``subs``.
 
     The subspaces are walked in order.  Each one not yet covered is the
-    representative of a new orbit (ids count up from 0 in order of
-    discovery): every g ∈ SO_Q(Z) maps its basis rows by row ↦ row·g^T,
-    and the HNF basis of the image is g·L, since g is unimodular and keeps
-    L(Z) saturated.  The distinct images form the orbit G·L; the members
-    found in ``subs`` get its id, its size |G·L|, the representative's
-    index and the first g, in group order, whose image is that member.
-    Images outside ``subs`` are ignored, so the sizes are right even when
-    ``subs`` is not G-invariant.  By orbit-stabiliser |Stab(L)| = |G| /
-    |G·L|, the same for every member of an orbit (Plesken-Souvignier,
-    "Computing isometries of lattices", J. Symb. Comp. 24, 1997).
+    representative of a new orbit: every g ∈ SO_Q(Z) maps its basis rows
+    by row ↦ row·g^T, and the HNF basis of the image is g·L, since g is
+    unimodular and keeps L(Z) saturated.  The distinct images form the
+    orbit G·L; the members found in ``subs`` get its size |G·L|, the
+    representative's index and the first g, in group order, whose image is
+    that member.  Images outside ``subs`` are ignored, so the sizes are
+    right even when ``subs`` is not G-invariant.  By orbit-stabiliser
+    |Stab(L)| = |G| / |G·L|, the same for every member of an orbit
+    (Plesken-Souvignier, "Computing isometries of lattices", J. Symb.
+    Comp. 24, 1997).
     """
     subs = list(subs)
     index = {}
     for i, sub in enumerate(subs):
         index.setdefault(sub.basis, []).append(i)
     out = [None] * len(subs)
-    group = _special_orthogonal_group(q.gram) if subs else ()
-    orbit_id = 0
+    group = special_orthogonal_group(q) if subs else ()
     for i, sub in enumerate(subs):
         if out[i] is not None:
             continue
@@ -618,12 +579,5 @@ def orbits(q: QuadraticForm, subs):
             orbit.setdefault(_freeze(exact.hnf_basis(rows)), g)
         for image, g in orbit.items():
             for j in index.get(image, ()):
-                out[j] = OrbitEntry(orbit_id, len(orbit), i, g)
-        orbit_id += 1
+                out[j] = OrbitEntry(len(orbit), i, g)
     return out
-
-
-def integral_stabilizer_order(q: QuadraticForm, L: Subspace) -> int:
-    """|{g ∈ SO_Q(Z) : g·L = L}|, by orbit-stabiliser: |G| / |G·L| with
-    the orbit G·L from ``orbits``."""
-    return len(special_orthogonal_group(q)) // orbits(q, [L])[0].size

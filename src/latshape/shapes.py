@@ -105,7 +105,7 @@ def _pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
     k = len(ig)
     bound = max(ig[i][i] for i in range(k))
     vecs = kernel.short_vectors(ig, bound)
-    if len(vecs) > kernel._POOL_CAP:
+    if len(vecs) > kernel.POOL_CAP:
         raise SearchBoundError(
             "canonicalization pool too large: %d vectors" % len(vecs)
         )
@@ -196,9 +196,10 @@ def shape(q: quadform.QuadraticForm, lam) -> ShapeClass:
     gram = quadform.gram_restriction(q, lam)
     if not gram:
         raise ValueError("shape of a rank-zero lattice is undefined")
-    content, ig = quadform.gram_content(gram)
-    exact.ldl_int(ig)  # raises unless positive definite
-    return ShapeClass(_canonical_gram(ig), content)
+    den, ig = exact.scale_to_int(gram)
+    content, prim = quadform.content_and_primitive(ig)
+    exact.ldl_int(prim)  # raises unless positive definite
+    return ShapeClass(_canonical_gram(prim), Fraction(content, den))
 
 
 def forms_equivalent(g1, g2) -> bool:
@@ -308,7 +309,7 @@ def moduli_point(
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if lam is None:
-        lam = quadform.lambda_L(q, L)
+        lam = quadform.lambda_L(q, L)[0]
     lam_rows = [list(r) for r in lam.basis]
     coords = exact.lattice_coordinates(lam_rows, [list(r) for r in L.basis])
     if coords is None:

@@ -179,7 +179,7 @@ def lines_with_disc(
     shell = kernel.vectors_with_norm(q.gram, disc)
     _check_candidates(len(shell), max_candidates)
     out = [
-        quadform.Subspace.from_rows(q, [list(v)]) for v in shell if math.gcd(*v) == 1
+        quadform.Subspace.from_saturated_rows(q, [v]) for v in shell if math.gcd(*v) == 1
     ]
     out.sort(key=lambda s: s.basis)
     return out

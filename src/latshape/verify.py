@@ -23,21 +23,6 @@ from . import quadform
 from . import shapes
 from . import subspaces
 
-SUITES = (
-    "glue",
-    "duality",
-    "indices",
-    "orders",
-    "primitive",
-    "lambda",
-    "schmidt",
-    "nonempty",
-    "isotropy",
-    "reciprocity",
-    "moduli",
-    "continuity",
-)
-
 
 def _default_forms() -> List[quadform.QuadraticForm]:
     out = [quadform.QuadraticForm.sum_of_squares(n) for n in range(3, 7)]
@@ -205,7 +190,7 @@ def _suite_lambda(forms, samples, seed):
     dualm = _Check("dual of Lambda_L meets Lperp in Lperp(Z)")
     sandwich = _Check("Z^n inside Lambda_L inside the ambient dual (when clean)")
     for q, L in _spread(forms, samples, seed):
-        lam, clean = quadform.lambda_L_detail(q, L)
+        lam, clean = quadform.lambda_L(q, L)
         inter.record(
             quadform.lattice_intersect_subspace(lam, L) == L.lattice(), L.hnf_key()
         )
@@ -472,6 +457,7 @@ _DISPATCH = {
     "moduli": _suite_moduli,
     "continuity": _suite_continuity,
 }
+SUITES = tuple(_DISPATCH)
 
 
 def verify(
@@ -483,11 +469,16 @@ def verify(
 ) -> Dict:
     """Run one named suite and return its JSON-ready report.
 
-    `form` restricts the form-driven suites to a single quadratic form;
-    the sum-of-squares and purely local suites ignore it.
+    `form` restricts the form-driven suites to a single quadratic form and
+    `dmax` bounds the discriminants of schmidt and nonempty.  A suite that
+    has no use for either refuses it with ``ValueError``.
     """
     if suite not in _DISPATCH:
         raise ValueError("unknown suite %r; choose from %s" % (suite, SUITES))
+    if form is not None and suite in ("schmidt", "nonempty", "isotropy", "reciprocity"):
+        raise ValueError("suite %r takes no form" % suite)
+    if dmax is not None and suite not in ("schmidt", "nonempty"):
+        raise ValueError("suite %r takes no dmax" % suite)
     fn = _DISPATCH[suite]
     if suite in ("schmidt", "nonempty"):
         checks = fn(samples, seed, dmax)

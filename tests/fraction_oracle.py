@@ -59,7 +59,6 @@ from latshape.quadform import (
     _disc_group,
     _group_coords,
     _group_vector,
-    _thaw,
     lattice_intersect_subspace,
     standard_dual,
 )
@@ -641,7 +640,7 @@ def complement_lifts(q, L):
     if all(x == 1 for x in d):
         return []
     t = lattice_intersect_subspace(standard_dual(q), L)
-    tbar_gens = _group_coords(_thaw(t.basis), d, uinv)
+    tbar_gens = _group_coords(mat_copy(t.basis), d, uinv)
     tbar = _subgroup_elements(tbar_gens, d)
     # present A/T̄ by stacking the cyclic relations of A over T̄'s generators
     n = q.n
@@ -673,7 +672,7 @@ def pool_vectors(ig) -> List[Tuple[int, Tuple[int, ...]]]:
     k = len(ig)
     bound = max(ig[i][i] for i in range(k))
     vecs = kernel.short_vectors(ig, bound)
-    if len(vecs) > kernel._POOL_CAP:
+    if len(vecs) > kernel.POOL_CAP:
         raise SearchBoundError(
             "canonicalization pool too large: %d vectors" % len(vecs)
         )

@@ -166,6 +166,8 @@ def test_experiment(tmp_path, capsys):
     assert cli.main(
         ["experiment", "--Q", "sumsq:4", "--n", "3", "--k", "1", "--dlist", "5"]
     ) == 1
+    # a repeated discriminant is refused, not reported twice
+    assert cli.main(["experiment", "--n", "3", "--k", "1", "--dlist", "5,5"]) == 1
 
 
 def test_verify_cli(capsys):
@@ -177,3 +179,16 @@ def test_verify_cli(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["verify", "--suite", "bogus"])
     assert e.value.code == 2
+
+
+def test_verify_refuses_options_the_suite_ignores(capsys):
+    for argv in (
+        ["--suite", "reciprocity", "--Q", "sumsq:5", "--dmax", "3"],
+        ["--suite", "reciprocity", "--Q", "sumsq:5"],
+        ["--suite", "isotropy", "--dmax", "3"],
+        ["--suite", "schmidt", "--Q", "sumsq:4", "--dmax", "3"],
+        ["--suite", "glue", "--dmax", "3"],
+        ["--suite", "moduli", "--Q", "sumsq:5", "--dmax", "3"],
+    ):
+        assert cli.main(["verify", "--samples", "2"] + argv) == 1, argv
+        assert "takes no" in capsys.readouterr().err

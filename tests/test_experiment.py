@@ -128,6 +128,11 @@ def test_config_validation():
         ex.ExperimentConfig(form=q, k=1, discs=(5,), weighting="nope")
     with pytest.raises(ValueError):
         ex.ExperimentConfig(form=q, k=1, discs=(5,), jobs=0)
+    # a repeated D would give the report two sections and the CSV every row twice
+    with pytest.raises(ValueError):
+        ex.ExperimentConfig(form=q, k=1, discs=(5, 5))
+    with pytest.raises(ValueError):
+        ex.ExperimentConfig(form=q, k=1, discs=(5, 3, 5))
 
 
 def test_run_experiment_counts_and_verdicts(tmp_path):

@@ -9,7 +9,9 @@ of the same spelling, such as a local variable, does not count.  Caches
 must be bounded: no ``lru_cache(maxsize=None)`` and no ``functools.cache``.
 No package function calls ``hnf`` or ``snf`` only to throw every
 transformation away: the transformation is paid for, so a caller that
-needs none calls ``hnf_basis`` or ``invariant_factors``.
+needs none calls ``hnf_basis`` or ``invariant_factors``.  No module reads
+another module's private name (``kernel._x`` or ``from .kernel import
+_x``): what a second module needs is public.
 """
 
 import ast
@@ -160,3 +162,35 @@ def test_no_discarded_transforms():
         and any(_discards_transforms(node) for node in ast.walk(func))
     )
     assert wasteful == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(mod, tree):
+    """``module:line sibling._name`` for each private name read across modules."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        yield "%s:%d %s.%s" % (mod, node.lineno, node.module, alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _is_private(node.attr)
+        ):
+            yield "%s:%d %s.%s" % (mod, node.lineno, node.value.id, node.attr)
+
+
+def test_no_foreign_private_reads():
+    foreign = [
+        hit for mod, tree in _modules().items() for hit in _foreign_private_reads(mod, tree)
+    ]
+    assert foreign == []

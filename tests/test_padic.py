@@ -200,8 +200,9 @@ def test_square_classes():
     assert pa.is_square_qp(17, 2)
     assert not pa.is_square_qp(3, 2)
     assert not pa.is_square_qp(8, 2)
-    assert pa.is_square_local(F(1, 7), "inf")
-    assert not pa.is_square_local(-4, "inf")
+    # at the real place, a is a square iff <1, -a> is isotropic
+    assert pa.is_isotropic_diagonal([1, -F(1, 7)], "inf")
+    assert not pa.is_isotropic_diagonal([1, 4], "inf")
 
 
 def test_isotropy_frozen():

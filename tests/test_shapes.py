@@ -58,6 +58,15 @@ def test_shape_frozen_examples():
     line = quadform.Subspace.from_rows(Q0_3, [[1, 1, 1]])
     sc = shapes.shape(Q0_3, line)
     assert sc.canonical_gram == ((1,),) and sc.scale == 3
+    # a rational lattice's fractional content is stripped, denominator kept
+    q112 = quadform.QuadraticForm.diagonal([1, 1, 2])
+    dual = shapes.shape(q112, quadform.standard_dual(q112))
+    assert dual.canonical_gram == ((1, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert dual.scale == Fraction(1, 2)
+    plane = quadform.Subspace.from_rows(Q0_4, [[1, 2, 0, 1], [0, 1, 3, 1]])
+    dual = shapes.shape(Q0_4, quadform.dual_lattice(Q0_4, plane.lattice()))
+    assert dual.canonical_gram == ((6, 3), (3, 11))
+    assert dual.scale == Fraction(1, 57)
 
 
 def _gl2_reduce(a, b, c):
@@ -222,11 +231,11 @@ def test_forms_equivalent_matches_the_earlier_search():
 
 
 def test_isometry_search_cap_binds_every_caller(monkeypatch, capsys):
-    monkeypatch.setattr(kernel, "_POOL_CAP", 2)
+    monkeypatch.setattr(kernel, "POOL_CAP", 2)
     # three vectors of norm 1 per sign pair in Z^3
     with pytest.raises(shapes.SearchBoundError):
         shapes.forms_equivalent(Q0_3.gram, Q0_3.gram)
-    quadform._special_orthogonal_group.cache_clear()
+    quadform.special_orthogonal_group.cache_clear()
     with pytest.raises(shapes.SearchBoundError):
         quadform.special_orthogonal_group(Q0_3)
     code = cli.main(["experiment", "--Q", "sumsq:3", "--k", "1", "--dlist", "2"])
@@ -267,8 +276,8 @@ def test_equivalence_matches_canonical_forms():
         for g2 in pool:
             s2 = shapes.shape(quadform.QuadraticForm(g2), [[1, 0], [0, 1]])
             # compare primitive parts: equivalence is tested on equal content
-            _, p1 = quadform.gram_content(g1)
-            _, p2 = quadform.gram_content(g2)
+            _, p1 = quadform.content_and_primitive(g1)
+            _, p2 = quadform.content_and_primitive(g2)
             assert shapes.forms_equivalent(p1, p2) == (s1 == s2), (g1, g2)
 
 
@@ -282,7 +291,7 @@ def test_canonical_gram_matches_the_earlier_rank_test():
             b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
             if exact.det_int(b) == 0:
                 continue
-            _, g = quadform.gram_content(exact.mat_mul(b, exact.transpose(b)))
+            _, g = quadform.content_and_primitive(exact.mat_mul(b, exact.transpose(b)))
             assert shapes._canonical_gram(g) == fo.canonical_gram(g), g
             done += 1
 
@@ -331,7 +340,7 @@ def test_upper_half_point_complete_invariant():
                 if a * c - b * b <= 0:
                     continue
                 g = [[a, b], [b, c]]
-                _, prim = quadform.gram_content(g)
+                _, prim = quadform.content_and_primitive(g)
                 key = pair(g)
                 for other_key, other in seen:
                     assert (key == other_key) == shapes.forms_equivalent(prim, other), (
