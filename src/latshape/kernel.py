@@ -20,6 +20,9 @@ the part of y_i from the outer coordinates this is -h <= D_{i+1} x_i + S
 rounded, so the enumeration is complete for any integral positive definite
 Gram.  For a fixed norm the innermost coordinate is solved instead of
 scanned: w_0 y_0^2 == r needs w_0 | r, r / w_0 = t^2 and D_1 | ±t - S.
+A set of norms is one walk of the prefixes up to the largest, N_max: at
+the innermost coordinate the budget for the norm N is r - Lambda (N_max -
+N), solved the same way once per N (``vectors_with_norms``).
 
 Sign convention: of each pair ``{v, -v}`` only the representative whose
 last nonzero coordinate is positive is reported.
@@ -49,10 +52,11 @@ class SearchBoundError(RuntimeError):
     enumerate more candidate vectors than the configured cap."""
 
 
-def _walk(gram, bound, shell, last_positive=False):
-    """Sorted (norm, v) with 0 < norm <= bound, or sorted v of norm == bound
-    when ``shell``; one v per sign pair.  With ``last_positive`` the outer
-    coordinate v[-1] starts at 1, so the layer v[-1] = 0 is never walked."""
+def _walk(gram, bound, norms=None, last_positive=False):
+    """Sorted (norm, v) with 0 < norm <= bound, one v per sign pair, or
+    only the v whose norm is in ``norms`` when given (bound = max(norms)).
+    With ``last_positive`` the outer coordinate v[-1] starts at 1, so the
+    layer v[-1] = 0 is never walked."""
     rows, minors = exact.ldl_int(gram)
     n = len(rows)
     if bound < 1 or not n:
@@ -60,22 +64,29 @@ def _walk(gram, bound, shell, last_positive=False):
     d = [1] + minors
     lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [lam // (d[i] * d[i + 1]) for i in range(n)]
+    # a prefix with budget r leaves r - lam (bound - N) for the norm N;
+    # largest N first, so the first N out of reach ends the leaf
+    shells = None if norms is None else [(t, lam * (bound - t)) for t in sorted(norms, reverse=True)]
+    tails = [r[i + 1:] for i, r in enumerate(rows)]
     out = []
     x = [0] * n
 
     def rec(i, r, nonzero):
         p, wi = minors[i], w[i]
-        s = sum(map(mul, rows[i][i + 1:], x[i + 1:]))
-        if shell and i == 0:
-            t2, rem = divmod(r, wi)
-            t = isqrt(t2)
-            if rem or t * t != t2:
-                return
-            for y in {t, -t}:
-                x0, m = divmod(y - s, p)
-                if not m and (nonzero or x0 > 0):
-                    x[0] = x0
-                    out.append(tuple(x))
+        s = sum(map(mul, tails[i], x[i + 1:]))
+        if shells is not None and i == 0:
+            for norm, off in shells:
+                if r < off:
+                    break
+                t2, rem = divmod(r - off, wi)
+                t = isqrt(t2)
+                if rem or t * t != t2:
+                    continue
+                for y in {t, -t}:
+                    x0, m = divmod(y - s, p)
+                    if not m and (nonzero or x0 > 0):
+                        x[0] = x0
+                        out.append((norm, tuple(x)))
             x[0] = 0
             return
         h = isqrt(r // wi)
@@ -105,7 +116,7 @@ def short_vectors(gram, bound, last_positive=False):
     integral symmetric positive definite matrix; norms are plain ints.
     With ``last_positive`` only the v with v[-1] > 0 are walked.
     """
-    return _walk(gram, bound, False, last_positive)
+    return _walk(gram, bound, None, last_positive)
 
 
 def vectors_with_norm(gram, target):
@@ -115,7 +126,17 @@ def vectors_with_norm(gram, target):
     so the cost is governed by the number of partial prefixes with norm
     budget left, not by the target itself.
     """
-    return _walk(gram, target, True)
+    return [v for _, v in _walk(gram, target, (target,))]
+
+
+def vectors_with_norms(gram, norms, last_positive=False):
+    """All (norm, v) with v G v^T in ``norms``, one per sign pair, sorted
+    by (norm, vector): one walk of the prefixes up to max(norms), whose
+    innermost coordinate is solved once per norm.  With ``last_positive``
+    only the v with v[-1] > 0 are walked.
+    """
+    norms = set(norms)
+    return _walk(gram, max(norms, default=0), norms, last_positive)
 
 
 def isometries(a, b):

@@ -4,8 +4,12 @@
   1998) for any positive definite integral form, behind the CLI and the
   experiments for k >= 2; schmidt_table runs it on the identity;
 * lines_with_disc: the lines of one discriminant, from the fixed-norm shell;
-* disc_buckets: the subspaces of each discriminant in a list, by one of the
-  two above, behind the CLI's ``--disc`` and the experiments;
+* disc_buckets: the subspaces of each discriminant in a list, behind the
+  CLI's ``--disc`` and the experiments: the lines of each D from its shell,
+  or the recursion with its rank-k row walked only at the requested D.
+  Over one lbar the disc is a positive definite form in the lift, so the L
+  of those D are one multi-norm shell of it (Fincke-Pohst, Math. Comp. 44,
+  1985) in place of the ball; the lbar tables of lower rank stay full;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
 
@@ -275,6 +279,16 @@ def recursion_table(
     / det M_m.  All walks count against ``max_candidates``.  The entries
     with D <= D' are the table up to D'.
     """
+    return DiscClassTable(_recursion(q, k, max_disc, None, max_candidates))
+
+
+def _recursion(q, k, max_disc, targets, max_candidates):
+    """The rank-k row of the recursion, D -> sorted tuple: every D <=
+    max_disc when ``targets`` is None, else only the D in ``targets``
+    (max_disc = max(targets)).  The rank-k row is needed only at those D at every
+    level, since a subspace inside x_m = 0 has the same disc under M_m as
+    under M_{m-1}; the rows of rank < k are the lbar tables and stay full.
+    """
     n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -286,42 +300,47 @@ def recursion_table(
         caps[m - 1] = max(caps[m], caps[m] * dets[m - 1] // dets[m])
     spent, row = 0, {}
     for m in range(1, n + 1):
-        qm, cap = quadform.QuadraticForm([r[:m] for r in q.gram[:m]]), caps[m]
+        qm = quadform.QuadraticForm([r[:m] for r in q.gram[:m]])
         lower, row = row, {}
         for j in range(max(0, k - (n - m)), min(k, m) + 1):
+            norms = targets if j == k else None
+            cap = caps[m] if norms is None else max_disc
+            keep = range(cap + 1) if norms is None else norms
             if j == 0:
                 row[j] = {1: [quadform.Subspace.from_rows(qm, [])]}
             elif j == m:
                 full = quadform.Subspace.from_rows(qm, exact.identity(m))
-                row[j] = {dets[m]: [full]} if dets[m] <= cap else {}
+                row[j] = {dets[m]: [full]} if dets[m] in keep else {}
             else:
                 # an HNF basis with a zero column appended is still one
                 row[j] = {d: [quadform.Subspace(qm, tuple(r + (0,) for r in s.basis))
-                              for s in subs] for d, subs in lower[j].items() if d <= cap}
+                              for s in subs] for d, subs in lower[j].items() if d in keep}
                 for dprime, lbars in lower[j - 1].items():
                     if dprime * dets[m] <= cap * dets[m - 1]:
                         for lbar in lbars:
-                            spent += _lifts_over(qm, lbar, cap, row[j])
+                            spent += _lifts_over(qm, lbar, cap, norms, row[j])
                             _check_candidates(spent, max_candidates)
-    return DiscClassTable(
-        {d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in row[k].items()}
-    )
+    return {d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in row[k].items()}
 
 
-def _lifts_over(q, lbar, cap, out):
-    """Append to ``out`` (D -> list) each L of disc D <= cap that meets
-    x_m = 0 in lbar; return the number of candidates walked.  L(Z) is
-    lbar(Z) + Z x for a unique primitive class x = (c, h), h > 0, of
-    Z^m / lbar(Z) in the basis [lifts; e_m], and its disc is a positive
-    definite form in x: det G times the Schur complement of G = B M B^T in
-    the Gram of [B; lifts; e_m].
+def _lifts_over(q, lbar, cap, norms, out):
+    """Append to ``out`` (D -> list) each L of disc D <= cap, or of disc D
+    in ``norms`` when given, that meets x_m = 0 in lbar; return the number
+    of candidates walked.  L(Z) is lbar(Z) + Z x for a unique primitive
+    class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis [lifts; e_m],
+    and its disc is a positive definite form in x: det G times the Schur
+    complement of G = B M B^T in the Gram of [B; lifts; e_m].  So the L of
+    the given discs are one walk of that form's shells.
     """
     m, j = q.n, lbar.k
     head = [list(r) + [0] for r in lbar.basis]
     _, lifts = _projection_data(lbar)
     gram = quadform.gram_restriction(q, head + [r + [0] for r in lifts] + [[0] * (m - 1) + [1]])
     schur = [r[j:] for r in exact.bareiss(gram, j)[j:]]
-    sols = kernel.short_vectors(schur, cap, last_positive=True)
+    if norms is None:
+        sols = kernel.short_vectors(schur, cap, last_positive=True)
+    else:
+        sols = kernel.vectors_with_norms(schur, norms, last_positive=True)
     lifted = {}
     for d, x in sols:
         c, h = x[:-1], x[-1]
@@ -342,8 +361,9 @@ def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
     return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
 
 
-# the recursion (k >= 2) builds every discriminant up to the maximum, so
-# keep desk-scale requests honest
+# disc_buckets walks the rank-k row only at the requested D, but the lbar
+# tables below it hold every discriminant up to about max(discs), so keep
+# desk-scale requests honest
 MAX_SWEEP_DISC = 150
 
 
@@ -355,8 +375,10 @@ def disc_buckets(
 ) -> Dict[int, Tuple[quadform.Subspace, ...]]:
     """H^{n,k}_q(D) for each D in ``discs``, the one front door for a list
     of discriminants: the lines of each D from its shell when k = 1, else
-    one recursion table up to max(discs).  Raises ``BoundExceededError``
-    when that sweep would pass MAX_SWEEP_DISC."""
+    the hyperplane recursion with its rank-k row walked only at the D in
+    ``discs`` (one shell walk of the Schur complement per lbar).  Raises
+    ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC, which
+    bounds the full lbar tables below the rank-k row."""
     if k == 1:
         return {d: tuple(lines_with_disc(q, d, max_candidates)) for d in discs}
     top = max(discs)
@@ -365,8 +387,8 @@ def disc_buckets(
             "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
             % (top, MAX_SWEEP_DISC)
         )
-    table = recursion_table(q, k, top, max_candidates)
-    return {d: table.get(d) for d in discs}
+    row = _recursion(q, k, top, frozenset(discs), max_candidates)
+    return {d: row.get(d, ()) for d in discs}
 
 
 def nonempty_criterion(n: int, k: int, D: int) -> Verdict:

@@ -471,10 +471,13 @@ def verify(
 
     `form` restricts the form-driven suites to a single quadratic form and
     `dmax` bounds the discriminants of schmidt and nonempty.  A suite that
-    has no use for either refuses it with ``ValueError``.
+    has no use for either refuses it with ``ValueError``, and so does every
+    suite for ``samples <= 0``: a pass over no cases would check nothing.
     """
     if suite not in _DISPATCH:
         raise ValueError("unknown suite %r; choose from %s" % (suite, SUITES))
+    if samples <= 0:
+        raise ValueError("samples must be positive, got %d" % samples)
     if form is not None and suite in ("schmidt", "nonempty", "isotropy", "reciprocity"):
         raise ValueError("suite %r takes no form" % suite)
     if dmax is not None and suite not in ("schmidt", "nonempty"):

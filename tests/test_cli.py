@@ -77,6 +77,23 @@ def test_enumerate_planes_of_a4_match_the_vector_search(tmp_path, capsys):
         assert len(payload) == (0 if disc == 5 else 30)
 
 
+def test_enumerate_one_disc_emits_the_table_bucket(tmp_path, capsys):
+    # --disc walks the rank-k row only at D; it lists the same bucket, in
+    # the same order, as the full table up to D, on and off the diagonal
+    a4 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps({"n": 4, "gram": a4}))
+    for spec, form, disc, size in (
+        ("sumsq:4", quadform.QuadraticForm.sum_of_squares(4), 61, 864),
+        ("file:%s" % path, quadform.QuadraticForm(a4), 20, 75),
+    ):
+        code, payload = _run(capsys, "enumerate", "--Q", spec, "--k", "2", "--disc", str(disc))
+        assert code == 0
+        bucket = subspaces.recursion_table(form, 2, disc).get(disc)
+        assert len(payload) == len(bucket) == size
+        assert payload == json.loads(json.dumps([s.to_json() for s in bucket]))
+
+
 def test_candidate_cap_is_a_runtime_error(capsys):
     argv = ["--k", "2", "--max-candidates", "1"]
     assert cli.main(["enumerate", "--Q", "sumsq:4", "--disc", "5"] + argv) == 1
@@ -179,6 +196,15 @@ def test_verify_cli(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["verify", "--suite", "bogus"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_nonpositive_samples(capsys, samples):
+    # a suite over zero cases would report a pass that checked nothing
+    assert cli.main(["verify", "--suite", "glue", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be positive" in captured.err
 
 
 def test_verify_refuses_options_the_suite_ignores(capsys):

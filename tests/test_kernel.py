@@ -98,6 +98,21 @@ def test_vectors_with_norm_match_fraction_oracle(gram):
         assert kernel.vectors_with_norm(gram, target) == fo.vectors_with_norm(gram, target)
 
 
+@given(pd_grams(), st.sets(st.integers(min_value=-2, max_value=40), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_vectors_with_norms_is_one_shell_per_norm(gram, norms):
+    # one walk up to max(norms) finds what one vectors_with_norm per norm
+    # finds, and with last_positive the v[-1] > 0 part of the ball
+    got = kernel.vectors_with_norms(gram, norms)
+    assert got == sorted(got)
+    assert got == [(t, v) for t in sorted(norms) for v in kernel.vectors_with_norm(gram, t)]
+    ball = kernel.short_vectors(gram, max(norms, default=0), last_positive=True)
+    assert kernel.vectors_with_norms(gram, norms, last_positive=True) == [
+        (t, v) for t, v in ball if t in norms
+    ]
+    assert all(v[-1] > 0 for _, v in ball)
+
+
 def test_rejects_indefinite_gram():
     # indefinite, then semidefinite
     for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]]):

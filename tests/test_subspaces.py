@@ -321,6 +321,61 @@ def test_candidate_cap():
     assert sp.recursion_table(Q0_4, 2, 20, max_candidates=10**6)
 
 
+A4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
+D112 = quadform.QuadraticForm.diagonal([1, 1, 2])
+
+# (form, k, discs): lists unsorted, a single D, D = 1 and empty buckets
+TARGETED_CASES = [
+    (Q0_3, 2, (14, 1, 9, 5)),
+    (Q0_3, 3, (1,)),
+    (Q0_4, 2, (41, 17, 25)),
+    (Q0_4, 2, (7, 12, 15)),
+    (Q0_4, 3, (18, 17)),
+    (Q0_5, 2, (12, 10)),
+    (Q0_5, 3, (9, 6)),
+    (quadform.QuadraticForm.sum_of_squares(6), 2, (7,)),
+    (quadform.QuadraticForm.sum_of_squares(6), 3, (5,)),
+    (A4, 2, (20, 7, 13, 5)),
+    (A4, 3, (16, 1, 4, 14)),
+    (D112, 2, (14, 11)),
+    (D112, 3, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("q, k, discs", TARGETED_CASES)
+def test_disc_buckets_equal_the_full_table(q, k, discs):
+    # the rank-k row walked only at the requested D keeps every bucket of
+    # the table up to max(discs), in order
+    buckets = sp.disc_buckets(q, k, discs)
+    table = sp.recursion_table(q, k, max(discs))
+    assert list(buckets) == list(discs)
+    for d in discs:
+        assert buckets[d] == table.get(d), d
+
+
+def test_disc_buckets_hold_empty_and_nonempty_discs():
+    # the equalities above are not vacuous; H^{4,2}(D) is empty for
+    # D = 7, 12, 15 mod 16
+    for q, k, discs, sizes in [
+        (Q0_4, 2, (7, 12, 15), [0, 0, 0]),
+        (Q0_4, 2, (41, 17, 25), [1536, 384, 144]),
+        (A4, 2, (20, 7, 13, 5), [75, 30, 0, 0]),
+        (A4, 3, (16, 1, 4, 14), [20, 0, 5, 30]),
+    ]:
+        buckets = sp.disc_buckets(q, k, discs)
+        assert [len(buckets[d]) for d in discs] == sizes
+
+
+@pytest.mark.parametrize(
+    "q, k, discs", [(Q0_3, 2, (14, 1, 9, 5)), (D112, 2, (14, 11)), (A4, 2, (20, 7, 13, 5))]
+)
+def test_disc_buckets_match_the_vector_search(q, k, discs):
+    buckets = sp.disc_buckets(q, k, discs)
+    brute = sp.enumerate_by_disc(q, k, max(discs))
+    for d in discs:
+        assert buckets[d] == brute.get(d), d
+
+
 def test_disc_class_table_validation():
     sub = quadform.Subspace.from_rows(Q0_3, [[1, 0, 0]])
     other = quadform.Subspace.from_rows(Q0_3, [[0, 1, 0]])
