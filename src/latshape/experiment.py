@@ -11,7 +11,8 @@ statistics are collected into a summary report:
     measure.
   * two-dimensional side (k = 2 or n-k = 2): KS distance of the
     y-coordinates of the fundamental-domain shape points against the
-    bundled hyperbolic-area reference CDF (see gen_reference).
+    CDF of the hyperbolic area (3/pi) dx dy / y^2 on the fundamental
+    domain, tabulated in process by Simpson quadrature.
   * generic Grassmannian: two-sample KS of the pooled projection matrix
     entries against seeded Monte-Carlo samples from the invariant
     measure.
@@ -34,7 +35,6 @@ member's record takes integer products only (``_bucket_records``).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -107,22 +107,56 @@ def sphere_z_cdf(t: float) -> float:
     return min(1.0, max(0.0, (t + 1.0) / 2.0))
 
 
+_Y0 = math.sqrt(3.0) / 2.0
+
+
+def _hyperbolic_density(y: float) -> float:
+    """y-marginal density of (3/pi) dx dy / y^2 on the fundamental domain
+    {|x| <= 1/2, x^2 + y^2 >= 1}."""
+    if y <= _Y0:
+        return 0.0
+    if y <= 1.0:
+        return (3.0 / math.pi) * (1.0 - 2.0 * math.sqrt(max(0.0, 1.0 - y * y))) / (y * y)
+    return (3.0 / math.pi) / (y * y)
+
+
+def _simpson(f, a: float, b: float) -> float:
+    return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+
+
 @lru_cache(maxsize=1)
 def _hyperbolic_table():
-    from importlib import resources
+    """Knots, CDF and tail coefficient of the y-law, by composite Simpson
+    quadrature: 1536 panels in theta on y = sin(theta) over [pi/3, pi/2]
+    (smooth at y = 1, dense where the density changes fastest), then steps
+    of 1/256 from y = 1 to 12.  Mass above the last knot t is summarized by
+    tail = t (1 - F(t)), so F(y) = 1 - tail / y beyond it."""
+    knots, cdf, acc = [_Y0], [0.0], 0.0
 
-    text = resources.files("latshape").joinpath("data/hyperbolic_y_cdf.json").read_text()
-    obj = json.loads(text)
-    return (
-        np.asarray(obj["knots"], dtype=float),
-        np.asarray(obj["cdf"], dtype=float),
-        float(obj["tail_coeff"]),
-    )
+    def g(theta):
+        # density along y = sin(theta), times dy/dtheta
+        return _hyperbolic_density(math.sin(theta)) * math.cos(theta)
+
+    theta_panels, t0, t1 = 1536, math.pi / 3.0, math.pi / 2.0
+    for i in range(1, theta_panels + 1):
+        a = t0 + (t1 - t0) * (i - 1) / theta_panels
+        b = t0 + (t1 - t0) * i / theta_panels
+        acc += _simpson(g, a, b)
+        knots.append(math.sin(b))
+        cdf.append(acc)
+    mid_step = 1.0 / 256
+    for i in range(1, round((12.0 - 1.0) / mid_step) + 1):
+        a = 1.0 + mid_step * (i - 1)
+        b = 1.0 + mid_step * i
+        acc += _simpson(_hyperbolic_density, a, b)
+        knots.append(b)
+        cdf.append(acc)
+    return np.asarray(knots), np.asarray(cdf), knots[-1] * (1.0 - cdf[-1])
 
 
 def hyperbolic_y_cdf(t: float) -> float:
     """CDF of the y-marginal of the normalized hyperbolic area on the
-    fundamental domain, interpolated from the bundled table."""
+    fundamental domain, interpolated from the quadrature table."""
     knots, cdf, tail = _hyperbolic_table()
     t = float(t)
     if t <= knots[0]:
@@ -383,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig):
         for d in cfg.discs
     ]
     if cfg.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as pool:
             results = list(pool.map(_bucket_worker, payloads))
     else:
         results = [_bucket_worker(p) for p in payloads]

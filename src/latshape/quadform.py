@@ -130,7 +130,10 @@ class Subspace:
     @classmethod
     def from_rows(cls, form: QuadraticForm, rows) -> "Subspace":
         """Span of independent integer rows, stored by its saturation;
-        raises ``ValueError`` on a non-integral entry or dependent rows."""
+        raises ``ValueError`` on a row whose length is not n, a non-integral
+        entry or dependent rows."""
+        if any(len(r) != form.n for r in rows):
+            raise ValueError("basis rows must have length n = %d" % form.n)
         rows = exact.integral_rows(rows)
         return cls(form, _freeze(exact.saturate(rows) if rows else []))
 

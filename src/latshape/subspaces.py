@@ -273,11 +273,12 @@ def recursion_table(
 ) -> DiscClassTable:
     """H^{n,k}_q(D) for every D <= max_disc, by the hyperplane recursion.
 
-    Row m holds H^{m,j}(D), D <= caps[m], over the leading block M_m of the
-    Gram for each j that H^{n,k} needs: H^{m-1,j} inside x_m = 0, and
-    _lifts_over each lbar in H^{m-1,j-1} of disc D' <= caps[m] det M_{m-1}
-    / det M_m.  All walks count against ``max_candidates``.  The entries
-    with D <= D' are the table up to D'.
+    Row m holds H^{m,j}(D) over the leading block M_m of the Gram for each
+    j that H^{n,k} needs: H^{m-1,j} inside x_m = 0, and _lifts_over each
+    lbar in H^{m-1,j-1} of disc D' <= cap det M_{m-1} / det M_m.  The cap
+    is max_disc on the rank-k row at every level and caps[m] on the lbar
+    rows below it.  All walks count against ``max_candidates``.  The
+    entries with D <= D' are the table up to D'.
     """
     return DiscClassTable(_recursion(q, k, max_disc, None, max_candidates))
 
@@ -285,9 +286,10 @@ def recursion_table(
 def _recursion(q, k, max_disc, targets, max_candidates):
     """The rank-k row of the recursion, D -> sorted tuple: every D <=
     max_disc when ``targets`` is None, else only the D in ``targets``
-    (max_disc = max(targets)).  The rank-k row is needed only at those D at every
-    level, since a subspace inside x_m = 0 has the same disc under M_m as
-    under M_{m-1}; the rows of rank < k are the lbar tables and stay full.
+    (max_disc = max(targets)).  The rank-k row is needed only at those D
+    at every level, since a subspace inside x_m = 0 has the same disc under
+    M_m as under M_{m-1}; the rows of rank < k are the lbar tables and stay
+    full up to caps[m].
     """
     n = q.n
     if not 1 <= k <= n:
@@ -304,7 +306,7 @@ def _recursion(q, k, max_disc, targets, max_candidates):
         lower, row = row, {}
         for j in range(max(0, k - (n - m)), min(k, m) + 1):
             norms = targets if j == k else None
-            cap = caps[m] if norms is None else max_disc
+            cap = max_disc if j == k else caps[m]
             keep = range(cap + 1) if norms is None else norms
             if j == 0:
                 row[j] = {1: [quadform.Subspace.from_rows(qm, [])]}
@@ -379,6 +381,8 @@ def disc_buckets(
     ``discs`` (one shell walk of the Schur complement per lbar).  Raises
     ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC, which
     bounds the full lbar tables below the rank-k row."""
+    if not 1 <= k <= q.n:
+        raise ValueError("need 1 <= k <= n")
     if k == 1:
         return {d: tuple(lines_with_disc(q, d, max_candidates)) for d in discs}
     top = max(discs)

@@ -167,6 +167,32 @@ def test_shapes_search_bound_is_a_runtime_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shapes", "--Q", "sumsq:3", "--L", "1,2"],
+        ["shapes", "--Q", "sumsq:3", "--L", "1,0,0,1"],
+        ["shapes", "--Q", "sumsq:3", "--L", "1,0,0;0,1"],
+        ["invariants", "--Q", "sumsq:4", "--L", "1,1,1"],
+        ["isotropy", "--Q", "sumsq:3", "--L", "1,1", "--p", "3"],
+    ],
+)
+def test_basis_rows_of_the_wrong_length_are_refused(capsys, argv):
+    # such rows used to give a subspace of another space, and exit 0
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "basis rows must have length n = " in captured.err
+
+
+def test_enumerate_refuses_a_rank_above_n_on_the_line_path(capsys):
+    # the k = 1 shell path listed no lines of a 0-dimensional form and exited 0
+    assert cli.main(["enumerate", "--Q", "sumsq:0", "--k", "1", "--disc", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 <= k <= n" in captured.err
+
+
 def test_experiment(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, payload = _run(

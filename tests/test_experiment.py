@@ -1,14 +1,14 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
-from importlib import resources
+import struct
 
 import pytest
 
 from latshape import exact
 from latshape import experiment as ex
-from latshape import gen_reference
 from latshape import quadform
 from latshape import shapes
 from latshape import subspaces
@@ -17,7 +17,7 @@ import fraction_oracle as fo
 
 
 # closed form of the reference law, derived independently of the
-# shipped quadrature table
+# quadrature table
 Y0 = math.sqrt(3.0) / 2.0
 
 
@@ -80,16 +80,22 @@ def test_two_sample_ks():
 
 
 def test_hyperbolic_table_matches_closed_form():
-    payload = json.loads(
-        resources.files("latshape").joinpath("data/hyperbolic_y_cdf.json").read_text()
-    )
-    knots = payload["knots"]
-    cdf = payload["cdf"]
-    worst = max(
-        abs(c - _hyperbolic_cdf_exact(t)) for t, c in zip(knots, cdf)
-    )
+    knots, cdf, tail = ex._hyperbolic_table()
+    worst = max(abs(c - _hyperbolic_cdf_exact(t)) for t, c in zip(knots, cdf))
     assert worst < 1e-8
-    assert payload["tail_coeff"] == pytest.approx(3.0 / math.pi, abs=1e-9)
+    assert tail == pytest.approx(3.0 / math.pi, abs=1e-9)
+
+
+# sha256 of knots, cdf and tail coefficient as the table was first
+# shipped (a 152 KB JSON file); the report KS digits depend on every bit
+HYPERBOLIC_TABLE_SHA256 = "5db85d467b71202f6a3ab022bba70df02d1e1ce8940bd7102044210e59fa650f"
+
+
+def test_hyperbolic_table_bits_frozen():
+    knots, cdf, tail = ex._hyperbolic_table()
+    assert (knots.size, cdf.size) == (4353, 4353)
+    blob = knots.tobytes() + cdf.tobytes() + struct.pack("<d", tail)
+    assert hashlib.sha256(blob).hexdigest() == HYPERBOLIC_TABLE_SHA256
 
 
 def test_hyperbolic_y_cdf_lookup():
@@ -104,16 +110,6 @@ def test_hyperbolic_y_cdf_lookup():
     assert ex.hyperbolic_y_cdf(1e6) == pytest.approx(
         1.0 - 3.0 / (math.pi * 1e6), abs=1e-12
     )
-
-
-def test_reference_generator_roundtrip():
-    # a coarse rebuild still lands within quadrature error of the truth
-    table = gen_reference.build_table(theta_panels=96, mid_step=1.0 / 32, y_top=6.0)
-    worst = max(
-        abs(c - _hyperbolic_cdf_exact(t))
-        for t, c in zip(table["knots"], table["cdf"])
-    )
-    assert worst < 1e-6
 
 
 def test_config_validation():
@@ -185,6 +181,32 @@ def test_run_experiment_deterministic_across_jobs_k2(tmp_path):
         reports.append(report)
     assert outs[0] == outs[1]
     assert reports[0] == reports[1]
+
+
+def test_worker_pool_no_larger_than_the_bucket_count(monkeypatch):
+    # a fork pool starts all its workers at the first submit, so --jobs
+    # above the number of discriminants would only fork idle processes
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    q = quadform.QuadraticForm.sum_of_squares(3)
+    cfg = ex.ExperimentConfig(form=q, k=1, discs=(5, 13), jobs=8, seed=1)
+    serial = ex.run_experiment(dataclasses.replace(cfg, jobs=1))
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+    assert ex.run_experiment(cfg) == serial
+    assert sizes == [2]
 
 
 # sha256 of the CSV of sumsq:4, k = 2, D = 5, 13, 21, seed 0, recorded at

@@ -11,7 +11,9 @@ No package function calls ``hnf`` or ``snf`` only to throw every
 transformation away: the transformation is paid for, so a caller that
 needs none calls ``hnf_basis`` or ``invariant_factors``.  No module reads
 another module's private name (``kernel._x`` or ``from .kernel import
-_x``): what a second module needs is public.
+_x``): what a second module needs is public.  Every module but ``__init__``
+and the ``cli`` entry point is imported by another module of the package:
+a module nothing imports is a script or dead code.
 """
 
 import ast
@@ -194,3 +196,26 @@ def test_no_foreign_private_reads():
         hit for mod, tree in _modules().items() for hit in _foreign_private_reads(mod, tree)
     ]
     assert foreign == []
+
+
+def _imported_modules(tree):
+    """The sibling modules a module imports (``from . import x``, ``from .x
+    import y``); the package imports its own modules only relatively."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def test_no_orphan_modules():
+    modules = _modules()
+    imported = {
+        name
+        for mod, tree in modules.items()
+        for name in _imported_modules(tree)
+        if name != mod
+    }
+    orphans = sorted(set(modules) - imported - {"__init__", "cli"})
+    assert orphans == []

@@ -540,6 +540,13 @@ def test_subspace_refuses_non_integral_rows():
     assert qf.Subspace.from_rows(Q0_3, [[F(4, 2), 2.0, 0]]).basis == ((1, 1, 0),)
 
 
+def test_subspace_refuses_rows_of_the_wrong_length():
+    # [1, 2] spanned a line of Q^2 while the form lived on Q^3
+    for rows in ([[1, 2]], [[1, 0, 0, 1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="length n = 3"):
+            qf.Subspace.from_rows(Q0_3, rows)
+
+
 # ---------------------------------------------------------------------------
 # property tests over random subspaces
 

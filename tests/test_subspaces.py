@@ -321,6 +321,23 @@ def test_candidate_cap():
     assert sp.recursion_table(Q0_4, 2, 20, max_candidates=10**6)
 
 
+def test_full_table_walks_the_rank_k_row_only_to_max_disc():
+    # the leading minors of both Grams drop (det M_3 > det M_4), so the lbar
+    # rows run past max_disc; a rank-2 subspace inside x_4 = 0 keeps its
+    # disc, so the rank-2 row stops at max_disc at every level.  Walking it
+    # to the lbar cap took 30,133 and 32,546 candidates.
+    g1 = quadform.QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 2], [0, 0, 2, 1]])
+    g2 = quadform.QuadraticForm([[3, 1, 1, 0], [1, 2, 1, 1], [1, 1, 2, 1], [0, 1, 1, 1]])
+    table = sp.recursion_table(g1, 2, 60, max_candidates=28155)
+    assert sp.recursion_table(g2, 2, 60, max_candidates=30106)
+    with pytest.raises(sp.BoundExceededError):
+        sp.recursion_table(g1, 2, 60, max_candidates=28154)
+    brute = sp.enumerate_by_disc(g1, 2, 30)
+    for d in range(1, 31):
+        assert table.get(d) == brute.get(d), d
+    assert sum(len(table.get(d)) for d in range(1, 31)) > 0
+
+
 A4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
 D112 = quadform.QuadraticForm.diagonal([1, 1, 2])
 
@@ -397,6 +414,9 @@ def test_enumerator_argument_validation():
         sp.schmidt_table(3, 4, 5)
     with pytest.raises(ValueError):
         sp.schmidt_table(3, 1, 0)
+    # the k = 1 shell path of disc_buckets checks the rank like the recursion
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        sp.disc_buckets(quadform.QuadraticForm.sum_of_squares(0), 1, [1])
     with pytest.raises(ValueError):
         sp.schmidt_decompose(quadform.Subspace.from_rows(
             quadform.QuadraticForm.diagonal([1, 1, 3]), [[1, 0, 0]]
