@@ -103,10 +103,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_isotropy(args) -> int:
+    places = _isotropy_places(args)
     if args.diag is not None:
         ents = [int(x) for x in args.diag.split(",")]
         report = {"diagonal": ents, "places": {}}
-        for p in _isotropy_places(args):
+        for p in places:
             report["places"][str(p)] = padic.is_isotropic_diagonal(ents, p)
         _emit(report)
         return 0
@@ -117,7 +118,7 @@ def _cmd_isotropy(args) -> int:
     perp = quadform.orth_complement(q, L)
     q_l, q_p = quadform.gram_restriction(q, L), quadform.gram_restriction(q, perp)
     report = {"hnf": L.hnf_key(), "places": {}}
-    for p in _isotropy_places(args):
+    for p in places:
         entry = {
             "q_L_isotropic": padic.is_isotropic_local(q_l, p),
             "q_Lperp_isotropic": padic.is_isotropic_local(q_p, p),
@@ -135,6 +136,9 @@ def _cmd_isotropy(args) -> int:
 def _isotropy_places(args):
     if args.p is not None:
         return [args.p]
+    if args.pmax < 2:
+        # no prime is below 2: the report would check nothing and pass
+        raise ValueError("--pmax must be >= 2, got %d" % args.pmax)
     out = []
     for p in range(2, args.pmax + 1):
         if padic.is_prime(p):

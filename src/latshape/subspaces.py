@@ -12,6 +12,11 @@
   1985) in place of the ball; the lbar tables of lower rank stay full;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
+  For 2 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
+  by the primitive Plücker vector p of its saturated span and takes the
+  disc as p C p with C the k-th compound of the Gram (Cauchy-Binet), so
+  it saturates each subspace once.  The recursion uses neither, so the two
+  share only Subspace and the HNF.
 
 Every subspace is stored, deduplicated and sorted by the HNF basis of
 L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z), so it
@@ -22,6 +27,7 @@ exactly once and keeps no dedupe.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +84,7 @@ class DiscClassTable:
             keys = [s.basis for s in subs]
             if keys != sorted(keys) or len(set(keys)) != len(keys):
                 raise ValueError("subspace lists must be sorted and duplicate-free")
+
     def counts(self) -> Dict[int, int]:
         return {d: len(subs) for d, subs in self.table.items()}
 
@@ -107,7 +114,16 @@ def enumerate_by_disc(
     max_disc: int,
     max_candidates: Optional[int] = None,
 ) -> DiscClassTable:
-    """All of H^{n,k}_q(D) for every D <= max_disc, in one vector sweep."""
+    """All of H^{n,k}_q(D) for every D <= max_disc, in one vector sweep.
+
+    For 2 <= k < n a DFS over tuples of short vectors, pruned by the
+    Minkowski norm product, carries the wedge of the rows: a zero wedge
+    means a dependent row.  A full tuple's wedge over its content, signed
+    so its first nonzero entry is positive, is the primitive Plücker vector
+    p of L(Z), so p is the dedupe key and disc_q(L) = p C p (Cauchy-Binet,
+    C the k-th compound of the Gram); only a new p of disc <= max_disc is
+    saturated by Subspace.from_rows.
+    """
     n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -131,41 +147,93 @@ def enumerate_by_disc(
         bound = hermite_bound(k, max_disc)
         cands = kernel.short_vectors(q.gram, bound)
         _check_candidates(len(cands), max_candidates)
-        gram = q.gram
         m = len(cands)
+        steps = _wedge_steps(n, k)
+        compound = _compound_terms(q.gram, k)
+        low, high = 3**e, 4**e * max_disc
         seen = set()
 
-        def bilin(u, w):
-            return sum(u[i] * sum(gram[i][j] * w[j] for j in range(n)) for i in range(n))
-
-        # DFS over index-increasing tuples; candidate list is sorted by
-        # norm, so the norm-product prune allows a hard break
-        def extend(start, rows, grams, prod, depth):
+        # DFS over index-increasing tuples, carrying the wedge of the rows;
+        # the candidate list is sorted by norm, so the norm-product prune
+        # allows a hard break
+        def extend(start, rows, wedge, prod, depth):
+            step = steps[depth]
             for i in range(start, m):
                 norm, vec = cands[i]
                 nprod = prod * norm
-                if nprod * 3**e > 4**e * max_disc:
+                if nprod * low > high:
                     break
-                pair = [bilin(vec, r) for r in rows]
-                g_rows = [grams[t] + [pair[t]] for t in range(depth)]
-                g_rows.append(pair + [norm])
-                if exact.det_int(g_rows) == 0:
+                w = _extend_wedge(step, wedge, vec)
+                if not any(w):
+                    continue  # vec depends on the rows
+                if depth + 1 < k:
+                    extend(i + 1, rows + [vec], w, nprod, depth + 1)
                     continue
-                new_rows = rows + [list(vec)]
-                if depth + 1 == k:
-                    sub = quadform.Subspace.from_rows(q, new_rows)
-                    if sub.basis in seen:
-                        continue
-                    seen.add(sub.basis)
-                    d = quadform.disc(q, sub)
-                    if d <= max_disc:
-                        buckets.setdefault(d, []).append(sub)
-                else:
-                    extend(i + 1, new_rows, g_rows, nprod, depth + 1)
+                p = _primitive(w)
+                if p in seen:
+                    continue
+                seen.add(p)
+                d = sum(c * p[a] * p[b] for a, b, c in compound)
+                if d <= max_disc:
+                    sub = quadform.Subspace.from_rows(q, rows + [vec])
+                    buckets.setdefault(d, []).append(sub)
 
-        extend(0, [], [], 1, 0)
+        extend(0, [], [1], 1, 0)
 
     return DiscClassTable({d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in buckets.items()})
+
+
+def _wedge_steps(n, k):
+    """Laplace tables that grow a wedge by one row, for depths 0..k-1.
+
+    The wedge of d rows is the vector of their d x d minors, indexed by
+    the column sets of ``itertools.combinations(range(n), d)``; the wedge
+    of no rows is [1].  steps[d] is (d + 1, terms): terms lists, for each
+    (d+1)-set J in turn, the d + 1 terms (j, t, sign) of the minor's
+    expansion along the new row v, sign * v[j] * wedge[t], where t indexes
+    the d-set J minus j.
+    """
+    steps = []
+    for d in range(k):
+        pos = {c: t for t, c in enumerate(itertools.combinations(range(n), d))}
+        steps.append((d + 1, [
+            (J[t], pos[J[:t] + J[t + 1:]], (-1) ** (d + t))
+            for J in itertools.combinations(range(n), d + 1)
+            for t in range(d + 1)
+        ]))
+    return steps
+
+
+def _extend_wedge(step, wedge, vec):
+    """The wedge of the rows and vec, from the wedge of the rows and the
+    step of _wedge_steps at their depth."""
+    width, table = step
+    terms = [s * vec[j] * wedge[t] for j, t, s in table]
+    return [sum(terms[a:a + width]) for a in range(0, len(terms), width)]
+
+
+def _primitive(wedge):
+    """The nonzero wedge divided by its content, first nonzero entry
+    positive: the primitive Plücker vector of the saturated span."""
+    g = math.gcd(*wedge)
+    if next(x for x in wedge if x) < 0:
+        g = -g
+    return tuple(x // g for x in wedge)
+
+
+def _compound_terms(gram, k):
+    """The k-th compound C[I][J] = det gram[I, J] over the k-sets of
+    ``itertools.combinations``, as the nonzero terms (a, b, c) with a <= b
+    and off-diagonal entries doubled.  By Cauchy-Binet the disc of a
+    lattice with Plücker vector p is p C p = sum c * p[a] * p[b]."""
+    sets = list(itertools.combinations(range(len(gram)), k))
+    out = []
+    for a, rows in enumerate(sets):
+        for b in range(a, len(sets)):
+            c = exact.det_int([[gram[i][j] for j in sets[b]] for i in rows])
+            if c:
+                out.append((a, b, c if a == b else 2 * c))
+    return out
 
 
 def lines_with_disc(

@@ -145,6 +145,15 @@ def test_isotropy_diagonal(capsys):
     assert cli.main(["isotropy", "--p", "3"]) == 1
 
 
+@pytest.mark.parametrize("form", [["--diag", "1,1"], ["--Q", "sumsq:3", "--L", "1,0,0"]])
+def test_isotropy_refuses_pmax_below_two(capsys, form):
+    # no prime is at most 1, so the report would check nothing
+    assert cli.main(["isotropy", "--pmax", "1"] + form) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pmax must be >= 2" in captured.err
+
+
 def test_shapes(capsys):
     code, payload = _run(
         capsys, "shapes", "--Q", "sumsq:5", "--L", "1,1,0,0,0;0,1,1,0,1",

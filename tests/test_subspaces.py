@@ -2,9 +2,11 @@
 small closed-form counts, and against an independent box search."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latshape import exact, quadform
 from latshape import subspaces as sp
@@ -430,3 +432,140 @@ def test_full_rank_and_zero_rank():
     table = sp.enumerate_by_disc(q, 3, 5)
     assert table.get(2)[0].basis == tuple(tuple(r) for r in exact.identity(3))
     assert table.get(5) == ()
+
+
+# the vector DFS keys a k-tuple by the primitive Plücker vector of its span
+# and takes its disc by Cauchy-Binet; these properties pin both down
+
+
+def _wedge(rows):
+    """The wedge of the rows, grown row by row through the DFS's tables."""
+    wedge = [1]
+    for step, row in zip(sp._wedge_steps(len(rows[0]), len(rows)), rows):
+        wedge = sp._extend_wedge(step, wedge, row)
+    return wedge
+
+
+def _dfs_key(rows):
+    """The DFS's key of the rows, or None when their wedge is zero."""
+    wedge = _wedge(rows)
+    return sp._primitive(wedge) if any(wedge) else None
+
+
+@st.composite
+def integer_rows(draw, n=None):
+    n = draw(st.integers(2, 6)) if n is None else n
+    k = draw(st.integers(1, n))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=k, max_size=k))
+
+
+@st.composite
+def unimodular(draw, k):
+    u = exact.identity(k)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    if draw(st.booleans()) and k > 1:
+        u[0], u[1] = u[1], u[0]
+    return u
+
+
+@given(integer_rows())
+@settings(max_examples=200, deadline=None)
+def test_dfs_key_is_zero_exactly_on_dependent_rows(rows):
+    key = _dfs_key(rows)
+    assert (key is None) == (exact.rank_int(rows) < len(rows))
+    if key is not None:
+        q = quadform.QuadraticForm.sum_of_squares(len(rows[0]))
+        basis = quadform.Subspace.from_rows(q, rows).basis
+        # the saturated basis has the same primitive key and a content-1 wedge
+        assert _dfs_key(basis) == key
+        assert math.gcd(*_wedge(basis)) == 1
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_dfs_keys_agree_exactly_when_saturations_agree(data):
+    rows = data.draw(integer_rows())
+    n, k = len(rows[0]), len(rows)
+    assume(exact.rank_int(rows) == k)
+    q = quadform.QuadraticForm.sum_of_squares(n)
+    u = data.draw(unimodular(k))
+    a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k))
+    assume(exact.det_int(a))
+    i, j, delta = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1)), data.draw(st.integers(-2, 2))
+    nudged = [list(r) for r in rows]
+    nudged[i][j] += delta
+    key, basis = _dfs_key(rows), quadform.Subspace.from_rows(q, rows).basis
+    for other in (exact.mat_mul(u, rows), exact.mat_mul(a, rows), nudged):
+        if exact.rank_int(other) < k:
+            continue
+        other_basis = quadform.Subspace.from_rows(q, other).basis
+        assert (_dfs_key(other) == key) == (other_basis == basis)
+
+
+G5 = quadform.QuadraticForm(
+    [[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 3, 1], [1, 0, 0, 1, 4]]
+)
+
+
+@pytest.mark.parametrize("q", [A4, G5], ids=["A4", "G5"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cauchy_binet_disc_of_the_dfs_key(q, data):
+    rows = data.draw(integer_rows(q.n))
+    assume(exact.rank_int(rows) == len(rows))
+    p = _dfs_key(rows)
+    pcp = sum(c * p[a] * p[b] for a, b, c in sp._compound_terms(q.gram, len(rows)))
+    assert pcp == quadform.disc(q, quadform.Subspace.from_rows(q, rows))
+
+
+def test_dfs_saturates_each_subspace_once(monkeypatch):
+    # the Plücker dedupe runs before saturation: one from_rows per result
+    calls = []
+    from_rows = quadform.Subspace.from_rows
+
+    def counted(cls, form, rows):
+        calls.append(rows)
+        return from_rows(form, rows)
+
+    monkeypatch.setattr(quadform.Subspace, "from_rows", classmethod(counted))
+    table = sp.enumerate_by_disc(A4, 2, 20)
+    found = sum(table.counts().values())
+    assert found > 0
+    assert len(calls) == found
+
+
+def _permuted_a4():
+    # the seeded signed permutation of A4 in the acceptance tests
+    a4 = A4.gram
+    rng = random.Random(7)
+    perm = rng.sample(range(4), 4)
+    signs = [rng.choice((1, -1)) for _ in range(4)]
+    return quadform.QuadraticForm(
+        [[signs[i] * signs[j] * a4[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
+    )
+
+
+A4_PERMUTED = _permuted_a4()
+
+
+# the DFS on Z^5 at k = 4 walks 4-tuples under a norm-product bound of
+# (4/3)^6 D, about 1 s at D = 2 and over a minute at D = 8
+@pytest.mark.parametrize("q, k, top", [
+    pytest.param(Q0_5, 2, 8, id="sumsq5-k2"),
+    pytest.param(Q0_5, 3, 8, id="sumsq5-k3"),
+    pytest.param(Q0_5, 4, 2, id="sumsq5-k4"),
+    pytest.param(A4_PERMUTED, 2, 8, id="permuted-a4-k2"),
+    pytest.param(A4_PERMUTED, 3, 8, id="permuted-a4-k3"),
+    pytest.param(A4_PERMUTED, 4, 8, id="permuted-a4-k4"),
+])
+def test_vector_search_matches_recursion_at_every_wedge_depth(q, k, top):
+    brute = sp.enumerate_by_disc(q, k, top)
+    assert brute == sp.recursion_table(q, k, top)
+    assert sum(brute.counts().values()) > 0
