@@ -490,15 +490,6 @@ def quotient_invariants(sub, sup):
     return d
 
 
-def lattice_index(sub, sup):
-    """Index [sup : sub] of one full-rank lattice in another."""
-    d = quotient_invariants(sub, sup)
-    out = 1
-    for x in d:
-        out *= x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical rational lattice bases
 

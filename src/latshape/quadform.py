@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import exact
@@ -281,8 +281,8 @@ def lattice_intersect_subspace(lat: Lattice, L: Subspace) -> Lattice:
     ker = exact.kernel_basis(exact.mat_copy(L.basis))
     if not ker:
         return lat
-    prod = exact.mat_mul(irows, exact.transpose(ker))
-    coeffs = exact.kernel_basis(exact.transpose(prod))
+    dots = exact.mat_mul(irows, exact.transpose(ker))
+    coeffs = exact.kernel_basis(exact.transpose(dots))
     if not coeffs:
         return Lattice.from_rows(lat.n, [])
     inter = exact.mat_mul(coeffs, irows)
@@ -292,11 +292,13 @@ def lattice_intersect_subspace(lat: Lattice, L: Subspace) -> Lattice:
 
 
 def index_iL(q: QuadraticForm, L: Subspace) -> int:
-    """[L ∩ (Z^n)^# : L(Z)], the denominator index of L in the dual."""
-    t = lattice_intersect_subspace(standard_dual(q), L)
-    if L.k == 0:
-        return 1
-    return exact.lattice_index(exact.mat_copy(L.basis), exact.mat_copy(t.basis))
+    """[L ∩ (Z^n)^# : L(Z)], the denominator index of L in the dual.
+
+    With B the basis of L(Z), c B lies in (Z^n)^# exactly when c B M is
+    integral, so B M presents the quotient and i(L) is the product of its
+    invariant factors: one Smith form over the integers.
+    """
+    return prod(exact.invariant_factors(exact.mat_mul(L.basis, q.gram)))
 
 
 def local_disc(q: QuadraticForm, L: Subspace, p: int):

@@ -1,18 +1,18 @@
 """Enumeration of rational subspaces with a fixed discriminant.
 
 * recursion_table: Schmidt's hyperplane recursion (Monatsh. Math. 125,
-  1998) for any positive definite integral form, behind the CLI and the
-  experiments for k >= 2; schmidt_table runs it on the identity;
-* lines_with_disc: the lines of one discriminant, from the fixed-norm shell;
+  1998) for any positive definite integral form, behind the CLI's
+  ``--dmax``; schmidt_table runs it on the identity;
 * disc_buckets: the subspaces of each discriminant in a list, behind the
-  CLI's ``--disc`` and the experiments: the lines of each D from its shell,
-  or the recursion with its rank-k row walked only at the requested D.
-  Over one lbar the disc is a positive definite form in the lift, so the L
-  of those D are one multi-norm shell of it (Fincke-Pohst, Math. Comp. 44,
-  1985) in place of the ball; the lbar tables of lower rank stay full;
+  CLI's ``--disc`` and the experiments, at every rank: the recursion with
+  its rank-k row walked only at the requested D, never at the norms below
+  them.  Over one lbar the disc is a positive definite form in the lift,
+  so the L of those D are one multi-norm shell of it (Fincke-Pohst, Math.
+  Comp. 44, 1985) in place of the ball; the lbar tables of lower rank stay
+  full, and for lines they hold only the zero subspace;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
-  For 2 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
+  For 1 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
   by the primitive Plücker vector p of its saturated span and takes the
   disc as p C p with C the k-th compound of the Gram (Cauchy-Binet), so
   it saturates each subspace once.  The recursion uses neither, so the two
@@ -116,13 +116,14 @@ def enumerate_by_disc(
 ) -> DiscClassTable:
     """All of H^{n,k}_q(D) for every D <= max_disc, in one vector sweep.
 
-    For 2 <= k < n a DFS over tuples of short vectors, pruned by the
+    For 1 <= k < n a DFS over tuples of short vectors, pruned by the
     Minkowski norm product, carries the wedge of the rows: a zero wedge
     means a dependent row.  A full tuple's wedge over its content, signed
     so its first nonzero entry is positive, is the primitive Plücker vector
     p of L(Z), so p is the dedupe key and disc_q(L) = p C p (Cauchy-Binet,
     C the k-th compound of the Gram); only a new p of disc <= max_disc is
-    saturated by Subspace.from_rows.
+    saturated by Subspace.from_rows.  At k = 1 the wedge is the vector
+    itself and C the Gram; at k = n the one subspace is the whole space.
     """
     n = q.n
     if not 1 <= k <= n:
@@ -131,14 +132,7 @@ def enumerate_by_disc(
         raise ValueError("max_disc must be >= 1")
     buckets: Dict[int, List[quadform.Subspace]] = {}
 
-    if k == 1:
-        cands = kernel.short_vectors(q.gram, max_disc)
-        _check_candidates(len(cands), max_candidates)
-        for norm, vec in cands:
-            if math.gcd(*vec) == 1:
-                sub = quadform.Subspace.from_rows(q, [list(vec)])
-                buckets.setdefault(norm, []).append(sub)
-    elif k == n:
+    if k == n:
         if max_disc >= q.disc():
             full = quadform.Subspace.from_rows(q, exact.identity(n))
             buckets.setdefault(q.disc(), []).append(full)
@@ -233,27 +227,6 @@ def _compound_terms(gram, k):
             c = exact.det_int([[gram[i][j] for j in sets[b]] for i in rows])
             if c:
                 out.append((a, b, c if a == b else 2 * c))
-    return out
-
-
-def lines_with_disc(
-    q: quadform.QuadraticForm,
-    disc: int,
-    max_candidates: Optional[int] = None,
-) -> List[quadform.Subspace]:
-    """H^{n,1}_q(disc) from the fixed-norm shell only.
-
-    Unlike enumerate_by_disc this never walks norms below disc, so it
-    stays cheap for a single large discriminant.
-    """
-    if disc < 1:
-        raise ValueError("disc must be >= 1")
-    shell = kernel.vectors_with_norm(q.gram, disc)
-    _check_candidates(len(shell), max_candidates)
-    out = [
-        quadform.Subspace.from_saturated_rows(q, [v]) for v in shell if math.gcd(*v) == 1
-    ]
-    out.sort(key=lambda s: s.basis)
     return out
 
 
@@ -431,9 +404,10 @@ def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
     return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
 
 
-# disc_buckets walks the rank-k row only at the requested D, but the lbar
-# tables below it hold every discriminant up to about max(discs), so keep
-# desk-scale requests honest
+# disc_buckets walks the rank-k row only at the requested D, but for k >= 2
+# the lbar tables below it hold every discriminant up to about max(discs),
+# so keep desk-scale requests honest; for lines they hold only the zero
+# subspace
 MAX_SWEEP_DISC = 150
 
 
@@ -444,17 +418,18 @@ def disc_buckets(
     max_candidates: Optional[int] = None,
 ) -> Dict[int, Tuple[quadform.Subspace, ...]]:
     """H^{n,k}_q(D) for each D in ``discs``, the one front door for a list
-    of discriminants: the lines of each D from its shell when k = 1, else
-    the hyperplane recursion with its rank-k row walked only at the D in
-    ``discs`` (one shell walk of the Schur complement per lbar).  Raises
+    of discriminants at every rank: the hyperplane recursion with its
+    rank-k row walked only at the D in ``discs`` (one shell walk of the
+    Schur complement per lbar), never at the norms below them.  Raises
+    ``ValueError`` on an empty list or a D < 1, and for k >= 2
     ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC, which
     bounds the full lbar tables below the rank-k row."""
     if not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
-    if k == 1:
-        return {d: tuple(lines_with_disc(q, d, max_candidates)) for d in discs}
+    if not discs or min(discs) < 1:
+        raise ValueError("need a nonempty list of discriminants >= 1, got %s" % list(discs))
     top = max(discs)
-    if top > MAX_SWEEP_DISC:
+    if k >= 2 and top > MAX_SWEEP_DISC:
         raise BoundExceededError(
             "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
             % (top, MAX_SWEEP_DISC)

@@ -112,6 +112,41 @@ def test_enumerate_one_disc_honours_the_sweep_guard(capsys):
     assert "sweeps all discriminants up to %d" % disc in captured.err
 
 
+def test_enumerate_lines_honour_the_candidate_cap(capsys):
+    # the recursion walks one vector per line of norm 10009 in Z^3, 576 in
+    # all, and counts them against the cap
+    argv = ["enumerate", "--Q", "sumsq:3", "--k", "1", "--disc", "10009", "--max-candidates"]
+    assert cli.main(argv + ["575"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "candidate bound exceeded" in captured.err
+    code, payload = _run(capsys, *argv, "576")
+    assert code == 0 and len(payload) == 576
+
+
+def test_enumerate_lines_skip_the_sweep_guard(capsys):
+    # lines have no lbar tables to sweep, so the guard applies only at k >= 2
+    disc = subspaces.MAX_SWEEP_DISC + 1
+    for spec, n in (("sumsq:3", 3), ("sumsq:4", 4)):
+        code, payload = _run(capsys, "enumerate", "--Q", spec, "--k", "1", "--disc", str(disc))
+        assert code == 0
+        q = quadform.QuadraticForm.sum_of_squares(n)
+        expected = subspaces.recursion_table(q, 1, disc).get(disc)
+        assert [row["basis"] for row in payload] == [
+            [list(r) for r in s.basis] for s in expected
+        ]
+    # 151 = 7 mod 8 is no sum of three squares, but Z^4 has lines there
+    assert len(payload) > 0
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_enumerate_refuses_a_disc_below_one(capsys, k):
+    assert cli.main(["enumerate", "--Q", "sumsq:4", "--k", k, "--disc", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "discriminants >= 1, got [0]" in captured.err
+
+
 def test_invariants(capsys):
     code, payload = _run(capsys, "invariants", "--Q", "sumsq:3", "--L", "1,1,1")
     assert code == 0
@@ -195,7 +230,7 @@ def test_basis_rows_of_the_wrong_length_are_refused(capsys, argv):
 
 
 def test_enumerate_refuses_a_rank_above_n_on_the_line_path(capsys):
-    # the k = 1 shell path listed no lines of a 0-dimensional form and exited 0
+    # a 0-dimensional form has no lines to list; the rank check refuses it
     assert cli.main(["enumerate", "--Q", "sumsq:0", "--k", "1", "--disc", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -261,10 +261,6 @@ def test_quotient_invariants_rational_lattices():
     assert exact.quotient_invariants(sub, sup) == [5, 5]
 
 
-def test_lattice_index():
-    assert exact.lattice_index([[3, 0], [0, 2]], exact.identity(2)) == 6
-
-
 # ---------------------------------------------------------------------------
 # completion / solving
 

@@ -137,7 +137,7 @@ def test_run_experiment_counts_and_verdicts(tmp_path):
     cfg = ex.ExperimentConfig(form=q, k=1, discs=(5, 7, 11), out_path=str(out))
     _, report = ex.run_experiment(cfg)
     by_disc = {sec["disc"]: sec for sec in report["per_disc"]}
-    assert by_disc[5]["count"] == len(subspaces.lines_with_disc(q, 5))
+    assert by_disc[5]["count"] == len(subspaces.enumerate_by_disc(q, 1, 5).get(5))
     assert by_disc[7]["count"] == 0
     assert by_disc[7]["verdict"] == "empty"
     assert all(sec["consistent"] for sec in report["per_disc"])

@@ -4,12 +4,13 @@ Frozen values come from hand Gram arithmetic and from the exhaustive
 box-search oracle for integral special orthogonal groups embedded below.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latshape import exact
 from latshape import quadform as qf
@@ -238,7 +239,7 @@ def test_lambda_no_complement_case():
     _assert_lambda_identities(q, L, lam)
     # commensurability: [Z^n : lam ∩ Z^n] <= disc of the form
     sub = _integral_part(lam)
-    assert exact.lattice_index(sub, exact.identity(2)) <= q.disc()
+    assert math.prod(exact.quotient_invariants(sub, exact.identity(2))) <= q.disc()
 
 
 def test_lambda_complement_found_despite_overlap():
@@ -450,8 +451,9 @@ def _orbit_buckets():
     table = subspaces.schmidt_table(4, 2, 30)
     for d in range(1, 31):
         yield q4, table.get(d)
+    lines = subspaces.disc_buckets(Q0_3, 1, (5, 9, 14, 25, 50))
     for d in (5, 9, 14, 25, 50):
-        yield Q0_3, subspaces.lines_with_disc(Q0_3, d)
+        yield Q0_3, lines[d]
     for k in (1, 2):
         table = subspaces.enumerate_by_disc(Q112, k, 30)
         for d in range(1, 31):
@@ -609,6 +611,33 @@ def _vp_int(m, p):
         m //= p
         v += 1
     return v
+
+
+INDEX_FORMS = FORMS + [
+    qf.QuadraticForm.diagonal([1, 4]),
+    qf.QuadraticForm.diagonal([2, 6, 3, 1]),
+    qf.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]),
+    qf.QuadraticForm([[4, 2, 1, 0], [2, 6, 0, 1], [1, 0, 8, 3], [0, 1, 3, 10]]),
+]
+
+
+@st.composite
+def subspace_of_any_rank(draw):
+    q = draw(st.sampled_from(INDEX_FORMS))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=q.n, max_size=q.n)
+    rows = draw(st.lists(row, max_size=q.n))
+    assume(exact.rank_int(rows) == len(rows))
+    return q, qf.Subspace.from_rows(q, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_of_any_rank())
+def test_index_iL_matches_the_rational_intersection(data):
+    # one Smith form of B M against the index of L(Z) in the rational
+    # lattice L ∩ (Z^n)^# that Λ_L and τ are built from
+    q, L = data
+    t = qf.lattice_intersect_subspace(qf.standard_dual(q), L)
+    assert qf.index_iL(q, L) == math.prod(exact.quotient_invariants(L.basis, t.basis))
 
 
 @settings(max_examples=100, deadline=None)

@@ -358,6 +358,9 @@ TARGETED_CASES = [
     (A4, 3, (16, 1, 4, 14)),
     (D112, 2, (14, 11)),
     (D112, 3, (2, 1)),
+    (Q0_3, 1, (9, 25, 50, 1)),
+    (D112, 1, (2, 18, 11)),
+    (A4, 1, (2, 20, 50)),
 ]
 
 
@@ -374,19 +377,29 @@ def test_disc_buckets_equal_the_full_table(q, k, discs):
 
 def test_disc_buckets_hold_empty_and_nonempty_discs():
     # the equalities above are not vacuous; H^{4,2}(D) is empty for
-    # D = 7, 12, 15 mod 16
+    # D = 7, 12, 15 mod 16 and H^{3,1}(D) for D = 0, 4, 7 mod 8
     for q, k, discs, sizes in [
         (Q0_4, 2, (7, 12, 15), [0, 0, 0]),
         (Q0_4, 2, (41, 17, 25), [1536, 384, 144]),
         (A4, 2, (20, 7, 13, 5), [75, 30, 0, 0]),
         (A4, 3, (16, 1, 4, 14), [20, 0, 5, 30]),
+        (Q0_3, 1, (9, 25, 50, 1), [12, 12, 36, 3]),
+        (Q0_3, 1, (7, 28), [0, 0]),
+        (A4, 1, (2, 20, 50), [10, 65, 300]),
     ]:
         buckets = sp.disc_buckets(q, k, discs)
         assert [len(buckets[d]) for d in discs] == sizes
 
 
 @pytest.mark.parametrize(
-    "q, k, discs", [(Q0_3, 2, (14, 1, 9, 5)), (D112, 2, (14, 11)), (A4, 2, (20, 7, 13, 5))]
+    "q, k, discs", [
+        (Q0_3, 2, (14, 1, 9, 5)),
+        (D112, 2, (14, 11)),
+        (A4, 2, (20, 7, 13, 5)),
+        (Q0_3, 1, (9, 25, 50, 1)),
+        (D112, 1, (2, 18, 11)),
+        (A4, 1, (2, 20, 50)),
+    ]
 )
 def test_disc_buckets_match_the_vector_search(q, k, discs):
     buckets = sp.disc_buckets(q, k, discs)
@@ -416,13 +429,23 @@ def test_enumerator_argument_validation():
         sp.schmidt_table(3, 4, 5)
     with pytest.raises(ValueError):
         sp.schmidt_table(3, 1, 0)
-    # the k = 1 shell path of disc_buckets checks the rank like the recursion
+    # disc_buckets checks the rank at k = 1 as at every other rank
     with pytest.raises(ValueError, match="need 1 <= k <= n"):
         sp.disc_buckets(quadform.QuadraticForm.sum_of_squares(0), 1, [1])
     with pytest.raises(ValueError):
         sp.schmidt_decompose(quadform.Subspace.from_rows(
             quadform.QuadraticForm.diagonal([1, 1, 3]), [[1, 0, 0]]
         ))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_disc_buckets_refuse_an_empty_list_and_a_disc_below_one(k):
+    # the same refusal, naming the input, at every rank
+    with pytest.raises(ValueError, match=r"discriminants >= 1, got \[\]"):
+        sp.disc_buckets(Q0_4, k, [])
+    for discs in ([0, 5], [5, -3]):
+        with pytest.raises(ValueError, match=r"got \[%d, %d\]" % tuple(discs)):
+            sp.disc_buckets(Q0_4, k, discs)
 
 
 def test_full_rank_and_zero_rank():
@@ -558,9 +581,11 @@ A4_PERMUTED = _permuted_a4()
 # the DFS on Z^5 at k = 4 walks 4-tuples under a norm-product bound of
 # (4/3)^6 D, about 1 s at D = 2 and over a minute at D = 8
 @pytest.mark.parametrize("q, k, top", [
+    pytest.param(Q0_5, 1, 8, id="sumsq5-k1"),
     pytest.param(Q0_5, 2, 8, id="sumsq5-k2"),
     pytest.param(Q0_5, 3, 8, id="sumsq5-k3"),
     pytest.param(Q0_5, 4, 2, id="sumsq5-k4"),
+    pytest.param(A4_PERMUTED, 1, 8, id="permuted-a4-k1"),
     pytest.param(A4_PERMUTED, 2, 8, id="permuted-a4-k2"),
     pytest.param(A4_PERMUTED, 3, 8, id="permuted-a4-k3"),
     pytest.param(A4_PERMUTED, 4, 8, id="permuted-a4-k4"),
