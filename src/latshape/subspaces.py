@@ -95,9 +95,7 @@ class DiscClassTable:
 def _check_candidates(count: int, max_candidates: Optional[int]) -> None:
     cap = DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
     if count > cap:
-        raise BoundExceededError(
-            "candidate bound exceeded: %d vectors (cap %d)" % (count, cap)
-        )
+        raise BoundExceededError("candidate bound exceeded: %d vectors (cap %d)" % (count, cap))
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
@@ -436,6 +434,10 @@ def disc_buckets(
         )
     row = _recursion(q, k, top, frozenset(discs), max_candidates)
     return {d: row.get(d, ()) for d in discs}
+
+
+def lines_with_disc(q, disc, max_candidates=None):  # a name perfbench's tracer still lists
+    return list(disc_buckets(q, 1, [disc], max_candidates)[disc])
 
 
 def nonempty_criterion(n: int, k: int, D: int) -> Verdict:

@@ -448,6 +448,21 @@ def test_disc_buckets_refuse_an_empty_list_and_a_disc_below_one(k):
             sp.disc_buckets(Q0_4, k, discs)
 
 
+def test_disc_buckets_cap_counts_the_walks_of_all_discs():
+    # one cap over all walks at every rank: at k = 1 on Z^3 the shells of
+    # 10009 and 100003 hold 576 and 468 vectors up to sign, all primitive,
+    # so a cap that covers the larger shell alone trips on both discs
+    for d, shell in ((10009, 576), (100003, 468)):
+        assert len(sp.disc_buckets(Q0_3, 1, [d], max_candidates=shell)[d]) == shell
+        with pytest.raises(sp.BoundExceededError):
+            sp.disc_buckets(Q0_3, 1, [d], max_candidates=shell - 1)
+    for cap in (576, 1043):
+        with pytest.raises(sp.BoundExceededError):
+            sp.disc_buckets(Q0_3, 1, [10009, 100003], max_candidates=cap)
+    both = sp.disc_buckets(Q0_3, 1, [10009, 100003], max_candidates=1044)
+    assert sp.lines_with_disc(Q0_3, 10009) == list(both[10009])
+
+
 def test_full_rank_and_zero_rank():
     full = sp.enumerate_by_disc(Q0_3, 3, 1).get(1)
     assert len(full) == 1 and full[0].k == 3
