@@ -36,7 +36,7 @@ from . import kernel
 
 
 def _freeze(rows):
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,22 @@ class Subspace:
 
     @classmethod
     def from_saturated_rows(cls, form: QuadraticForm, rows) -> "Subspace":
-        """Cheap constructor for integer rows already known to be a basis of
-        span ∩ Z^n; only canonicalizes.  HNF uniqueness makes the result
-        identical to ``from_rows`` whenever the assumption holds."""
-        canon = exact.hnf_basis([list(r) for r in rows]) if rows else []
-        if len(canon) != len(rows):
-            raise ValueError("rows are linearly dependent")
-        return cls(form, _freeze(canon))
+        """Cheap constructor for the hyperplane recursion's rows, a basis of
+        span ∩ Z^n in which rows[1:] is an HNF basis with a zero first
+        column and rows[0] has a positive first entry.  The HNF rows with a
+        pivot past column 0 are the HNF basis of the lattice's meet with
+        x_0 = 0, which is rows[1:], so the HNF basis is rows[0] reduced at
+        their pivots on top of them: one row operation per row, no gcd
+        loop.  HNF uniqueness makes the result identical to ``from_rows``
+        whenever the rows are saturated."""
+        top, *rest = rows
+        top = list(top)
+        for r in rest:
+            p = next(filter(None, r))  # the pivot: the row's first nonzero entry
+            t = top[r.index(p)] // p
+            if t:
+                top = [a - t * b for a, b in zip(top, r)]
+        return cls(form, (tuple(top),) + _freeze(rest))
 
     @property
     def k(self) -> int:

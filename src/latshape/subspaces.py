@@ -2,7 +2,9 @@
 
 * recursion_table: Schmidt's hyperplane recursion (Monatsh. Math. 125,
   1998) for any positive definite integral form, behind the CLI's
-  ``--dmax``; schmidt_table runs it on the identity;
+  ``--dmax``; schmidt_table runs it on the identity.  It splits along the
+  leading coordinate: level m works on the trailing m x m block of the
+  Gram and lifts each lbar inside x_{n-m} = 0;
 * disc_buckets: the subspaces of each discriminant in a list, behind the
   CLI's ``--disc`` and the experiments, at every rank: the recursion with
   its rank-k row walked only at the requested D, never at the norms below
@@ -19,9 +21,13 @@
   share only Subspace and the HNF.
 
 Every subspace is stored, deduplicated and sorted by the HNF basis of
-L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z), so it
-canonicalises with Subspace.from_saturated_rows; it meets each subspace
-exactly once and keeps no dedupe.
+L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z): lbar's
+HNF basis with a zero column prepended, which is the HNF basis of L(Z) ∩
+{x_0 = 0}, under a lift (h, u) with h > 0.  So Subspace.from_saturated_rows
+canonicalises with one row reduction per row of lbar; the recursion meets
+each subspace exactly once and keeps no dedupe.  The paper-facing Schmidt
+triple (schmidt_decompose, schmidt_compose) still splits along the last
+coordinate.
 """
 
 from __future__ import annotations
@@ -312,12 +318,13 @@ def recursion_table(
 ) -> DiscClassTable:
     """H^{n,k}_q(D) for every D <= max_disc, by the hyperplane recursion.
 
-    Row m holds H^{m,j}(D) over the leading block M_m of the Gram for each
-    j that H^{n,k} needs: H^{m-1,j} inside x_m = 0, and _lifts_over each
-    lbar in H^{m-1,j-1} of disc D' <= cap det M_{m-1} / det M_m.  The cap
-    is max_disc on the rank-k row at every level and caps[m] on the lbar
-    rows below it.  All walks count against ``max_candidates``.  The
-    entries with D <= D' are the table up to D'.
+    Row m holds H^{m,j}(D) over the trailing block M_m of the Gram, on the
+    coordinates x_{n-m}, ..., x_{n-1}, for each j that H^{n,k} needs:
+    H^{m-1,j} inside x_{n-m} = 0, and _lifts_over each lbar in H^{m-1,j-1}
+    of disc D' <= cap det M_{m-1} / det M_m.  The cap is max_disc on the
+    rank-k row at every level and caps[m] on the lbar rows below it.  All
+    walks count against ``max_candidates``.  The entries with D <= D' are
+    the table up to D'.
     """
     return DiscClassTable(_recursion(q, k, max_disc, None, max_candidates))
 
@@ -326,22 +333,23 @@ def _recursion(q, k, max_disc, targets, max_candidates):
     """The rank-k row of the recursion, D -> sorted tuple: every D <=
     max_disc when ``targets`` is None, else only the D in ``targets``
     (max_disc = max(targets)).  The rank-k row is needed only at those D
-    at every level, since a subspace inside x_m = 0 has the same disc under
-    M_m as under M_{m-1}; the rows of rank < k are the lbar tables and stay
-    full up to caps[m].
+    at every level, since a subspace inside x_{n-m} = 0 has the same disc
+    under M_m as under M_{m-1}; the rows of rank < k are the lbar tables
+    and stay full up to caps[m].
     """
     n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if max_disc < 1:
         raise ValueError("max_disc must be >= 1")
-    dets = [1] + exact.ldl_int(q.gram)[1]
+    # the trailing principal minors: the leading ones of the reversed Gram
+    dets = [1] + exact.ldl_int([r[::-1] for r in q.gram[::-1]])[1]
     caps = [max_disc] * (n + 1)
     for m in range(n, 1, -1):
         caps[m - 1] = max(caps[m], caps[m] * dets[m - 1] // dets[m])
     spent, row = 0, {}
     for m in range(1, n + 1):
-        qm = quadform.QuadraticForm([r[:m] for r in q.gram[:m]])
+        qm = quadform.QuadraticForm([r[n - m:] for r in q.gram[n - m:]])
         lower, row = row, {}
         for j in range(max(0, k - (n - m)), min(k, m) + 1):
             norms = targets if j == k else None
@@ -353,8 +361,8 @@ def _recursion(q, k, max_disc, targets, max_candidates):
                 full = quadform.Subspace.from_rows(qm, exact.identity(m))
                 row[j] = {dets[m]: [full]} if dets[m] in keep else {}
             else:
-                # an HNF basis with a zero column appended is still one
-                row[j] = {d: [quadform.Subspace(qm, tuple(r + (0,) for r in s.basis))
+                # an HNF basis with a zero column prepended is still one
+                row[j] = {d: [quadform.Subspace(qm, tuple((0,) + r for r in s.basis))
                               for s in subs] for d, subs in lower[j].items() if d in keep}
                 for dprime, lbars in lower[j - 1].items():
                     if dprime * dets[m] <= cap * dets[m - 1]:
@@ -366,17 +374,17 @@ def _recursion(q, k, max_disc, targets, max_candidates):
 
 def _lifts_over(q, lbar, cap, norms, out):
     """Append to ``out`` (D -> list) each L of disc D <= cap, or of disc D
-    in ``norms`` when given, that meets x_m = 0 in lbar; return the number
+    in ``norms`` when given, that meets x_0 = 0 in lbar; return the number
     of candidates walked.  L(Z) is lbar(Z) + Z x for a unique primitive
-    class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis [lifts; e_m],
+    class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis [lifts; e_0],
     and its disc is a positive definite form in x: det G times the Schur
-    complement of G = B M B^T in the Gram of [B; lifts; e_m].  So the L of
+    complement of G = B M B^T in the Gram of [B; lifts; e_0].  So the L of
     the given discs are one walk of that form's shells.
     """
     m, j = q.n, lbar.k
-    head = [list(r) + [0] for r in lbar.basis]
+    head = [(0,) + r for r in lbar.basis]
     _, lifts = _projection_data(lbar)
-    gram = quadform.gram_restriction(q, head + [r + [0] for r in lifts] + [[0] * (m - 1) + [1]])
+    gram = quadform.gram_restriction(q, head + [[0] + r for r in lifts] + [[1] + [0] * (m - 1)])
     schur = [r[j:] for r in exact.bareiss(gram, j)[j:]]
     if norms is None:
         sols = kernel.short_vectors(schur, cap, last_positive=True)
@@ -389,9 +397,9 @@ def _lifts_over(q, lbar, cap, norms, out):
             lifted[c] = (math.gcd(*c), exact.vec_mat(c, lifts))
         content, u = lifted[c]
         if math.gcd(h, content) == 1:
-            # rows are a basis of L(Z): the last coordinate maps L(Z) onto
-            # hZ with kernel lbar(Z), and coprimality blocks any index drop
-            sub = quadform.Subspace.from_saturated_rows(q, head + [u + [h]])
+            # rows are a basis of L(Z): x_0 maps L(Z) onto hZ with kernel
+            # lbar(Z), and coprimality blocks any index drop
+            sub = quadform.Subspace.from_saturated_rows(q, [[h] + u] + head)
             out.setdefault(d, []).append(sub)
     return len(sols)
 

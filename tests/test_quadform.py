@@ -549,6 +549,30 @@ def test_subspace_refuses_rows_of_the_wrong_length():
             qf.Subspace.from_rows(Q0_3, rows)
 
 
+@st.composite
+def recursion_rows(draw):
+    """A row with a positive first entry over an HNF basis with a zero
+    first column, drawn independently of each other."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n - 1, max_size=n - 1), max_size=n - 1))
+    basis = [[0] + r for r in exact.hnf_basis(rows)]
+    top = [draw(st.integers(1, 8))] + draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+    return [top] + basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(recursion_rows())
+def test_from_saturated_rows_is_one_row_reduction(rows):
+    # the row reduced at the basis's pivots on top of the basis is the HNF,
+    # saturated or not, and equals from_rows on saturated rows
+    q = qf.QuadraticForm.sum_of_squares(len(rows[0]))
+    sub = qf.Subspace.from_saturated_rows(q, rows)
+    assert [list(r) for r in sub.basis] == exact.hnf_basis(rows)
+    if exact.saturate(rows) == exact.hnf_basis(rows):
+        assert sub == qf.Subspace.from_rows(q, rows)
+
+
 # ---------------------------------------------------------------------------
 # property tests over random subspaces
 

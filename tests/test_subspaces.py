@@ -323,13 +323,21 @@ def test_candidate_cap():
     assert sp.recursion_table(Q0_4, 2, 20, max_candidates=10**6)
 
 
+G1 = quadform.QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 2], [0, 0, 2, 1]])
+G2 = quadform.QuadraticForm([[3, 1, 1, 0], [1, 2, 1, 1], [1, 1, 2, 1], [0, 1, 1, 1]])
+
+
+def _mirrored(gram):
+    """J G J with J the reversal of the coordinates."""
+    return [list(r[::-1]) for r in gram[::-1]]
+
+
 def test_full_table_walks_the_rank_k_row_only_to_max_disc():
-    # the leading minors of both Grams drop (det M_3 > det M_4), so the lbar
-    # rows run past max_disc; a rank-2 subspace inside x_4 = 0 keeps its
-    # disc, so the rank-2 row stops at max_disc at every level.  Walking it
-    # to the lbar cap took 30,133 and 32,546 candidates.
-    g1 = quadform.QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 2], [0, 0, 2, 1]])
-    g2 = quadform.QuadraticForm([[3, 1, 1, 0], [1, 2, 1, 1], [1, 1, 2, 1], [0, 1, 1, 1]])
+    # the trailing minors of both Grams drop (det M_3 > det M_4), so the
+    # lbar rows run past max_disc; a rank-2 subspace inside x_0 = 0 keeps
+    # its disc, so the rank-2 row stops at max_disc at every level.  Walking
+    # it to the lbar cap took 30,133 and 32,546 candidates.
+    g1, g2 = (quadform.QuadraticForm(_mirrored(g.gram)) for g in (G1, G2))
     table = sp.recursion_table(g1, 2, 60, max_candidates=28155)
     assert sp.recursion_table(g2, 2, 60, max_candidates=30106)
     with pytest.raises(sp.BoundExceededError):
@@ -342,6 +350,23 @@ def test_full_table_walks_the_rank_k_row_only_to_max_disc():
 
 A4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
 D112 = quadform.QuadraticForm.diagonal([1, 1, 2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("gram", [
+    G1.gram, G2.gram, A4.gram, [[3, 1, 0, 1], [1, 4, 1, 0], [0, 1, 2, 1], [1, 0, 1, 5]],
+], ids=["g1", "g2", "A4", "G"])
+def test_recursion_is_mirror_equivariant(gram, k):
+    # J maps H^{n,k}_G(D) onto H^{n,k}_{JGJ}(D); the two sides walk the
+    # trailing blocks of different Grams, so each checks the other
+    q, mirror = quadform.QuadraticForm(gram), quadform.QuadraticForm(_mirrored(gram))
+    table = sp.recursion_table(q, k, 25)
+    flipped = {d: tuple(sorted(
+        (quadform.Subspace.from_rows(mirror, [r[::-1] for r in s.basis]) for s in subs),
+        key=lambda s: s.basis)) for d, subs in table.table.items()}
+    assert flipped == sp.recursion_table(mirror, k, 25).table
+    assert sum(map(len, flipped.values())) > 0
+
 
 # (form, k, discs): lists unsorted, a single D, D = 1 and empty buckets
 TARGETED_CASES = [
