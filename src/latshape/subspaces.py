@@ -11,7 +11,11 @@
   them.  Over one lbar the disc is a positive definite form in the lift,
   so the L of those D are one multi-norm shell of it (Fincke-Pohst, Math.
   Comp. 44, 1985) in place of the ball; the lbar tables of lower rank stay
-  full, and for lines they hold only the zero subspace;
+  full, and for lines they hold only the zero subspace.  Planes of Z^4
+  take the pairs route instead, at any D: SO(4) -> SO(3) x SO(3) splits a
+  Plücker vector into two norm-D vectors of Z^3 (Aka-Einsiedler-Wieser,
+  arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells, and
+  MAX_SWEEP_DISC bounds only the recursion;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
   For 1 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
@@ -410,11 +414,46 @@ def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
     return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
 
 
-# disc_buckets walks the rank-k row only at the requested D, but for k >= 2
+# the recursion walks the rank-k row only at the requested D, but for k >= 2
 # the lbar tables below it hold every discriminant up to about max(discs),
 # so keep desk-scale requests honest; for lines they hold only the zero
-# subspace
+# subspace.  The guard bounds only the recursion: planes of Z^4 come from
+# pairs of Z^3 shells and take no guard
 MAX_SWEEP_DISC = 150
+
+
+def _planes_from_pairs(q, discs, max_candidates):
+    """H^{4,2}(D) over the sum of squares for each D in ``discs``, from
+    pairs of Z^3 shells.  A plane's primitive Plücker vector p splits into
+    a = (p12+p34, p13-p24, p14+p23) and b = (p12-p34, p13+p24, p14-p23),
+    and the Plücker relation is |a|^2 = |b|^2, so |a|^2 = |b|^2 = D.  Each
+    pair of norm-D vectors with a = b (mod 2) and a primitive p is one
+    plane, met once when a runs over the half-shell (p and -p give the same
+    plane).  p primitive means the columns of a basis generate Z^2, so the
+    rows of p's antisymmetric matrix span L(Z) and their HNF is its basis.
+    The half-shells and every pair count against ``max_candidates``."""
+    shells = {}
+    for d, a in kernel.vectors_with_norms(exact.identity(3), discs):
+        shells.setdefault(d, {}).setdefault(tuple(x & 1 for x in a), []).append(a)
+    _check_candidates(sum(len(half) * (1 + 2 * len(half))
+                          for classes in shells.values() for half in classes.values()),
+                      max_candidates)
+    out = {}
+    for d, classes in shells.items():
+        planes = []
+        for half in classes.values():
+            full = half + [tuple(-x for x in b) for b in half]
+            for a0, a1, a2 in half:
+                for b0, b1, b2 in full:
+                    p12, p34 = (a0 + b0) // 2, (a0 - b0) // 2
+                    p13, p24 = (a1 + b1) // 2, (b1 - a1) // 2
+                    p14, p23 = (a2 + b2) // 2, (a2 - b2) // 2
+                    if math.gcd(p12, p13, p14, p23, p24, p34) == 1:
+                        rows = exact.hnf_basis([[0, p12, p13, p14], [-p12, 0, p23, p24],
+                                                [-p13, -p23, 0, p34], [-p14, -p24, -p34, 0]])
+                        planes.append(quadform.Subspace(q, tuple(map(tuple, rows))))
+        out[d] = tuple(sorted(planes, key=lambda s: s.basis))
+    return out
 
 
 def disc_buckets(
@@ -424,16 +463,21 @@ def disc_buckets(
     max_candidates: Optional[int] = None,
 ) -> Dict[int, Tuple[quadform.Subspace, ...]]:
     """H^{n,k}_q(D) for each D in ``discs``, the one front door for a list
-    of discriminants at every rank: the hyperplane recursion with its
-    rank-k row walked only at the D in ``discs`` (one shell walk of the
-    Schur complement per lbar), never at the norms below them.  Raises
-    ``ValueError`` on an empty list or a D < 1, and for k >= 2
-    ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC, which
-    bounds the full lbar tables below the rank-k row."""
+    of discriminants at every rank.  Planes of Z^4 (the sum of squares at
+    n = 4, k = 2) come from pairs of Z^3 shells (_planes_from_pairs), at
+    any D.  Every other job takes the hyperplane recursion with its rank-k
+    row walked only at the D in ``discs`` (one shell walk of the Schur
+    complement per lbar), never at the norms below them.  Raises
+    ``ValueError`` on an empty list or a D < 1, and, on the recursion at
+    k >= 2, ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC,
+    which bounds the full lbar tables below the rank-k row."""
     if not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
     if not discs or min(discs) < 1:
         raise ValueError("need a nonempty list of discriminants >= 1, got %s" % list(discs))
+    if (q.n, k) == (4, 2) and q.is_sum_of_squares():
+        planes = _planes_from_pairs(q, discs, max_candidates)
+        return {d: planes.get(d, ()) for d in discs}
     top = max(discs)
     if k >= 2 and top > MAX_SWEEP_DISC:
         raise BoundExceededError(

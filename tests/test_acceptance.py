@@ -3,7 +3,9 @@
 Each test prints `criterion N: PASS/FAIL - detail` and then asserts, so
 a verbose run shows one line per criterion.  A failing criterion reports
 its measured numbers in the message; thresholds are not loosened to turn
-it green.
+it green.  After the criteria come count oracles that share no code with
+either enumerator, and the SO(4) -> SO(3) x SO(3) split the (4,2) one
+rests on.
 """
 
 import csv
@@ -462,3 +464,145 @@ def test_criterion_10_badly_behaved_chart():
         )
     )
     _line(10, ok, detail)
+
+
+# Oracles that share no code with either enumerator: planes of Z^4 as pairs
+# of Z^3 shells, with the group action behind them, and line counts from the
+# theta series.
+
+
+def _z3_shells(max_norm):
+    # every vector of Z^3 of norm <= max_norm, keyed by norm
+    shells = {}
+    r = math.isqrt(max_norm)
+    for x in range(-r, r + 1):
+        ry = math.isqrt(max_norm - x * x)
+        for y in range(-ry, ry + 1):
+            rz = math.isqrt(max_norm - x * x - y * y)
+            for z in range(-rz, rz + 1):
+                shells.setdefault(x * x + y * y + z * z, []).append((x, y, z))
+    return shells
+
+
+def _plucker_from_parts(a, b):
+    # (p12, p13, p14, p23, p24, p34) with self-dual part a = (p12+p34,
+    # p13-p24, p14+p23) and anti-self-dual part b = (p12-p34, p13+p24, p14-p23)
+    return (
+        (a[0] + b[0]) // 2, (a[1] + b[1]) // 2, (a[2] + b[2]) // 2,
+        (a[2] - b[2]) // 2, (b[1] - a[1]) // 2, (a[0] - b[0]) // 2,
+    )
+
+
+def _parts(p):
+    p12, p13, p14, p23, p24, p34 = p
+    return (p12 + p34, p13 - p24, p14 + p23), (p12 - p34, p13 + p24, p14 - p23)
+
+
+def test_planes_of_z4_are_pairs_of_z3_shells(table_4_2_200):
+    # SO(4) -> SO(3) x SO(3): the Plücker relation p12 p34 - p13 p24 +
+    # p14 p23 = 0 is |a|^2 = |b|^2, so a plane of disc D is a pair of norm-D
+    # vectors of Z^3 with a = b (mod 2) and p primitive, up to (a, b) ~ (-a, -b)
+    shells = _z3_shells(200)
+    oracle = {}
+    for d in range(1, 201):
+        shell = shells.get(d, [])
+        pairs = sum(
+            1
+            for a in shell
+            for b in shell
+            if all((x - y) % 2 == 0 for x, y in zip(a, b))
+            and math.gcd(*_plucker_from_parts(a, b)) == 1
+        )
+        assert pairs % 2 == 0, d
+        oracle[d] = pairs // 2
+    counts = table_4_2_200.counts()
+    assert {d: c for d, c in oracle.items() if c} == {d: c for d, c in counts.items() if c}
+    # the front door takes the pairs for this job; the recursion agrees
+    buckets = sp.disc_buckets(Q4, 2, range(1, 61))
+    table = sp.recursion_table(Q4, 2, 60)
+    for d in range(1, 61):
+        assert buckets[d] == table.get(d), d
+
+
+def test_so4_acts_on_the_pairs_through_a_proper_fibre_product():
+    # SO_4(Z) acts on p through the second compound of g^T (rows map by
+    # r -> r g^T) and so on (a, b) through SO_3(Z) x SO_3(Z), of order 576.
+    # The two factors share a simple factor, so the Goursat proposition gives
+    # no product: the image has order 96, maps onto each factor (order 24),
+    # and is the fibre product over S_3 whose kernels are the four diagonal
+    # rotations on each side
+    group = qf.special_orthogonal_group(Q4)
+    assert len(group) == 192
+    cols = list(itertools.combinations(range(4), 2))
+    units = [tuple(2 * (i == j) for j in range(3)) for i in range(3)]
+    zero = (0, 0, 0)
+    image = {}
+    for g in group:
+        compound = [[g[j0][i0] * g[j1][i1] - g[j1][i0] * g[j0][i1] for j0, j1 in cols]
+                    for i0, i1 in cols]
+        sides = []
+        for side in range(2):
+            columns = []
+            for e in units:
+                p = _plucker_from_parts(*((e, zero) if side == 0 else (zero, e)))
+                parts = _parts(exact.vec_mat(p, compound))
+                assert parts[1 - side] == zero  # g keeps the self-dual split
+                columns.append(tuple(x // 2 for x in parts[side]))
+            sides.append(tuple(zip(*columns)))
+        image.setdefault(tuple(sides), []).append(g)
+    one = tuple(map(tuple, exact.identity(3)))
+    minus = tuple(tuple(-x for x in row) for row in exact.identity(4))
+    diagonal = {tuple(map(tuple, m)) for m in _sign_diagonals()}
+    assert len(image) == 96
+    assert sorted(image[(one, one)]) == sorted([tuple(map(tuple, exact.identity(4))), minus])
+    for side in range(2):
+        factor = {pair[side] for pair in image}
+        assert len(factor) == 24
+        assert all(
+            exact.mat_mul(m, exact.transpose(m)) == exact.identity(3) and exact.det_int(m) == 1
+            for m in factor
+        )
+        kernel = {pair[side] for pair in image if pair[1 - side] == one}
+        assert kernel == diagonal
+
+
+def _sign_diagonals():
+    # the rotations of Z^3 that are diagonal: det 1 sign matrices
+    for signs in itertools.product((1, -1), repeat=3):
+        if math.prod(signs) == 1:
+            yield [[signs[i] * (i == j) for j in range(3)] for i in range(3)]
+
+
+def _theta_power(n, top):
+    # r_n(m) for m <= top: the coefficients of theta(q)^n, theta = sum q^(j^2)
+    squares = [(j * j, 1 if j == 0 else 2) for j in range(math.isqrt(top) + 1)]
+    r = [1] + [0] * top
+    for _ in range(n):
+        r = [sum(c * r[m - s] for s, c in squares if s <= m) for m in range(top + 1)]
+    return r
+
+
+def _mobius(d):
+    sign, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign
+
+
+@pytest.mark.parametrize("n, k, top", [(3, 1, 400), (4, 1, 200), (3, 2, 150), (4, 3, 150)])
+def test_line_and_hyperplane_counts_match_the_theta_series(n, k, top):
+    # |H^{n,1}(D)| = 1/2 sum_{d^2 | D} mu(d) r_n(D / d^2): primitive
+    # representations up to sign; Z^n is unimodular, so L -> L^perp carries
+    # H^{n,1}(D) onto H^{n,n-1}(D)
+    r = _theta_power(n, top)
+    table = sp.schmidt_table(n, k, top)
+    for d in range(1, top + 1):
+        primitive = sum(
+            _mobius(f) * r[d // (f * f)] for f in range(1, math.isqrt(d) + 1) if d % (f * f) == 0
+        )
+        assert primitive % 2 == 0 and len(table.get(d)) == primitive // 2, d

@@ -103,13 +103,24 @@ def test_candidate_cap_is_a_runtime_error(capsys):
 
 
 def test_enumerate_one_disc_honours_the_sweep_guard(capsys):
-    # listing one bucket of planes would build every table up to D
+    # listing one bucket of planes of Z^5 would build every table up to D
     disc = subspaces.MAX_SWEEP_DISC + 1
-    argv = ["enumerate", "--Q", "sumsq:4", "--k", "2", "--disc", str(disc)]
+    argv = ["enumerate", "--Q", "sumsq:5", "--k", "2", "--disc", str(disc)]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sweeps all discriminants up to %d" % disc in captured.err
+
+
+def test_enumerate_planes_of_z4_pass_the_sweep_guard(capsys):
+    # planes of Z^4 come from pairs of Z^3 shells, which build no table
+    disc = 161
+    assert disc > subspaces.MAX_SWEEP_DISC
+    code, payload = _run(capsys, "enumerate", "--Q", "sumsq:4", "--k", "2", "--disc", str(disc))
+    assert code == 0
+    expected = subspaces.schmidt_table(4, 2, disc).get(disc)
+    assert len(payload) == len(expected) == 6144
+    assert payload == json.loads(json.dumps([s.to_json() for s in expected]))
 
 
 def test_enumerate_lines_honour_the_candidate_cap(capsys):

@@ -363,7 +363,7 @@ def test_run_experiment_weightings_agree_when_stabilizers_tie():
 
 
 def test_run_experiment_sweep_guard():
-    q = quadform.QuadraticForm.sum_of_squares(4)
+    q = quadform.QuadraticForm.sum_of_squares(5)
     cfg = ex.ExperimentConfig(form=q, k=2, discs=(subspaces.MAX_SWEEP_DISC + 1,))
     with pytest.raises(subspaces.BoundExceededError):
         ex.run_experiment(cfg)

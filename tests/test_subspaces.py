@@ -488,6 +488,31 @@ def test_disc_buckets_cap_counts_the_walks_of_all_discs():
     assert sp.lines_with_disc(Q0_3, 10009) == list(both[10009])
 
 
+def _z3_shell(D):
+    r = math.isqrt(D)
+    return [(x, y, z) for x in range(-r, r + 1) for y in range(-r, r + 1)
+            for z in range(-r, r + 1) if x * x + y * y + z * z == D]
+
+
+def test_planes_of_z4_cap_counts_the_half_shell_and_every_pair():
+    # planes of Z^4 pair a half-shell vector a of Z^3 with every b of its
+    # parity class in the full shell: the cap counts both before any plane;
+    # at 25 six pairs give a non-primitive p, such as a = b = (0, 0, 5)
+    work = {}
+    for D in (25, 41):
+        shell = _z3_shell(D)
+        pairs = sum(all((x - y) % 2 == 0 for x, y in zip(a, b)) for a in shell for b in shell)
+        work[D] = len(shell) // 2 + pairs // 2
+    assert work == {25: 165, 41: 1584}
+    for D, sizes in ((25, 144), (41, 1536)):
+        assert len(sp.disc_buckets(Q0_4, 2, [D], max_candidates=work[D])[D]) == sizes
+        with pytest.raises(sp.BoundExceededError, match="%d vectors" % work[D]):
+            sp.disc_buckets(Q0_4, 2, [D], max_candidates=work[D] - 1)
+    with pytest.raises(sp.BoundExceededError):
+        sp.disc_buckets(Q0_4, 2, [25, 41], max_candidates=1584 + 165 - 1)
+    assert sp.disc_buckets(Q0_4, 2, [41, 25], max_candidates=1584 + 165)[25]
+
+
 def test_full_rank_and_zero_rank():
     full = sp.enumerate_by_disc(Q0_3, 3, 1).get(1)
     assert len(full) == 1 and full[0].k == 3
