@@ -83,6 +83,7 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
+        subspaces.check_max_candidates(self.max_candidates)
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,21 @@ minors D_1, ..., D_n of G (D_0 = 1).  With
 y_i is an integer that depends only on x_i, ..., x_{n-1}, and its
 coefficient on x_i is D_{i+1}.  Scaling by Lambda = lcm_i(D_i D_{i+1})
 turns every term into the integer w_i y_i^2, w_i = Lambda / (D_i D_{i+1}).
-The walk fixes x_{n-1}, ..., x_0 in turn and carries the int budget r,
-Lambda * bound less the terms fixed so far.
+The walk fixes x_{n-1}, ..., x_2 in turn, one recursive call per level,
+and carries the int budget r, Lambda * bound less the terms fixed so far.
+The innermost pair (x_1, x_0) is one flat loop over x_1 per prefix: S for
+x_0 is linear in x_1, a constant part summed once per prefix plus
+U[0][1] x_1.  A 1 x 1 Gram (a) goes through the same loop as diag(a,
+a bound + 1), whose x_1 can only be 0.
 
 The ranges are exact: y_i^2 is an integer, so w_i y_i^2 <= r holds exactly
 when y_i^2 <= r // w_i, that is when |y_i| <= h = isqrt(r // w_i).  With S
 the part of y_i from the outer coordinates this is -h <= D_{i+1} x_i + S
 <= h, an integer range for x_i found by floor division.  Nothing is
 rounded, so the enumeration is complete for any integral positive definite
-Gram.  For a fixed norm the innermost coordinate is solved instead of
-scanned: w_0 y_0^2 == r needs w_0 | r, r / w_0 = t^2 and D_1 | ±t - S.
+Gram.  For a fixed norm the innermost coordinate x_0 is still solved,
+not scanned, once per x_1: w_0 y_0^2 == r needs w_0 | r, r / w_0 = t^2
+and D_1 | ±t - S.
 A set of norms is one walk of the prefixes up to the largest, N_max: at
 the innermost coordinate the budget for the norm N is r - Lambda (N_max -
 N), solved the same way once per N (``vectors_with_norms``).
@@ -56,53 +61,74 @@ def _walk(gram, bound, norms=None, last_positive=False):
     """Sorted (norm, v) with 0 < norm <= bound, one v per sign pair, or
     only the v whose norm is in ``norms`` when given (bound = max(norms)).
     With ``last_positive`` the outer coordinate v[-1] starts at 1, so the
-    layer v[-1] = 0 is never walked."""
+    layer v[-1] = 0 is never walked.
+
+    ``rec`` recurses down to level 1, where (x_1, x_0) is one flat loop:
+    S_0 = s0 + U[0][1] x_1, and x_0 is solved, not scanned, for fixed norms
+    and ranged for the ball.  n = 1 walks diag(a, a bound + 1), whose x_1
+    is pinned to 0, and cuts x_1 from the output; there both sign
+    conventions mean v[0] > 0, so that walk runs without ``last_positive``,
+    which would start x_1 at 1."""
     rows, minors = exact.ldl_int(gram)
     n = len(rows)
     if bound < 1 or not n:
         return []
+    if n == 1:
+        a = minors[0]
+        pinned = _walk(((a, 0), (0, a * bound + 1)), bound, norms)
+        return [(t, v[:1]) for t, v in pinned]
     d = [1] + minors
     lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [lam // (d[i] * d[i + 1]) for i in range(n)]
     # a prefix with budget r leaves r - lam (bound - N) for the norm N;
-    # largest N first, so the first N out of reach ends the leaf
+    # largest N first, so the first N out of reach ends the x_0 solve
     shells = None if norms is None else [(t, lam * (bound - t)) for t in sorted(norms, reverse=True)]
     tails = [r[i + 1:] for i, r in enumerate(rows)]
+    p0, w0, u01, u0 = minors[0], w[0], rows[0][1], rows[0][2:]
     out = []
     x = [0] * n
 
     def rec(i, r, nonzero):
         p, wi = minors[i], w[i]
         s = sum(map(mul, tails[i], x[i + 1:]))
-        if shells is not None and i == 0:
-            for norm, off in shells:
-                if r < off:
-                    break
-                t2, rem = divmod(r - off, wi)
-                t = isqrt(t2)
-                if rem or t * t != t2:
-                    continue
-                for y in {t, -t}:
-                    x0, m = divmod(y - s, p)
-                    if not m and (nonzero or x0 > 0):
-                        x[0] = x0
-                        out.append((norm, tuple(x)))
-            x[0] = 0
-            return
         h = isqrt(r // wi)
         lo, hi = -((h + s) // p), (h - s) // p
         if not nonzero:
             # outer coordinates all zero: keep the canonical sign only
             lo = max(lo, int(last_positive))
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            y = p * xi + s
+        if i > 1:
+            for xi in range(lo, hi + 1):
+                x[i] = xi
+                y = p * xi + s
+                rec(i - 1, r - wi * y * y, nonzero or xi != 0)
+            x[i] = 0
+            return
+        tail = tuple(x[2:])
+        s0 = sum(map(mul, u0, tail))
+        for x1 in range(lo, hi + 1):
+            y = p * x1 + s
             left = r - wi * y * y
-            if i:
-                rec(i - 1, left, nonzero or xi != 0)
-            elif nonzero or xi:
-                out.append((bound - left // lam, tuple(x)))
-        x[i] = 0
+            s1 = s0 + u01 * x1
+            v = (x1,) + tail
+            nz = nonzero or x1 != 0
+            if shells is None:
+                h0 = isqrt(left // w0)
+                lo0 = -((h0 + s1) // p0)
+                for x0 in range(lo0 if nz else max(lo0, 1), (h0 - s1) // p0 + 1):
+                    y = p0 * x0 + s1
+                    out.append((bound - (left - w0 * y * y) // lam, (x0,) + v))
+                continue
+            for norm, off in shells:
+                if left < off:
+                    break
+                t2, m = divmod(left - off, w0)
+                t = isqrt(t2)
+                if m or t * t != t2:
+                    continue
+                for y in {t, -t}:
+                    x0, m = divmod(y - s1, p0)
+                    if not m and (nz or x0 > 0):
+                        out.append((norm, (x0,) + v))
 
     rec(n - 1, lam * bound, False)
     out.sort()

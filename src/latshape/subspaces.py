@@ -102,6 +102,13 @@ class DiscClassTable:
         return self.table.get(d, ())
 
 
+def check_max_candidates(max_candidates: Optional[int]) -> None:
+    """Refuse a negative candidate cap before any walk; None means
+    DEFAULT_CANDIDATE_CAP, and 0 is a valid cap."""
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError("max_candidates must be >= 0, got %d" % max_candidates)
+
+
 def _check_candidates(count: int, max_candidates: Optional[int]) -> None:
     cap = DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
     if count > cap:
@@ -133,6 +140,7 @@ def enumerate_by_disc(
     saturated by Subspace.from_rows.  At k = 1 the wedge is the vector
     itself and C the Gram; at k = n the one subspace is the whole space.
     """
+    check_max_candidates(max_candidates)
     n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -330,6 +338,7 @@ def recursion_table(
     walks count against ``max_candidates``.  The entries with D <= D' are
     the table up to D'.
     """
+    check_max_candidates(max_candidates)
     return DiscClassTable(_recursion(q, k, max_disc, None, max_candidates))
 
 
@@ -471,6 +480,7 @@ def disc_buckets(
     ``ValueError`` on an empty list or a D < 1, and, on the recursion at
     k >= 2, ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC,
     which bounds the full lbar tables below the rank-k row."""
+    check_max_candidates(max_candidates)
     if not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
     if not discs or min(discs) < 1:

@@ -102,6 +102,18 @@ def test_candidate_cap_is_a_runtime_error(capsys):
     assert "candidate bound exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--n", "3", "--k", "1", "--dlist", "11"],
+    ["enumerate", "--Q", "sumsq:3", "--k", "1", "--disc", "11"],
+    ["enumerate", "--Q", "sumsq:3", "--k", "1", "--dmax", "11"],
+])
+def test_negative_candidate_cap_is_a_usage_error(capsys, argv):
+    assert cli.main(argv + ["--max-candidates", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_candidates must be >= 0, got -1" in captured.err
+
+
 def test_enumerate_one_disc_honours_the_sweep_guard(capsys):
     # listing one bucket of planes of Z^5 would build every table up to D
     disc = subspaces.MAX_SWEEP_DISC + 1

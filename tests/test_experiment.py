@@ -377,6 +377,13 @@ def test_run_experiment_honours_the_candidate_cap():
         ex.run_experiment(cfg)
 
 
+def test_config_refuses_a_negative_candidate_cap():
+    q = quadform.QuadraticForm.sum_of_squares(3)
+    with pytest.raises(ValueError, match="max_candidates must be >= 0, got -1"):
+        ex.ExperimentConfig(form=q, k=1, discs=(11,), max_candidates=-1)
+    assert ex.ExperimentConfig(form=q, k=1, discs=(11,), max_candidates=0).max_candidates == 0
+
+
 def test_shape_columns_populated_for_k2(tmp_path):
     q = quadform.QuadraticForm.sum_of_squares(4)
     out = tmp_path / "s.csv"

@@ -71,6 +71,58 @@ def test_one_dimensional_kernel():
     assert kernel.vectors_with_norm([[3]], 11) == []
 
 
+@pytest.mark.parametrize("gram", [[[3]], [[5]], [[1, 0], [0, 1]], [[2, 1], [1, 3]]])
+def test_small_kernels_in_both_sign_modes(gram):
+    # n = 1 walks a pinned 2 x 2 form and n = 2 is the innermost pair alone
+    for bound in range(0, 30):
+        box = _box_search(gram, bound)
+        positive = [(t, v) for t, v in box if v[-1] > 0]
+        assert kernel.short_vectors(gram, bound) == box
+        assert kernel.short_vectors(gram, bound, last_positive=True) == positive
+        norms = {bound, bound // 2, bound // 3}
+        assert kernel.vectors_with_norms(gram, norms) == [(t, v) for t, v in box if t in norms]
+        assert kernel.vectors_with_norms(gram, norms, last_positive=True) == [
+            (t, v) for t, v in positive if t in norms
+        ]
+
+
+def _three_squares(norms):
+    """Every (|v|^2, v) of Z^3 with |v|^2 in ``norms``, both signs, sorted:
+    x_0 is the isqrt of what (x_2, x_1) leave."""
+    out = set()
+    for t in norms:
+        r = isqrt(t)
+        for x2 in range(-r, r + 1):
+            m = isqrt(t - x2 * x2)
+            for x1 in range(-m, m + 1):
+                rest = t - x2 * x2 - x1 * x1
+                x0 = isqrt(rest)
+                if x0 * x0 == rest:
+                    out.update({(t, (x0, x1, x2)), (t, (-x0, x1, x2))})
+    return sorted(out)
+
+
+def test_large_norm_shells_match_an_isqrt_oracle():
+    norms = {10009, 100003}
+    both = _three_squares(norms)
+    assert kernel.vectors_with_norms(exact.identity(3), norms, last_positive=True) == [
+        (t, v) for t, v in both if v[-1] > 0
+    ]
+    got = kernel.vectors_with_norms(exact.identity(3), norms)
+    assert got == [(t, v) for t, v in both if [x for x in v if x][-1] > 0]
+    assert len(got) == 1044
+    # a non-diagonal 3 x 3 Gram and a 2 x 2 Gram at norms in the hundreds
+    for gram, norms in (
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], {100, 257, 300}),
+        ([[3, 1], [1, 4]], {101, 250, 499}),
+    ):
+        box = _box_search(gram, max(norms))
+        assert kernel.vectors_with_norms(gram, norms) == [(t, v) for t, v in box if t in norms]
+        assert kernel.vectors_with_norms(gram, norms, last_positive=True) == [
+            (t, v) for t, v in box if t in norms and v[-1] > 0
+        ]
+
+
 @st.composite
 def pd_grams(draw):
     # B B^T for a nonsingular B of rank 1-5, or its adjugate: leading
@@ -106,11 +158,14 @@ def test_vectors_with_norms_is_one_shell_per_norm(gram, norms):
     got = kernel.vectors_with_norms(gram, norms)
     assert got == sorted(got)
     assert got == [(t, v) for t in sorted(norms) for v in kernel.vectors_with_norm(gram, t)]
-    ball = kernel.short_vectors(gram, max(norms, default=0), last_positive=True)
+    bound = max(norms, default=0)
+    ball = kernel.short_vectors(gram, bound, last_positive=True)
     assert kernel.vectors_with_norms(gram, norms, last_positive=True) == [
         (t, v) for t, v in ball if t in norms
     ]
-    assert all(v[-1] > 0 for _, v in ball)
+    # the last_positive walk is the v[-1] > 0 part of the plain ball, which
+    # the Fraction oracle checks
+    assert ball == [(t, v) for t, v in kernel.short_vectors(gram, bound) if v[-1] > 0]
 
 
 def test_rejects_indefinite_gram():

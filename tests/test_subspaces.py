@@ -323,6 +323,28 @@ def test_candidate_cap():
     assert sp.recursion_table(Q0_4, 2, 20, max_candidates=10**6)
 
 
+def test_negative_candidate_cap_is_refused_before_any_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked with a negative cap")
+
+    monkeypatch.setattr(sp.kernel, "_walk", walk)
+    calls = (
+        lambda cap: sp.disc_buckets(Q0_3, 1, [11], cap),
+        lambda cap: sp.disc_buckets(Q0_4, 2, [5], cap),
+        lambda cap: sp.recursion_table(Q0_3, 2, 10, cap),
+        lambda cap: sp.enumerate_by_disc(Q0_3, 2, 10, cap),
+        lambda cap: sp.lines_with_disc(Q0_3, 11, cap),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="max_candidates must be >= 0, got -1"):
+            call(-1)
+    monkeypatch.undo()
+    # a cap of 0 is valid: it admits a job that walks no vector
+    assert sp.disc_buckets(Q0_3, 1, [7], max_candidates=0) == {7: ()}
+    with pytest.raises(sp.BoundExceededError):
+        sp.disc_buckets(Q0_3, 1, [1], max_candidates=0)
+
+
 G1 = quadform.QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 2], [0, 0, 2, 1]])
 G2 = quadform.QuadraticForm([[3, 1, 1, 0], [1, 2, 1, 1], [1, 1, 2, 1], [0, 1, 1, 1]])
 
