@@ -30,8 +30,8 @@ HNF basis with a zero column prepended, which is the HNF basis of L(Z) ∩
 {x_0 = 0}, under a lift (h, u) with h > 0.  So Subspace.from_saturated_rows
 canonicalises with one row reduction per row of lbar; the recursion meets
 each subspace exactly once and keeps no dedupe.  The paper-facing Schmidt
-triple (schmidt_decompose, schmidt_compose) still splits along the last
-coordinate.
+triple (schmidt_decompose, schmidt_compose) is the same split, read off
+and put back into those rows.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SchmidtTriple:
-    """Hyperplane decomposition data (h, lbar, v) of a subspace.
+    """Hyperplane decomposition data (h, lbar, v) of a subspace L.
 
-    h is the positive generator of the projection of L(Z) onto the last
-    axis, lbar = L intersected with the hyperplane, and v is the
-    projection of a lift (u, h) in L(Z) onto the orthogonal complement
-    of lbar inside the hyperplane.
+    h is the positive generator of the image of L(Z) under x_0, lbar =
+    L meet x_0 = 0 over the trailing block of the Gram, and (h, v) is the
+    part of a lift (h, u) in L(Z) that is Q-orthogonal to lbar.
     """
 
     h: int
@@ -76,7 +75,7 @@ class SchmidtTriple:
     v: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.h < 1:
+        if type(self.h) is not int or self.h < 1:
             raise ValueError("h must be a positive integer")
         object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
         if len(self.v) != self.lbar.n:
@@ -247,45 +246,30 @@ def _compound_terms(gram, k):
 
 
 def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
-    """Split L <= Q^n along the last-coordinate hyperplane.
+    """Split L <= Q^n along the hyperplane x_0 = 0, over any form.
 
-    Returns (h, lbar, v) with lbar = L meet the hyperplane, h > 0 the
-    generator of the projection of L(Z) onto the last axis, and v the
-    orthogonal projection of a lift onto the complement of lbar.
-    Raises ValueError when L lies inside the hyperplane.
+    L(Z)'s HNF basis is a top row (h, u) with h > 0 over rows with x_0 = 0,
+    and those rows without column 0 are lbar's HNF basis under the trailing
+    block of the Gram.  v is the hyperplane part of the lift (h, u) minus
+    its Q-projection onto lbar, so disc(L) = disc(lbar) Q(h, v).  Raises
+    ValueError when L lies inside the hyperplane.
     """
-    if not L.form.is_sum_of_squares():
-        raise ValueError("hyperplane recursion is implemented for the sum of squares")
-    rows = [list(r) for r in L.basis]
-    n1 = L.n
-    last = [r[-1] for r in rows]
-    if not any(last):
-        raise ValueError("subspace is contained in the hyperplane")
-    # U @ last = (h, 0, ..., 0): U[0] lifts the generator h and the
-    # unimodular rest U[1:] spans the combinations inside the hyperplane
-    hmat, umat = exact.hnf([[x] for x in last])
-    h = hmat[0][0]
-    u_full, *lbar_rows = exact.mat_mul(umat, rows)
-    small = quadform.QuadraticForm.sum_of_squares(n1 - 1)
-    lbar = quadform.Subspace.from_rows(small, [r[:-1] for r in lbar_rows])
-    u = u_full[:-1]
-    perp, _ = _projection_data(lbar)
-    adj, dprime = exact.adjugate(exact.mat_mul(perp, exact.transpose(perp)))
-    # v = sum_i c_i p_i^# with c_i = u.p_i and dual basis adj @ perp / dprime
-    c = [sum(x * y for x, y in zip(u, p)) for p in perp]
-    v = exact.vec_mat(exact.vec_mat(c, adj), perp) if perp else [0] * len(u)
-    return SchmidtTriple(h, lbar, tuple(Fraction(x, dprime) for x in v))
+    if not L.basis or not L.basis[0][0]:
+        raise ValueError("subspace is contained in the hyperplane x_0 = 0")
+    q = L.form
+    top, *head = L.basis
+    trailing = quadform.QuadraticForm([r[1:] for r in q.gram[1:]])
+    lbar = quadform.Subspace(trailing, tuple(r[1:] for r in head))
+    num, det = quadform.projection_numerator(q, quadform.Subspace(q, tuple(head)))
+    v = [Fraction(det * x - y, det) for x, y in zip(top[1:], exact.vec_mat(top, num)[1:])]
+    return SchmidtTriple(top[0], lbar, tuple(v))
 
 
 def _projection_data(lbar: quadform.Subspace):
     """(P, lifts) for lbar over any form.  P is the HNF basis of the
     saturated {x in Z^n : B x^T = 0}, and lifts[i] is an integer u with
     u @ P^T = e_i: the top rows of U in U @ P^T = H, whose top block is the
-    identity.  The lifts are a basis of Z^n modulo lbar(Z).  Over the sum
-    of squares P spans lbar^perp and Z^n projects onto the dual lattice
-    P^#, whose dual basis adj @ P / dprime has Gram (P P^T)^-1 = adj /
-    dprime, with dprime = det(P P^T) = disc(lbar); a vector u projects to
-    the coordinates c = u @ P^T in that basis.
+    identity.  The lifts are a basis of Z^n modulo lbar(Z).
     """
     perp = exact.kernel_basis(lbar.basis) if lbar.k else exact.identity(lbar.n)
     h, u = exact.hnf(exact.transpose(perp))
@@ -294,32 +278,30 @@ def _projection_data(lbar: quadform.Subspace):
     return perp, u[:rank]
 
 
-def schmidt_compose(triple: SchmidtTriple) -> quadform.Subspace:
-    """The unique subspace with the given hyperplane decomposition.
+def schmidt_compose(q: quadform.QuadraticForm, triple: SchmidtTriple) -> quadform.Subspace:
+    """The unique L <= Q^n over q with the given split along x_0 = 0.
 
-    Raises ValueError when v is not orthogonal to lbar, when v is not in
-    the projection of Z^n (some c_i = v.p_i is not an integer) or when
-    h and v are not coprime.
+    The lift is [h] + c @ lifts with c = v @ P^T, the assembly of
+    _lifts_over.  Raises ValueError when lbar is not over q's trailing
+    block, when (h, v) is not Q-orthogonal to lbar, when v is not in the
+    projection of Z^n (some c_i is not an integer) or when gcd(h, c) != 1.
     """
-    lbar = triple.lbar
-    if not lbar.form.is_sum_of_squares():
-        raise ValueError("hyperplane recursion is implemented for the sum of squares")
-    n = lbar.n
-    v = triple.v
-    if any(sum(x * y for x, y in zip(v, b)) for b in lbar.basis):
-        raise ValueError("v is not orthogonal to lbar")
+    lbar, h, v = triple.lbar, triple.h, triple.v
+    if lbar.form.gram != tuple(r[1:] for r in q.gram[1:]):
+        raise ValueError("lbar is not over the trailing block of the form")
+    head = [(0,) + r for r in lbar.basis]
+    gw = exact.vec_mat((h,) + v, q.gram)
+    if any(sum(x * y for x, y in zip(gw, b)) for b in head):
+        raise ValueError("(h, v) is not Q-orthogonal to lbar")
     perp, lifts = _projection_data(lbar)
     coords = [sum(x * y for x, y in zip(v, p)) for p in perp]
     if any(x.denominator != 1 for x in coords):
         raise ValueError("v is not in the projected lattice")
     c = [int(x) for x in coords]
-    if math.gcd(triple.h, *c) != 1:
+    if math.gcd(h, *c) != 1:
         raise ValueError("triple violates coprimality")
-    u = [sum(c[t] * lifts[t][j] for t in range(len(lifts))) for j in range(n)]
-    big = quadform.QuadraticForm.sum_of_squares(n + 1)
-    new_rows = [list(r) + [0] for r in lbar.basis]
-    new_rows.append(u + [triple.h])
-    return quadform.Subspace.from_rows(big, new_rows)
+    u = exact.vec_mat(c, lifts) if lifts else [0] * lbar.n
+    return quadform.Subspace.from_saturated_rows(q, [[h] + u] + head)
 
 
 def recursion_table(

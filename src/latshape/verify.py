@@ -220,7 +220,7 @@ def _suite_schmidt(samples, seed, dmax=None):
     agree42 = _Check("schmidt matches vector enumeration (4,2)")
     agree_a4 = _Check("recursion matches vector enumeration on A4 (k=2)")
     roundtrip = _Check("compose(decompose(L)) = L")
-    recursion = _Check("disc recursion D = D' (h^2 + Q(v))")
+    recursion = _Check("disc recursion D = D' Q(h, v)")
     q3 = quadform.QuadraticForm.sum_of_squares(3)
     q4 = quadform.QuadraticForm.sum_of_squares(4)
     a4 = quadform.QuadraticForm([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
@@ -235,18 +235,21 @@ def _suite_schmidt(samples, seed, dmax=None):
     rng = random.Random(seed)
     pool = [
         s
+        for table in tables.values()
         for d in range(1, dmax + 1)
-        for s in tables[q4, 2].get(d)
-        if any(r[-1] for r in s.basis)  # decompose rejects hyperplane residents
+        for s in table.get(d)
+        if s.basis[0][0]  # decompose rejects the residents of x_0 = 0
     ]
     rng.shuffle(pool)
     for L in pool[:samples]:
+        q = L.form
         triple = subspaces.schmidt_decompose(L)
         roundtrip.record(
-            subspaces.schmidt_compose(triple).basis == L.basis, L.hnf_key()
+            subspaces.schmidt_compose(q, triple).basis == L.basis, L.hnf_key()
         )
-        m = triple.h * triple.h + sum(x * x for x in triple.v)
-        lhs = Fraction(quadform.disc(L.form, L))
+        w = (triple.h,) + triple.v
+        m = sum(x * y for x, y in zip(exact.vec_mat(w, q.gram), w))
+        lhs = Fraction(quadform.disc(q, L))
         rhs = quadform.disc(triple.lbar.form, triple.lbar) * m
         recursion.record(lhs == rhs, L.hnf_key())
     return [agree31, agree42, agree_a4, roundtrip, recursion]

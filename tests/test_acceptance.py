@@ -133,10 +133,10 @@ def test_criterion_05_schmidt_cross_validation():
     for (n, k, top, _q), table in zip(pairs, recursion_sides):
         for d in range(1, top + 1):
             for L in table.get(d):
-                if not any(r[-1] for r in L.basis):
-                    continue  # lives in the hyperplane, not decomposable
+                if not L.basis[0][0]:
+                    continue  # lives in the hyperplane x_0 = 0, not decomposable
                 triple = sp.schmidt_decompose(L)
-                if sp.schmidt_compose(triple).basis != L.basis:
+                if sp.schmidt_compose(L.form, triple).basis != L.basis:
                     problems.append(("roundtrip", n, k, L.hnf_key()))
                     continue
                 m = triple.h * triple.h + sum(x * x for x in triple.v)

@@ -150,24 +150,41 @@ def test_duality_counts():
         assert _basis_set(perps) == _basis_set(planes), D
 
 
-def test_decompose_compose_roundtrip():
-    checked = 0
-    table = sp.schmidt_table(4, 2, 10)
-    for D in range(1, 11):
-        for sub in table.get(D):
-            if not any(r[-1] for r in sub.basis):
-                # lives in the hyperplane; handled by the embedding branch
-                with pytest.raises(ValueError):
-                    sp.schmidt_decompose(sub)
-                continue
-            triple = sp.schmidt_decompose(sub)
-            assert sp.schmidt_compose(triple).basis == sub.basis
-            # exact discriminant recursion for the split
-            qv = sum(x * x for x in triple.v)
-            lbar_disc = quadform.disc(triple.lbar.form, triple.lbar)
-            assert Fraction(D) == lbar_disc * (triple.h**2 + qv)
-            checked += 1
-    assert checked > 400
+def _q_norm(q, w):
+    gw = exact.vec_mat(w, q.gram)
+    return sum(x * y for x, y in zip(gw, w))
+
+
+@pytest.mark.parametrize("gram, decomposable", [
+    (exact.identity(4), [779, 2221, 935, 1]),
+    ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], [345, 451, 89, 1]),
+    ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [33, 10, 1]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 3]], [81, 56, 1]),
+    ([[1]], [1]),
+], ids=["Z4", "A4", "G3", "diag113", "Z1"])
+def test_decompose_compose_roundtrip(gram, decomposable):
+    # the split along x_0 on any form, at every k including k = n, over
+    # every subspace of disc <= 20 that is not inside x_0 = 0
+    q = quadform.QuadraticForm(gram)
+    counts = []
+    for k in range(1, q.n + 1):
+        checked = 0
+        table = sp.recursion_table(q, k, 20)
+        for D, subs in table.table.items():
+            for sub in subs:
+                if not sub.basis[0][0]:
+                    # lives in the hyperplane x_0 = 0
+                    with pytest.raises(ValueError):
+                        sp.schmidt_decompose(sub)
+                    continue
+                triple = sp.schmidt_decompose(sub)
+                assert sp.schmidt_compose(q, triple).basis == sub.basis
+                # exact discriminant recursion for the split
+                lbar_disc = quadform.disc(triple.lbar.form, triple.lbar)
+                assert Fraction(D) == lbar_disc * _q_norm(q, (triple.h,) + triple.v)
+                checked += 1
+        counts.append(checked)
+    assert counts == decomposable
 
 
 def test_compose_rejects_coprimality_violation():
@@ -175,10 +192,10 @@ def test_compose_rejects_coprimality_violation():
         quadform.QuadraticForm.sum_of_squares(2), [[1, 0]]
     )
     with pytest.raises(ValueError):
-        sp.schmidt_compose(sp.SchmidtTriple(2, lbar, (0, 2)))
+        sp.schmidt_compose(Q0_3, sp.SchmidtTriple(2, lbar, (0, 2)))
     # same data with h = 1 is fine
-    sub = sp.schmidt_compose(sp.SchmidtTriple(1, lbar, (0, 2)))
-    assert sub.basis == ((1, 0, 0), (0, 2, 1))
+    sub = sp.schmidt_compose(Q0_3, sp.SchmidtTriple(1, lbar, (0, 2)))
+    assert sub.basis == ((1, 0, 2), (0, 1, 0))
 
 
 def test_compose_rejects_vector_outside_projected_lattice():
@@ -186,7 +203,7 @@ def test_compose_rejects_vector_outside_projected_lattice():
         quadform.QuadraticForm.sum_of_squares(2), [[1, 0]]
     )
     with pytest.raises(ValueError):
-        sp.schmidt_compose(sp.SchmidtTriple(1, lbar, (0, Fraction(1, 2))))
+        sp.schmidt_compose(Q0_3, sp.SchmidtTriple(1, lbar, (0, Fraction(1, 2))))
 
 
 def test_compose_rejects_v_not_orthogonal_to_lbar():
@@ -194,12 +211,35 @@ def test_compose_rejects_v_not_orthogonal_to_lbar():
         quadform.QuadraticForm.sum_of_squares(2), [[1, 0]]
     )
     with pytest.raises(ValueError):
-        sp.schmidt_compose(sp.SchmidtTriple(1, lbar, (1, 0)))
+        sp.schmidt_compose(Q0_3, sp.SchmidtTriple(1, lbar, (1, 0)))
+
+
+def test_compose_orthogonality_is_taken_in_q():
+    # v = (0, 0) is dot-orthogonal to lbar, but (1, 0, 0) is not
+    # Q-orthogonal to (0, 1, 0); v = (0, -1) is
+    q = quadform.QuadraticForm([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    lbar = quadform.Subspace.from_rows(quadform.QuadraticForm([[3, 1], [1, 4]]), [[1, 0]])
+    with pytest.raises(ValueError, match="Q-orthogonal"):
+        sp.schmidt_compose(q, sp.SchmidtTriple(1, lbar, (0, 0)))
+    sub = sp.schmidt_compose(q, sp.SchmidtTriple(1, lbar, (0, -1)))
+    assert sub.basis == ((1, 0, -1), (0, 1, 0))
+    assert quadform.disc(q, sub) == 18 == 3 * _q_norm(q, (1, 0, -1))
+
+
+def test_compose_rejects_lbar_over_the_wrong_form():
+    lbar = quadform.Subspace.from_rows(
+        quadform.QuadraticForm.sum_of_squares(2), [[1, 0]]
+    )
+    q = quadform.QuadraticForm([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    with pytest.raises(ValueError, match="trailing block"):
+        sp.schmidt_compose(q, sp.SchmidtTriple(1, lbar, (0, 1)))
+    with pytest.raises(ValueError, match="trailing block"):
+        sp.schmidt_compose(Q0_4, sp.SchmidtTriple(1, lbar, (0, 1)))
 
 
 def test_projection_data_matches_fraction_projection():
-    # integer data (P, lifts) and schmidt_decompose's (adj, D') against the
-    # rational projection of Z^4 onto lbar^perp, built with the rational
+    # integer data (P, lifts) and the dual basis adj @ P / D' of P^# against
+    # the rational projection of Z^4 onto lbar^perp, built with the rational
     # projection matrix
     q = Q0_4
     std = quadform.Lattice.standard(q.n)
@@ -233,6 +273,10 @@ def test_schmidt_triple_validation():
         sp.SchmidtTriple(0, lbar, (0, 0, 0))
     with pytest.raises(ValueError):
         sp.SchmidtTriple(1, lbar, (0, 0))
+    # h is an int >= 1, not merely a number >= 1
+    for h in (Fraction(3, 2), 2.0, Fraction(2), True):
+        with pytest.raises(ValueError, match="positive integer"):
+            sp.SchmidtTriple(h, lbar, (0, 0, 0))
 
 
 def test_nonempty_criterion_vs_enumeration():
@@ -479,10 +523,13 @@ def test_enumerator_argument_validation():
     # disc_buckets checks the rank at k = 1 as at every other rank
     with pytest.raises(ValueError, match="need 1 <= k <= n"):
         sp.disc_buckets(quadform.QuadraticForm.sum_of_squares(0), 1, [1])
-    with pytest.raises(ValueError):
-        sp.schmidt_decompose(quadform.Subspace.from_rows(
-            quadform.QuadraticForm.diagonal([1, 1, 3]), [[1, 0, 0]]
-        ))
+    # the Schmidt split takes any form: diag(1, 1, 3) round-trips
+    q113 = quadform.QuadraticForm.diagonal([1, 1, 3])
+    sub = quadform.Subspace.from_rows(q113, [[1, 0, 1], [0, 1, 1]])
+    triple = sp.schmidt_decompose(sub)
+    assert (triple.h, triple.lbar.basis) == (1, ((1, 1),))
+    assert sp.schmidt_compose(q113, triple) == sub
+    assert quadform.disc(q113, sub) == 7 == 4 * _q_norm(q113, (1,) + triple.v)
 
 
 @pytest.mark.parametrize("k", [1, 2])
