@@ -6,7 +6,8 @@ first.  The three workhorses are the row Hermite normal form, the Smith
 normal form, and saturation; callers solve lattice membership and
 completion problems with them.  The p-adic valuation and unit square class
 shared by the invariant modules live here too, below every module that
-needs them.
+needs them, and so does the wedge of integer rows (their Plücker vector),
+which keys subspaces in the vector DFS and in the orbit map.
 
 Each normal form has one elimination loop, ``hnf_basis`` and ``_smith``;
 transformations are read off identity borders.  ``hnf`` reduces
@@ -32,7 +33,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 from operator import mul
 
 
@@ -326,6 +328,52 @@ def inverse_unimodular(mat):
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return [[det * x for x in row] for row in adj]
+
+
+# ---------------------------------------------------------------------------
+# wedges of integer rows (Plücker vectors)
+
+
+def wedge_steps(n, k):
+    """Laplace tables that grow a wedge by one row, for depths 0..k-1.
+
+    The wedge of d rows is the vector of their d x d minors, indexed by
+    the column sets of ``itertools.combinations(range(n), d)``; the wedge
+    of no rows is [1].  steps[d] is (d + 1, terms): terms lists, for each
+    (d+1)-set J in turn, the d + 1 terms (j, t, sign) of the minor's
+    expansion along the new row v, sign * v[j] * wedge[t], where t indexes
+    the d-set J minus j.
+    """
+    steps = []
+    for d in range(k):
+        pos = {c: t for t, c in enumerate(combinations(range(n), d))}
+        steps.append((d + 1, [
+            (J[t], pos[J[:t] + J[t + 1:]], (-1) ** (d + t))
+            for J in combinations(range(n), d + 1)
+            for t in range(d + 1)
+        ]))
+    return steps
+
+
+def extend_wedge(step, wedge, vec):
+    """The wedge of the rows and vec, from the wedge of the rows and the
+    step of ``wedge_steps`` at their depth.  Only products and sums touch
+    the entries, so each entry of vec and wedge may also be an exact
+    integer array (numpy ``dtype=object``) holding one coordinate of many
+    row sets, whose wedges then come out together."""
+    width, table = step
+    terms = [s * vec[j] * wedge[t] for j, t, s in table]
+    return [sum(terms[a:a + width]) for a in range(0, len(terms), width)]
+
+
+def primitive_wedge(wedge):
+    """The nonzero wedge divided by its content, first nonzero entry
+    positive: the primitive Plücker vector of the saturated span, the same
+    for every basis of that lattice."""
+    g = gcd(*wedge)
+    if next(x for x in wedge if x) < 0:
+        g = -g
+    return tuple(x // g for x in wedge)
 
 
 # ---------------------------------------------------------------------------

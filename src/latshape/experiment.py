@@ -28,8 +28,12 @@ histogram of stabilizer orders over the subspaces.
 
 Every recorded observable is carried along an orbit by its group
 element, so the complement, the Grams, the contents, the shapes and the
-exact projection are computed once per orbit, on its representative; a
-member's record takes integer products only (``_bucket_records``).
+exact projection are computed once per orbit, on its representative.  The
+members of an orbit are then carried over together (``_bucket_records``):
+their group elements are stacked in exact integer arrays (numpy
+``dtype=object``, so Python ints that never wrap), each member's
+projection is one slice of a batched product and each side's orientation
+the sign of one of a stack of minors.
 """
 
 from __future__ import annotations
@@ -102,10 +106,12 @@ class RecordRow:
 # reference laws
 
 
-def sphere_z_cdf(t: float) -> float:
+def sphere_z_cdf(t):
     """CDF of the last coordinate of a uniform point on S^2 (uniform on
-    [-1,1] by the Archimedes projection)."""
-    return min(1.0, max(0.0, (t + 1.0) / 2.0))
+    [-1,1] by the Archimedes projection); elementwise on an array, a float
+    for a float."""
+    out = np.clip((np.asarray(t, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 _Y0 = math.sqrt(3.0) / 2.0
@@ -155,24 +161,31 @@ def _hyperbolic_table():
     return np.asarray(knots), np.asarray(cdf), knots[-1] * (1.0 - cdf[-1])
 
 
-def hyperbolic_y_cdf(t: float) -> float:
+def hyperbolic_y_cdf(t):
     """CDF of the y-marginal of the normalized hyperbolic area on the
-    fundamental domain, interpolated from the quadrature table."""
+    fundamental domain, interpolated from the quadrature table: 0 up to
+    its first knot (where the table's CDF is 0) and 1 - tail / t from its
+    last.  Elementwise on an array, a float for a float."""
     knots, cdf, tail = _hyperbolic_table()
-    t = float(t)
-    if t <= knots[0]:
-        return 0.0
-    if t >= knots[-1]:
-        return 1.0 - tail / t
-    return float(np.interp(t, knots, cdf))
+    x = np.asarray(t, dtype=float)
+    out = np.interp(x, knots, cdf)
+    far = x >= knots[-1]
+    if np.any(far):
+        out = np.where(far, 1.0 - tail / np.maximum(x, knots[-1]), out)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # discrepancy statistics
 
 
-def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
-    """sup |F_emp - F_ref| for a (possibly weighted) empirical measure."""
+def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray], weights=None) -> float:
+    """sup |F_emp - F_ref| for a (possibly weighted) empirical measure.
+
+    The reference ``cdf`` is called once, on the sorted sample array, so
+    it must act elementwise on arrays, as ``sphere_z_cdf`` and
+    ``hyperbolic_y_cdf`` do.  Raises ``ValueError`` on no samples and on
+    weights that are not positive or do not match the samples."""
     x = np.asarray(list(samples), dtype=float)
     if x.size == 0:
         raise ValueError("ks_statistic needs at least one sample")
@@ -185,14 +198,16 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
         if w.size != x.size or np.any(w <= 0):
             raise ValueError("weights must be positive and match the samples")
         cum = np.cumsum(w[order]) / float(np.sum(w))
-    ref = np.asarray([cdf(float(t)) for t in x])
+    ref = np.asarray(cdf(x), dtype=float)
     below = np.concatenate(([0.0], cum[:-1]))
     return float(np.max(np.maximum(np.abs(ref - cum), np.abs(ref - below))))
 
 
 def two_sample_ks(a, b, weights_a=None) -> float:
     """sup |F_a - F_b| between two empirical CDFs (the first may carry
-    weights); evaluated at every jump point so the sup is exact."""
+    weights); evaluated at every jump point so the sup is exact.  Raises
+    ``ValueError`` on an empty sample and on weights that are not positive
+    or do not match the first sample."""
     xa = np.asarray(list(a), dtype=float)
     xb = np.asarray(list(b), dtype=float)
     if xa.size == 0 or xb.size == 0:
@@ -202,7 +217,10 @@ def two_sample_ks(a, b, weights_a=None) -> float:
     if weights_a is None:
         pa = np.arange(xa.size + 1, dtype=float) / xa.size
     else:
-        w = np.asarray(list(weights_a), dtype=float)[oa]
+        w = np.asarray(list(weights_a), dtype=float)
+        if w.size != xa.size or np.any(w <= 0):
+            raise ValueError("weights must be positive and match the samples")
+        w = w[oa]
         pa = np.concatenate(([0.0], np.cumsum(w))) / float(np.sum(w))
     xb = np.sort(xb)
     pb = np.arange(xb.size + 1, dtype=float) / xb.size
@@ -226,60 +244,6 @@ def _shape_points(gram):
     return tuple((pt.x, pt.y) for pt in pts)
 
 
-def _oriented_point(points, basis, u):
-    """The shape point of the saturated rank-2 lattice spanned by basis·u.
-
-    Its HNF basis is T·basis·u for some T in GL_2(Z), and has its first
-    nonzero 2x2 minor (columns in lexicographic order) equal to the product
-    of its pivots, so positive; det T is thus the sign of that minor of
-    basis·u.  The Gram is T G T^T: the representative's SL_2(Z) class when
-    det T = 1 and the mirror's when det T = -1.
-    """
-    if points is None:
-        return None
-    r, s = exact.mat_mul(basis, u)
-    minors = (r[i] * s[j] - r[j] * s[i] for i, j in combinations(range(len(r)), 2))
-    return points[0] if next(m for m in minors if m) > 0 else points[1]
-
-
-def _orbit_records(q: quadform.QuadraticForm, rep: quadform.Subspace, stab: int):
-    """The record maker of the SO_Q(Z)-orbit of ``rep``.
-
-    Everything G-invariant (complement, Grams, contents, discriminant, the
-    projection as the integer N over det, both orientations of each binary
-    shape) is computed here, once.  The returned ``record(sub, u, uinv)``
-    gives the record of the member sub = g·rep with u = g^T: rows map by
-    r ↦ r·u and u is an isometry of the form, so the projection onto sub
-    is u^{-1}·N·u / det, divided with int true division (the nearest
-    float, as ``float(Fraction(x, det))``) and kept transposed as in
-    ``shapes.grassmann_coordinates``.
-    """
-    perp = quadform.orth_complement(q, rep)
-    gram_l = quadform.gram_restriction(q, rep)
-    gram_p = quadform.gram_restriction(q, perp)
-    _, prim_l = quadform.content_and_primitive(gram_l)
-    _, prim_p = quadform.content_and_primitive(gram_p)
-    num, det = quadform.projection_numerator(q, rep)
-    sides = ((_shape_points(gram_l), rep.basis), (_shape_points(gram_p), perp.basis))
-    disc, disc_prim_l, disc_prim_perp = (exact.det_int(g) for g in (gram_l, prim_l, prim_p))
-
-    def record(sub: quadform.Subspace, u, uinv) -> RecordRow:
-        p = exact.mat_mul(exact.mat_mul(uinv, num), u)
-        shape_l, shape_perp = (_oriented_point(pts, basis, u) for pts, basis in sides)
-        return RecordRow(
-            disc=disc,
-            hnf=sub.hnf_key(),
-            proj=tuple(x / det for col in zip(*p) for x in col),
-            shape_l=shape_l,
-            shape_perp=shape_perp,
-            disc_prim_l=disc_prim_l,
-            disc_prim_perp=disc_prim_perp,
-            stab_order=stab,
-        )
-
-    return record
-
-
 def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndarray:
     """Pooled projection entries of `count` subspaces drawn from the
     SO_Q(R)-invariant measure on the real Grassmannian.
@@ -299,22 +263,78 @@ def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndar
 # the per-discriminant worker and the driver
 
 
+def _orientations(points, basis, units):
+    """The shape point of each saturated rank-2 lattice basis·u, u in the
+    stacked ``units`` (an exact integer array, m x n x n).
+
+    Its HNF basis is T·basis·u for some T in GL_2(Z), and has its first
+    nonzero 2x2 minor (columns in lexicographic order) equal to the product
+    of its pivots, so positive; det T is thus the sign of that minor of
+    basis·u.  The Gram is T G T^T: the representative's SL_2(Z) class when
+    det T = 1 and the mirror's when det T = -1.  None on other ranks.
+    """
+    if points is None:
+        return [None] * len(units)
+    r, s = np.moveaxis(np.array(basis, dtype=object) @ units, 1, 0)
+    i, j = np.array(list(combinations(range(units.shape[1]), 2))).T
+    minors = r[:, i] * s[:, j] - r[:, j] * s[:, i]
+    first = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
+    return [points[0] if m > 0 else points[1] for m in first]
+
+
 def _bucket_records(q: quadform.QuadraticForm, subs, orbit_of) -> List[RecordRow]:
     """One record per subspace of the bucket, by the orbit map of
-    ``quadform.orbits``: the invariants of each orbit are computed once on
-    its representative, and each member's record is carried over from
-    them by its g (integer products only)."""
+    ``quadform.orbits``.
+
+    Everything G-invariant (complement, Grams, contents, discriminant, the
+    projection as the integer N over det, both orientations of each binary
+    shape) is computed once per orbit, on its representative.  Its members
+    sub = g·rep are then carried over together, with u = g^T stacked in an
+    exact integer array (numpy ``dtype=object``, so Python ints): rows map
+    by r ↦ r·u and u is an isometry of the form, so the projection onto sub
+    is u^{-1}·N·u / det, one batched product divided with int true division
+    (the nearest float, as ``float(Fraction(x, det))``) and kept transposed
+    as in ``shapes.grassmann_coordinates``; each side's orientation comes
+    from ``_orientations``.
+    """
     order = len(quadform.special_orthogonal_group(q))
-    makers: Dict[int, Callable] = {}
-    units: Dict[tuple, tuple] = {}
-    rows = []
-    for sub, entry in zip(subs, orbit_of):
-        if entry.rep not in makers:
-            makers[entry.rep] = _orbit_records(q, subs[entry.rep], order // entry.size)
-        if entry.g not in units:
-            u = exact.transpose(entry.g)
-            units[entry.g] = (u, exact.inverse_unimodular(u))
-        rows.append(makers[entry.rep](sub, *units[entry.g]))
+    members: Dict[int, List[int]] = {}
+    for j, entry in enumerate(orbit_of):
+        members.setdefault(entry.rep, []).append(j)
+    inverses: Dict[tuple, list] = {}
+    rows: List[Optional[RecordRow]] = [None] * len(subs)
+    for rep, idx in members.items():
+        sub = subs[rep]
+        perp = quadform.orth_complement(q, sub)
+        gram_l = quadform.gram_restriction(q, sub)
+        gram_p = quadform.gram_restriction(q, perp)
+        _, prim_l = quadform.content_and_primitive(gram_l)
+        _, prim_p = quadform.content_and_primitive(gram_p)
+        disc, disc_prim_l, disc_prim_perp = (exact.det_int(g) for g in (gram_l, prim_l, prim_p))
+        num, det = quadform.projection_numerator(q, sub)
+        gs = [orbit_of[j].g for j in idx]
+        for g in gs:
+            if g not in inverses:
+                inverses[g] = exact.inverse_unimodular(exact.transpose(g))
+        units = np.array(gs, dtype=object).transpose(0, 2, 1)
+        p = np.array([inverses[g] for g in gs], dtype=object) @ np.array(num, dtype=object) @ units
+        proj = (p.transpose(0, 2, 1).reshape(len(idx), -1) / det).tolist()
+        shape_l, shape_perp = (
+            _orientations(_shape_points(gram), side.basis, units)
+            for gram, side in ((gram_l, sub), (gram_p, perp))
+        )
+        stab = order // orbit_of[rep].size
+        for t, j in enumerate(idx):
+            rows[j] = RecordRow(
+                disc=disc,
+                hnf=subs[j].hnf_key(),
+                proj=tuple(proj[t]),
+                shape_l=shape_l[t],
+                shape_perp=shape_perp[t],
+                disc_prim_l=disc_prim_l,
+                disc_prim_perp=disc_prim_perp,
+                stab_order=stab,
+            )
     return rows
 
 

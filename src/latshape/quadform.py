@@ -31,6 +31,8 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import NamedTuple
 
+import numpy as np
+
 from . import exact
 from . import kernel
 
@@ -561,37 +563,66 @@ class OrbitEntry(NamedTuple):
     g: tuple
 
 
+def _signed_wedges(steps, rows):
+    """The wedge of each stacked row set rows[i] (an exact integer array,
+    numpy ``dtype=object``, of shape m x k x n), signed so its first nonzero
+    entry is positive, as m tuples: ``exact.extend_wedge`` with each
+    coordinate a column over the m row sets.  On a basis of a saturated
+    lattice the wedge has content 1, so this is its primitive Plücker
+    vector (``exact.primitive_wedge``)."""
+    wedge = [np.ones(len(rows), dtype=object)]
+    for d, step in enumerate(steps):
+        wedge = exact.extend_wedge(step, wedge, rows[:, d, :].T)
+    w = np.array(wedge, dtype=object).T
+    neg = w[np.arange(len(w)), (w != 0).argmax(axis=1)] < 0
+    w[neg] = -w[neg]
+    return map(tuple, w.tolist())
+
+
 def orbits(q: QuadraticForm, subs):
     """SO_Q(Z)-orbits of the subspaces ``subs`` and the orbit map: one
     ``OrbitEntry`` per subspace, aligned with ``subs``.
 
-    The subspaces are walked in order.  Each one not yet covered is the
-    representative of a new orbit: every g ∈ SO_Q(Z) maps its basis rows
-    by row ↦ row·g^T, and the HNF basis of the image is g·L, since g is
-    unimodular and keeps L(Z) saturated.  The distinct images form the
-    orbit G·L; the members found in ``subs`` get its size |G·L|, the
-    representative's index and the first g, in group order, whose image is
-    that member.  Images outside ``subs`` are ignored, so the sizes are
-    right even when ``subs`` is not G-invariant.  By orbit-stabiliser
-    |Stab(L)| = |G| / |G·L|, the same for every member of an orbit
-    (Plesken-Souvignier, "Computing isometries of lattices", J. Symb.
-    Comp. 24, 1997).
+    A subspace is keyed by its rank and its primitive Plücker vector, the
+    signed wedge of its basis (``_signed_wedges``), which is equal exactly
+    for equal subspaces.  The subspaces are walked in order.  Each one not
+    yet covered is the representative of a new orbit: every g ∈ SO_Q(Z)
+    maps its basis rows by row ↦ row·g^T, all g in one stacked product.
+    g is unimodular, so the image rows are a basis of the saturated
+    g·L(Z) and their signed wedge is the key of g·L.  The distinct keys
+    form the orbit G·L; the members found in ``subs`` get its size |G·L|,
+    the representative's index and the first g, in group order, whose
+    image is that member.  Images outside ``subs`` are ignored, so the
+    sizes are right even when ``subs`` is not G-invariant.  By
+    orbit-stabiliser |Stab(L)| = |G| / |G·L|, the same for every member of
+    an orbit (Plesken-Souvignier, "Computing isometries of lattices",
+    J. Symb. Comp. 24, 1997).
     """
     subs = list(subs)
-    index = {}
+    if not subs:
+        return []
+    n = q.n
+    by_rank = {}
     for i, sub in enumerate(subs):
-        index.setdefault(sub.basis, []).append(i)
+        by_rank.setdefault(sub.k, []).append(i)
+    steps = {k: exact.wedge_steps(n, k) for k in by_rank}
+    index = {}
+    for k, idx in by_rank.items():
+        rows = np.array([subs[i].basis for i in idx], dtype=object).reshape(len(idx), k, n)
+        for i, key in zip(idx, _signed_wedges(steps[k], rows)):
+            index.setdefault((k, key), []).append(i)
+    group = special_orthogonal_group(q)
+    units = np.array(group, dtype=object).transpose(0, 2, 1)  # every g^T
     out = [None] * len(subs)
-    group = special_orthogonal_group(q) if subs else ()
     for i, sub in enumerate(subs):
         if out[i] is not None:
             continue
-        basis = sub.basis
+        k = sub.k
+        images = np.array(sub.basis, dtype=object).reshape(k, n) @ units
         orbit = {}
-        for g in group:
-            rows = [[sum(a * b for a, b in zip(row, grow)) for grow in g] for row in basis]
-            orbit.setdefault(_freeze(exact.hnf_basis(rows)), g)
-        for image, g in orbit.items():
-            for j in index.get(image, ()):
+        for key, g in zip(_signed_wedges(steps[k], images), group):
+            orbit.setdefault(key, g)
+        for key, g in orbit.items():
+            for j in index.get((k, key), ()):
                 out[j] = OrbitEntry(len(orbit), i, g)
     return out

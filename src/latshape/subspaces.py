@@ -21,8 +21,11 @@
   For 1 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
   by the primitive Plücker vector p of its saturated span and takes the
   disc as p C p with C the k-th compound of the Gram (Cauchy-Binet), so
-  it saturates each subspace once.  The recursion uses neither, so the two
-  share only Subspace and the HNF.
+  it saturates each subspace once.  The wedge lives in ``exact``, where
+  ``quadform.orbits`` keys its images by the same Plücker vector.  The
+  recursion uses neither the wedge nor the compound, so the two
+  enumerators stay independent: they share only Subspace and the exact
+  core.
 
 Every subspace is stored, deduplicated and sorted by the HNF basis of
 L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z): lbar's
@@ -157,7 +160,8 @@ def enumerate_by_disc(
         cands = kernel.short_vectors(q.gram, bound)
         _check_candidates(len(cands), max_candidates)
         m = len(cands)
-        steps = _wedge_steps(n, k)
+        steps = exact.wedge_steps(n, k)
+        extend_wedge, primitive_wedge = exact.extend_wedge, exact.primitive_wedge
         compound = _compound_terms(q.gram, k)
         low, high = 3**e, 4**e * max_disc
         seen = set()
@@ -172,13 +176,13 @@ def enumerate_by_disc(
                 nprod = prod * norm
                 if nprod * low > high:
                     break
-                w = _extend_wedge(step, wedge, vec)
+                w = extend_wedge(step, wedge, vec)
                 if not any(w):
                     continue  # vec depends on the rows
                 if depth + 1 < k:
                     extend(i + 1, rows + [vec], w, nprod, depth + 1)
                     continue
-                p = _primitive(w)
+                p = primitive_wedge(w)
                 if p in seen:
                     continue
                 seen.add(p)
@@ -190,44 +194,6 @@ def enumerate_by_disc(
         extend(0, [], [1], 1, 0)
 
     return DiscClassTable({d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in buckets.items()})
-
-
-def _wedge_steps(n, k):
-    """Laplace tables that grow a wedge by one row, for depths 0..k-1.
-
-    The wedge of d rows is the vector of their d x d minors, indexed by
-    the column sets of ``itertools.combinations(range(n), d)``; the wedge
-    of no rows is [1].  steps[d] is (d + 1, terms): terms lists, for each
-    (d+1)-set J in turn, the d + 1 terms (j, t, sign) of the minor's
-    expansion along the new row v, sign * v[j] * wedge[t], where t indexes
-    the d-set J minus j.
-    """
-    steps = []
-    for d in range(k):
-        pos = {c: t for t, c in enumerate(itertools.combinations(range(n), d))}
-        steps.append((d + 1, [
-            (J[t], pos[J[:t] + J[t + 1:]], (-1) ** (d + t))
-            for J in itertools.combinations(range(n), d + 1)
-            for t in range(d + 1)
-        ]))
-    return steps
-
-
-def _extend_wedge(step, wedge, vec):
-    """The wedge of the rows and vec, from the wedge of the rows and the
-    step of _wedge_steps at their depth."""
-    width, table = step
-    terms = [s * vec[j] * wedge[t] for j, t, s in table]
-    return [sum(terms[a:a + width]) for a in range(0, len(terms), width)]
-
-
-def _primitive(wedge):
-    """The nonzero wedge divided by its content, first nonzero entry
-    positive: the primitive Plücker vector of the saturated span."""
-    g = math.gcd(*wedge)
-    if next(x for x in wedge if x) < 0:
-        g = -g
-    return tuple(x // g for x in wedge)
 
 
 def _compound_terms(gram, k):

@@ -43,6 +43,13 @@ representative, and carries it to the members through the orbit map.
 ``_record`` is the earlier per-subspace record, kept verbatim: the
 complement, both Grams, both contents, both shapes and the ``Fraction``
 projection matrix of each subspace on its own.
+
+The package keys each image g·L of the orbit map by its primitive Plücker
+vector, the signed wedge of the image rows.  ``orbits`` is the earlier
+version, kept verbatim but for the package names it reaches through
+``quadform``: it keys each image by the HNF basis of the image rows
+(``exact.hnf_basis``, one call per orbit and group element) and each
+member by its stored basis.
 """
 
 import math
@@ -781,3 +788,39 @@ def _record(q: quadform.QuadraticForm, sub: quadform.Subspace, stab: int) -> Rec
         disc_prim_perp=exact.det_int(prim_p),
         stab_order=stab,
     )
+
+
+def orbits(q: quadform.QuadraticForm, subs):
+    """SO_Q(Z)-orbits of the subspaces ``subs`` and the orbit map: one
+    ``OrbitEntry`` per subspace, aligned with ``subs``.
+
+    The subspaces are walked in order.  Each one not yet covered is the
+    representative of a new orbit: every g ∈ SO_Q(Z) maps its basis rows
+    by row ↦ row·g^T, and the HNF basis of the image is g·L, since g is
+    unimodular and keeps L(Z) saturated.  The distinct images form the
+    orbit G·L; the members found in ``subs`` get its size |G·L|, the
+    representative's index and the first g, in group order, whose image is
+    that member.  Images outside ``subs`` are ignored, so the sizes are
+    right even when ``subs`` is not G-invariant.  By orbit-stabiliser
+    |Stab(L)| = |G| / |G·L|, the same for every member of an orbit
+    (Plesken-Souvignier, "Computing isometries of lattices", J. Symb.
+    Comp. 24, 1997).
+    """
+    subs = list(subs)
+    index = {}
+    for i, sub in enumerate(subs):
+        index.setdefault(sub.basis, []).append(i)
+    out = [None] * len(subs)
+    group = quadform.special_orthogonal_group(q) if subs else ()
+    for i, sub in enumerate(subs):
+        if out[i] is not None:
+            continue
+        basis = sub.basis
+        orbit = {}
+        for g in group:
+            rows = [[sum(a * b for a, b in zip(row, grow)) for grow in g] for row in basis]
+            orbit.setdefault(_freeze(exact.hnf_basis(rows)), g)
+        for image, g in orbit.items():
+            for j in index.get(image, ()):
+                out[j] = quadform.OrbitEntry(len(orbit), i, g)
+    return out

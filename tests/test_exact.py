@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latshape import exact
 from latshape import quadform
@@ -413,9 +413,10 @@ def square_matrices(draw, max_n=6):
 
 
 @st.composite
-def unimodular_matrices(draw, max_n=6):
+def unimodular_matrices(draw, max_n=6, n=None):
     # identity under random elementary row operations and a row swap
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=max_n))
     mat = exact.identity(n)
     for _ in range(draw(st.integers(0, 3 * n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -490,6 +491,43 @@ def test_ldl_int_minors_and_completion(mat):
 def test_inverse_unimodular_matches_inverse_fraction(mat):
     inv = exact.inverse_unimodular(mat)
     assert fo.to_fraction_matrix(inv) == fo.inverse_fraction(mat)
+
+
+# wedges of integer rows: the Plücker vector that keys the vector DFS and
+# the orbit map
+
+
+def _wedge(rows):
+    wedge = [1]
+    for step, row in zip(exact.wedge_steps(len(rows[0]), len(rows)), rows):
+        wedge = exact.extend_wedge(step, wedge, row)
+    return wedge
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_primitive_wedge_is_the_signed_minor_vector_of_the_saturation(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=k, max_size=k))
+    assume(exact.rank_int(rows) == k)
+    minors = [exact.det_int([[r[j] for j in cols] for r in rows])
+              for cols in itertools.combinations(range(n), k)]
+    assert _wedge(rows) == minors
+    content = gcd(*minors)
+    sign = 1 if next(x for x in minors if x) > 0 else -1
+    key = exact.primitive_wedge(minors)
+    assert key == tuple(sign * x // content for x in minors)
+    # every basis of the saturated lattice has this key, and a content-1 wedge
+    basis = exact.saturate(rows)
+    u = data.draw(unimodular_matrices(n=k))
+    a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                           min_size=k, max_size=k))
+    assume(exact.det_int(a))
+    for other in (basis, exact.mat_mul(u, basis), exact.mat_mul(a, rows)):
+        assert exact.primitive_wedge(_wedge(other)) == key
+    assert gcd(*_wedge(exact.mat_mul(u, basis))) == 1
 
 
 def test_det_and_inverse_fraction():

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from latshape import exact
@@ -35,20 +36,20 @@ def _hyperbolic_cdf_exact(t: float) -> float:
 
 
 def test_ks_statistic_frozen_examples():
-    uniform = lambda t: min(1.0, max(0.0, t))
+    uniform = lambda t: np.clip(t, 0.0, 1.0)
     assert ex.ks_statistic([0.1, 0.2, 0.3], uniform) == pytest.approx(0.7)
     assert ex.ks_statistic([0.5], uniform) == pytest.approx(0.5)
 
 
 def test_ks_statistic_at_reference_quantiles():
-    uniform = lambda t: min(1.0, max(0.0, t))
+    uniform = lambda t: np.clip(t, 0.0, 1.0)
     m = 40
     samples = [i / (m + 1) for i in range(1, m + 1)]
     assert ex.ks_statistic(samples, uniform) <= 1.0 / (m + 1) + 1e-12
 
 
 def test_ks_statistic_validation_and_weights():
-    uniform = lambda t: min(1.0, max(0.0, t))
+    uniform = lambda t: np.clip(t, 0.0, 1.0)
     with pytest.raises(ValueError):
         ex.ks_statistic([], uniform)
     with pytest.raises(ValueError):
@@ -77,6 +78,42 @@ def test_two_sample_ks():
     assert ex.two_sample_ks([1.0, 2.0], [1.0, 3.0]) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         ex.two_sample_ks([], [1.0])
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 50], [1], [1, -1], [0, 0]])
+def test_two_sample_ks_refuses_bad_weights(weights):
+    # too long was truncated (0.5), too short raised IndexError and a zero
+    # sum gave nan
+    with pytest.raises(ValueError, match="weights must be positive and match the samples"):
+        ex.two_sample_ks([1, 2], [1.5], weights)
+    # at 1.5 the weighted side has mass 1/4 and the other all of it
+    assert ex.two_sample_ks([1, 2], [1.5], [1, 3]) == pytest.approx(0.75)
+
+
+def test_reference_cdfs_are_elementwise_on_arrays():
+    # ks_statistic calls the reference once on the sorted samples: the array
+    # call and each float call must give the bits of the scalar laws below
+    # (the CDFs as they were before they took arrays), a float for a float
+    knots, cdf_knots, tail = ex._hyperbolic_table()
+
+    def hyperbolic_scalar(t):
+        if t <= knots[0]:
+            return 0.0
+        if t >= knots[-1]:
+            return 1.0 - tail / t
+        return float(np.interp(t, knots, cdf_knots))
+
+    def sphere_scalar(t):
+        return min(1.0, max(0.0, (t + 1.0) / 2.0))
+
+    ys = np.concatenate(([0.0, 0.5, knots[0], knots[-1], 12.5, 1e6], np.linspace(0.8, 14.0, 997)))
+    zs = np.linspace(-1.5, 1.5, 301)
+    for cdf, scalar, xs in ((ex.hyperbolic_y_cdf, hyperbolic_scalar, ys), (ex.sphere_z_cdf, sphere_scalar, zs)):
+        expected = [scalar(float(t)) for t in xs]
+        got = [cdf(float(t)) for t in xs]
+        assert all(type(v) is float for v in got)
+        assert got == expected
+        assert np.array_equal(cdf(xs), np.array(expected))
 
 
 def test_hyperbolic_table_matches_closed_form():
@@ -309,6 +346,34 @@ def test_orbit_records_match_per_subspace_oracle(form, k, discs):
     # off the diagonal forms some g^{-1} is not g^T: the carried
     # projection needs the adjugate
     assert (non_orthogonal > 0) == (form in (A4, T3))
+
+
+@pytest.mark.parametrize("form, k, discs", ORBIT_CASES + [
+    (quadform.QuadraticForm.sum_of_squares(5), 2, (5, 12)),
+    (A4, 3, (14, 26, 34)),
+])
+def test_orbits_match_the_hnf_keyed_oracle(form, k, discs):
+    # the Plücker-keyed orbit map equals the HNF-keyed one entry for entry:
+    # the same representatives, orbit sizes and first g in group order
+    for subs in subspaces.disc_buckets(form, k, discs).values():
+        assert subs
+        assert quadform.orbits(form, subs) == fo.orbits(form, subs)
+
+
+def test_records_stay_exact_past_64_bits():
+    # the line through (1, 0, 2^40) has N = B^T B with an entry 2^80, and
+    # its images under the group reach it through u^{-1} N u: an int64
+    # path would wrap where Python ints do not
+    q = quadform.QuadraticForm.sum_of_squares(3)
+    line = quadform.Subspace.from_rows(q, [[1, 0, 2**40]])
+    group = quadform.special_orthogonal_group(q)
+    subs = sorted({quadform.rotate_subspace(g, line) for g in group}, key=lambda s: s.basis)
+    orbit_of = quadform.orbits(q, subs)
+    assert len({entry.rep for entry in orbit_of}) == 1
+    rows = ex._bucket_records(q, subs, orbit_of)
+    for sub, entry, row in zip(subs, orbit_of, rows):
+        assert row == fo._record(q, sub, len(group) // entry.size)
+    assert max(abs(x) for row in quadform.projection_numerator(q, line)[0] for x in row) > 2**63
 
 
 def test_orbit_oracle_cases_reach_every_boundary():

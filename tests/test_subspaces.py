@@ -598,15 +598,15 @@ def test_full_rank_and_zero_rank():
 def _wedge(rows):
     """The wedge of the rows, grown row by row through the DFS's tables."""
     wedge = [1]
-    for step, row in zip(sp._wedge_steps(len(rows[0]), len(rows)), rows):
-        wedge = sp._extend_wedge(step, wedge, row)
+    for step, row in zip(exact.wedge_steps(len(rows[0]), len(rows)), rows):
+        wedge = exact.extend_wedge(step, wedge, row)
     return wedge
 
 
 def _dfs_key(rows):
     """The DFS's key of the rows, or None when their wedge is zero."""
     wedge = _wedge(rows)
-    return sp._primitive(wedge) if any(wedge) else None
+    return exact.primitive_wedge(wedge) if any(wedge) else None
 
 
 @st.composite
