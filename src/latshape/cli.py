@@ -215,6 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "for rational subspaces of definite quadratic lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cap_help = "cap on the vectors walked in all (default {:,})".format(subspaces.DEFAULT_CANDIDATE_CAP)
 
     def add_q(p, required=True):
         p.add_argument(
@@ -230,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--disc", type=int, help="single discriminant: emit subspaces")
     group.add_argument("--dmax", type=int, help="emit counts for 1 <= D <= dmax")
-    p.add_argument("--max-candidates", type=int, default=None)
+    p.add_argument("--max-candidates", type=int, default=None, help=cap_help)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("invariants", help="exact invariant bundle of one subspace")
@@ -268,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", type=int, default=2048)
-    p.add_argument("--max-candidates", type=int, default=None)
+    p.add_argument("--max-candidates", type=int, default=None, help=cap_help)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run one verification suite")

@@ -186,7 +186,7 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray], weights=None)
     it must act elementwise on arrays, as ``sphere_z_cdf`` and
     ``hyperbolic_y_cdf`` do.  Raises ``ValueError`` on no samples and on
     weights that are not positive or do not match the samples."""
-    x = np.asarray(list(samples), dtype=float)
+    x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("ks_statistic needs at least one sample")
     order = np.argsort(x, kind="stable")
@@ -194,7 +194,7 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray], weights=None)
     if weights is None:
         cum = np.arange(1, x.size + 1, dtype=float) / x.size
     else:
-        w = np.asarray(list(weights), dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.size != x.size or np.any(w <= 0):
             raise ValueError("weights must be positive and match the samples")
         cum = np.cumsum(w[order]) / float(np.sum(w))
@@ -208,8 +208,8 @@ def two_sample_ks(a, b, weights_a=None) -> float:
     weights); evaluated at every jump point so the sup is exact.  Raises
     ``ValueError`` on an empty sample and on weights that are not positive
     or do not match the first sample."""
-    xa = np.asarray(list(a), dtype=float)
-    xb = np.asarray(list(b), dtype=float)
+    xa = np.asarray(a, dtype=float)
+    xb = np.asarray(b, dtype=float)
     if xa.size == 0 or xb.size == 0:
         raise ValueError("two_sample_ks needs nonempty samples")
     oa = np.argsort(xa, kind="stable")
@@ -217,7 +217,7 @@ def two_sample_ks(a, b, weights_a=None) -> float:
     if weights_a is None:
         pa = np.arange(xa.size + 1, dtype=float) / xa.size
     else:
-        w = np.asarray(list(weights_a), dtype=float)
+        w = np.asarray(weights_a, dtype=float)
         if w.size != xa.size or np.any(w <= 0):
             raise ValueError("weights must be positive and match the samples")
         w = w[oa]
@@ -382,7 +382,7 @@ def _bucket_worker(args):
             summary["sphere_z_ks"] = ks_statistic(
                 zs, sphere_z_cdf, ws if weights is not None else None
             )
-        pooled = np.concatenate([np.asarray(r.proj) for r in rows])
+        pooled = np.array([r.proj for r in rows], dtype=float).ravel()
         rng = np.random.default_rng([seed, d])
         mc = _grassmann_mc(q, k, rng, mc_samples)
         wa = None

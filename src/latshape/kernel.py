@@ -29,6 +29,13 @@ A set of norms is one walk of the prefixes up to the largest, N_max: at
 the innermost coordinate the budget for the norm N is r - Lambda (N_max -
 N), solved the same way once per N (``vectors_with_norms``).
 
+A walk takes a ``limit``, the candidates its caller still allows, and
+raises ``BoundExceededError`` past it.  The count is read after each step
+of x_i (i > 1), after each x_1 row of the ball and at the end, so the walk
+stops within one x_0 range of its limit: the work is bounded, not only the
+output.  A fixed-norm x_1 row adds at most two vectors per norm and is not
+checked on its own; that check cost about 14% of the Z^3 line walk.
+
 Sign convention: of each pair ``{v, -v}`` only the representative whose
 last nonzero coordinate is positive is reported.
 
@@ -44,7 +51,7 @@ vectors per sign pair raises ``SearchBoundError``; the same cap bounds
 SO_Q(Z), the equivalence test and the canonicalization pool of ``shapes``.
 """
 
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from operator import mul
 
 from . import exact
@@ -52,16 +59,26 @@ from . import exact
 POOL_CAP = 20000
 
 
+class BoundExceededError(RuntimeError):
+    """Raised when an enumeration walks more than ``limit`` candidates."""
+
+    def __init__(self, count, limit):
+        super().__init__("candidate bound exceeded: %d vectors (limit %d)" % (count, limit))
+        self.count, self.limit = count, limit
+
+
 class SearchBoundError(RuntimeError):
     """Raised when an isometry or canonicalization search would need to
     enumerate more candidate vectors than the configured cap."""
 
 
-def _walk(gram, bound, norms=None, last_positive=False):
+def _walk(gram, bound, norms=None, last_positive=False, limit=inf):
     """Sorted (norm, v) with 0 < norm <= bound, one v per sign pair, or
     only the v whose norm is in ``norms`` when given (bound = max(norms)).
     With ``last_positive`` the outer coordinate v[-1] starts at 1, so the
-    layer v[-1] = 0 is never walked.
+    layer v[-1] = 0 is never walked.  A step of x_i (i > 1) or an x_1 row of
+    the ball that passes ``limit`` ends the walk; the end raises, and also
+    catches the fixed-norm x_1 rows, which are not checked on their own.
 
     ``rec`` recurses down to level 1, where (x_1, x_0) is one flat loop:
     S_0 = s0 + U[0][1] x_1, and x_0 is solved, not scanned, for fixed norms
@@ -75,7 +92,7 @@ def _walk(gram, bound, norms=None, last_positive=False):
         return []
     if n == 1:
         a = minors[0]
-        pinned = _walk(((a, 0), (0, a * bound + 1)), bound, norms)
+        pinned = _walk(((a, 0), (0, a * bound + 1)), bound, norms, False, limit)
         return [(t, v[:1]) for t, v in pinned]
     d = [1] + minors
     lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
@@ -101,6 +118,8 @@ def _walk(gram, bound, norms=None, last_positive=False):
                 x[i] = xi
                 y = p * xi + s
                 rec(i - 1, r - wi * y * y, nonzero or xi != 0)
+                if len(out) > limit:
+                    break
             x[i] = 0
             return
         tail = tuple(x[2:])
@@ -117,6 +136,8 @@ def _walk(gram, bound, norms=None, last_positive=False):
                 for x0 in range(lo0 if nz else max(lo0, 1), (h0 - s1) // p0 + 1):
                     y = p0 * x0 + s1
                     out.append((bound - (left - w0 * y * y) // lam, (x0,) + v))
+                if len(out) > limit:
+                    return
                 continue
             for norm, off in shells:
                 if left < off:
@@ -131,18 +152,21 @@ def _walk(gram, bound, norms=None, last_positive=False):
                         out.append((norm, (x0,) + v))
 
     rec(n - 1, lam * bound, False)
+    if len(out) > limit:
+        raise BoundExceededError(len(out), limit)
     out.sort()
     return out
 
 
-def short_vectors(gram, bound, last_positive=False):
+def short_vectors(gram, bound, last_positive=False, limit=inf):
     """All (norm, v) with 0 < v G v^T <= bound, one per sign pair.
 
     Sorted by (norm, vector).  ``gram`` is any sequence of int rows of an
     integral symmetric positive definite matrix; norms are plain ints.
-    With ``last_positive`` only the v with v[-1] > 0 are walked.
+    With ``last_positive`` only the v with v[-1] > 0 are walked.  Raises
+    ``BoundExceededError`` past ``limit`` vectors (default: none).
     """
-    return _walk(gram, bound, None, last_positive)
+    return _walk(gram, bound, None, last_positive, limit)
 
 
 def vectors_with_norm(gram, target):
@@ -155,14 +179,15 @@ def vectors_with_norm(gram, target):
     return [v for _, v in _walk(gram, target, (target,))]
 
 
-def vectors_with_norms(gram, norms, last_positive=False):
+def vectors_with_norms(gram, norms, last_positive=False, limit=inf):
     """All (norm, v) with v G v^T in ``norms``, one per sign pair, sorted
     by (norm, vector): one walk of the prefixes up to max(norms), whose
     innermost coordinate is solved once per norm.  With ``last_positive``
-    only the v with v[-1] > 0 are walked.
+    only the v with v[-1] > 0 are walked.  Raises ``BoundExceededError``
+    past ``limit`` vectors (default: none).
     """
     norms = set(norms)
-    return _walk(gram, max(norms, default=0), norms, last_positive)
+    return _walk(gram, max(norms, default=0), norms, last_positive, limit)
 
 
 def isometries(a, b):

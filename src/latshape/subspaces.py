@@ -14,8 +14,7 @@
   full, and for lines they hold only the zero subspace.  Planes of Z^4
   take the pairs route instead, at any D: SO(4) -> SO(3) x SO(3) splits a
   Plücker vector into two norm-D vectors of Z^3 (Aka-Einsiedler-Wieser,
-  arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells, and
-  MAX_SWEEP_DISC bounds only the recursion;
+  arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells;
 * enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
   independent reference that the recursion is cross-validated against.
   For 1 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
@@ -49,12 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exact
 from . import kernel
 from . import quadform
+from .kernel import BoundExceededError
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
-
-
-class BoundExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the candidate budget."""
 
 
 class Verdict(enum.Enum):
@@ -104,17 +100,12 @@ class DiscClassTable:
         return self.table.get(d, ())
 
 
-def check_max_candidates(max_candidates: Optional[int]) -> None:
-    """Refuse a negative candidate cap before any walk; None means
-    DEFAULT_CANDIDATE_CAP, and 0 is a valid cap."""
+def check_max_candidates(max_candidates: Optional[int]) -> int:
+    """Refuse a negative cap before any walk and return the cap in force, the
+    vectors all walks may take: DEFAULT_CANDIDATE_CAP for None; 0 is valid."""
     if max_candidates is not None and max_candidates < 0:
         raise ValueError("max_candidates must be >= 0, got %d" % max_candidates)
-
-
-def _check_candidates(count: int, max_candidates: Optional[int]) -> None:
-    cap = DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
-    if count > cap:
-        raise BoundExceededError("candidate bound exceeded: %d vectors (cap %d)" % (count, cap))
+    return DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
@@ -142,7 +133,7 @@ def enumerate_by_disc(
     saturated by Subspace.from_rows.  At k = 1 the wedge is the vector
     itself and C the Gram; at k = n the one subspace is the whole space.
     """
-    check_max_candidates(max_candidates)
+    budget = check_max_candidates(max_candidates)
     n = q.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -156,9 +147,7 @@ def enumerate_by_disc(
             buckets.setdefault(q.disc(), []).append(full)
     else:
         e = k * (k - 1) // 2
-        bound = hermite_bound(k, max_disc)
-        cands = kernel.short_vectors(q.gram, bound)
-        _check_candidates(len(cands), max_candidates)
+        cands = kernel.short_vectors(q.gram, hermite_bound(k, max_disc), limit=budget)
         m = len(cands)
         steps = exact.wedge_steps(n, k)
         extend_wedge, primitive_wedge = exact.extend_wedge, exact.primitive_wedge
@@ -286,17 +275,16 @@ def recursion_table(
     walks count against ``max_candidates``.  The entries with D <= D' are
     the table up to D'.
     """
-    check_max_candidates(max_candidates)
-    return DiscClassTable(_recursion(q, k, max_disc, None, max_candidates))
+    return DiscClassTable(_recursion(q, k, max_disc, None, check_max_candidates(max_candidates)))
 
 
-def _recursion(q, k, max_disc, targets, max_candidates):
+def _recursion(q, k, max_disc, targets, budget):
     """The rank-k row of the recursion, D -> sorted tuple: every D <=
     max_disc when ``targets`` is None, else only the D in ``targets``
     (max_disc = max(targets)).  The rank-k row is needed only at those D
     at every level, since a subspace inside x_{n-m} = 0 has the same disc
     under M_m as under M_{m-1}; the rows of rank < k are the lbar tables
-    and stay full up to caps[m].
+    and stay full up to caps[m].  Each walk may take what ``budget`` has left.
     """
     n = q.n
     if not 1 <= k <= n:
@@ -328,29 +316,29 @@ def _recursion(q, k, max_disc, targets, max_candidates):
                 for dprime, lbars in lower[j - 1].items():
                     if dprime * dets[m] <= cap * dets[m - 1]:
                         for lbar in lbars:
-                            spent += _lifts_over(qm, lbar, cap, norms, row[j])
-                            _check_candidates(spent, max_candidates)
+                            try:
+                                spent += _lifts_over(qm, lbar, cap, norms, row[j], budget - spent)
+                            except BoundExceededError as exc:  # report the whole job's count
+                                raise BoundExceededError(spent + exc.count, budget) from None
     return {d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in row[k].items()}
 
 
-def _lifts_over(q, lbar, cap, norms, out):
+def _lifts_over(q, lbar, cap, norms, out, limit):
     """Append to ``out`` (D -> list) each L of disc D <= cap, or of disc D
     in ``norms`` when given, that meets x_0 = 0 in lbar; return the number
-    of candidates walked.  L(Z) is lbar(Z) + Z x for a unique primitive
-    class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis [lifts; e_0],
-    and its disc is a positive definite form in x: det G times the Schur
-    complement of G = B M B^T in the Gram of [B; lifts; e_0].  So the L of
-    the given discs are one walk of that form's shells.
+    of candidates walked, at most ``limit``.  L(Z) is lbar(Z) + Z x for a
+    unique primitive class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis
+    [lifts; e_0], and its disc is a positive definite form in x: det G times
+    the Schur complement of G = B M B^T in the Gram of [B; lifts; e_0].  So
+    the L of the given discs are one walk of that form's shells.
     """
     m, j = q.n, lbar.k
     head = [(0,) + r for r in lbar.basis]
     _, lifts = _projection_data(lbar)
     gram = quadform.gram_restriction(q, head + [[0] + r for r in lifts] + [[1] + [0] * (m - 1)])
     schur = [r[j:] for r in exact.bareiss(gram, j)[j:]]
-    if norms is None:
-        sols = kernel.short_vectors(schur, cap, last_positive=True)
-    else:
-        sols = kernel.vectors_with_norms(schur, norms, last_positive=True)
+    walk = kernel.short_vectors if norms is None else kernel.vectors_with_norms
+    sols = walk(schur, cap if norms is None else norms, last_positive=True, limit=limit)
     lifted = {}
     for d, x in sols:
         c, h = x[:-1], x[-1]
@@ -371,15 +359,7 @@ def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:
     return recursion_table(quadform.QuadraticForm.sum_of_squares(n), k, max_disc)
 
 
-# the recursion walks the rank-k row only at the requested D, but for k >= 2
-# the lbar tables below it hold every discriminant up to about max(discs),
-# so keep desk-scale requests honest; for lines they hold only the zero
-# subspace.  The guard bounds only the recursion: planes of Z^4 come from
-# pairs of Z^3 shells and take no guard
-MAX_SWEEP_DISC = 150
-
-
-def _planes_from_pairs(q, discs, max_candidates):
+def _planes_from_pairs(q, discs, budget):
     """H^{4,2}(D) over the sum of squares for each D in ``discs``, from
     pairs of Z^3 shells.  A plane's primitive Plücker vector p splits into
     a = (p12+p34, p13-p24, p14+p23) and b = (p12-p34, p13+p24, p14-p23),
@@ -388,13 +368,13 @@ def _planes_from_pairs(q, discs, max_candidates):
     plane, met once when a runs over the half-shell (p and -p give the same
     plane).  p primitive means the columns of a basis generate Z^2, so the
     rows of p's antisymmetric matrix span L(Z) and their HNF is its basis.
-    The half-shells and every pair count against ``max_candidates``."""
+    The half-shells and every pair count against the ``budget``."""
     shells = {}
-    for d, a in kernel.vectors_with_norms(exact.identity(3), discs):
+    for d, a in kernel.vectors_with_norms(exact.identity(3), discs, limit=budget):
         shells.setdefault(d, {}).setdefault(tuple(x & 1 for x in a), []).append(a)
-    _check_candidates(sum(len(half) * (1 + 2 * len(half))
-                          for classes in shells.values() for half in classes.values()),
-                      max_candidates)
+    work = sum(len(h) * (1 + 2 * len(h)) for classes in shells.values() for h in classes.values())
+    if work > budget:
+        raise BoundExceededError(work, budget)
     out = {}
     for d, classes in shells.items():
         planes = []
@@ -425,24 +405,18 @@ def disc_buckets(
     any D.  Every other job takes the hyperplane recursion with its rank-k
     row walked only at the D in ``discs`` (one shell walk of the Schur
     complement per lbar), never at the norms below them.  Raises
-    ``ValueError`` on an empty list or a D < 1, and, on the recursion at
-    k >= 2, ``BoundExceededError`` when max(discs) passes MAX_SWEEP_DISC,
-    which bounds the full lbar tables below the rank-k row."""
-    check_max_candidates(max_candidates)
+    ``ValueError`` on an empty list or a D < 1, and ``BoundExceededError``
+    once the walks pass ``max_candidates`` vectors in all, the full lbar
+    tables below the rank-k row included."""
+    budget = check_max_candidates(max_candidates)
     if not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
     if not discs or min(discs) < 1:
         raise ValueError("need a nonempty list of discriminants >= 1, got %s" % list(discs))
     if (q.n, k) == (4, 2) and q.is_sum_of_squares():
-        planes = _planes_from_pairs(q, discs, max_candidates)
+        planes = _planes_from_pairs(q, discs, budget)
         return {d: planes.get(d, ()) for d in discs}
-    top = max(discs)
-    if k >= 2 and top > MAX_SWEEP_DISC:
-        raise BoundExceededError(
-            "k >= 2 enumeration sweeps all discriminants up to %d (guard: %d)"
-            % (top, MAX_SWEEP_DISC)
-        )
-    row = _recursion(q, k, top, frozenset(discs), max_candidates)
+    row = _recursion(q, k, max(discs), frozenset(discs), budget)
     return {d: row.get(d, ()) for d in discs}
 
 

@@ -114,20 +114,20 @@ def test_negative_candidate_cap_is_a_usage_error(capsys, argv):
     assert "max_candidates must be >= 0, got -1" in captured.err
 
 
-def test_enumerate_one_disc_honours_the_sweep_guard(capsys):
-    # listing one bucket of planes of Z^5 would build every table up to D
-    disc = subspaces.MAX_SWEEP_DISC + 1
-    argv = ["enumerate", "--Q", "sumsq:5", "--k", "2", "--disc", str(disc)]
+def test_enumerate_one_disc_honours_the_work_cap(capsys):
+    # planes of Z^5 at D = 10^6 walk lbar tables up to D; the cap stops the
+    # first walk that passes it, long before the tables are built
+    argv = ["enumerate", "--Q", "sumsq:5", "--k", "2", "--disc", "1000000",
+            "--max-candidates", "20000"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "sweeps all discriminants up to %d" % disc in captured.err
+    assert "candidate bound exceeded" in captured.err
 
 
 def test_enumerate_planes_of_z4_pass_the_sweep_guard(capsys):
     # planes of Z^4 come from pairs of Z^3 shells, which build no table
     disc = 161
-    assert disc > subspaces.MAX_SWEEP_DISC
     code, payload = _run(capsys, "enumerate", "--Q", "sumsq:4", "--k", "2", "--disc", str(disc))
     assert code == 0
     expected = subspaces.schmidt_table(4, 2, disc).get(disc)
@@ -148,8 +148,9 @@ def test_enumerate_lines_honour_the_candidate_cap(capsys):
 
 
 def test_enumerate_lines_skip_the_sweep_guard(capsys):
-    # lines have no lbar tables to sweep, so the guard applies only at k >= 2
-    disc = subspaces.MAX_SWEEP_DISC + 1
+    # lines have no lbar tables to sweep; 151 is past the D = 150 that once
+    # refused every job at k >= 2
+    disc = 151
     for spec, n in (("sumsq:3", 3), ("sumsq:4", 4)):
         code, payload = _run(capsys, "enumerate", "--Q", spec, "--k", "1", "--disc", str(disc))
         assert code == 0

@@ -427,10 +427,11 @@ def test_run_experiment_weightings_agree_when_stabilizers_tie():
     assert stats["plain"] == pytest.approx(stats["stabilizer"], abs=1e-12)
 
 
-def test_run_experiment_sweep_guard():
+def test_run_experiment_work_cap():
+    # the cap stops the walks of planes of Z^5 at D = 10^6 before any table
     q = quadform.QuadraticForm.sum_of_squares(5)
-    cfg = ex.ExperimentConfig(form=q, k=2, discs=(subspaces.MAX_SWEEP_DISC + 1,))
-    with pytest.raises(subspaces.BoundExceededError):
+    cfg = ex.ExperimentConfig(form=q, k=2, discs=(10**6,), max_candidates=20000)
+    with pytest.raises(subspaces.BoundExceededError, match="candidate bound exceeded"):
         ex.run_experiment(cfg)
 
 

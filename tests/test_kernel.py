@@ -168,6 +168,37 @@ def test_vectors_with_norms_is_one_shell_per_norm(gram, norms):
     assert ball == [(t, v) for t, v in kernel.short_vectors(gram, bound) if v[-1] > 0]
 
 
+def test_walk_stops_within_one_x0_range_of_its_limit():
+    # an x_1 row of the ball adds at most 2 isqrt(bound) + 1 vectors, so the
+    # walk raises with at most that many past the limit, not after the ball
+    with pytest.raises(kernel.BoundExceededError, match="candidate bound exceeded") as excinfo:
+        kernel.short_vectors(exact.identity(4), 10**6, limit=1000)
+    err = excinfo.value
+    assert 1000 < err.count <= 1000 + 2 * isqrt(10**6) + 1 and err.limit == 1000
+    assert "%d vectors (limit 1000)" % err.count in str(err)
+    full = kernel.short_vectors(A4, 30)
+    assert kernel.short_vectors(A4, 30, limit=len(full)) == full
+    shell = kernel.vectors_with_norms(exact.identity(3), {10009, 100003})
+    assert kernel.vectors_with_norms(exact.identity(3), {10009, 100003}, limit=1044) == shell
+    with pytest.raises(kernel.BoundExceededError, match="1044 vectors"):
+        kernel.vectors_with_norms(exact.identity(3), {10009, 100003}, limit=1043)
+
+
+@given(pd_grams(), st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=60))
+@settings(max_examples=80, deadline=None)
+def test_limit_admits_exactly_the_walks_it_covers(gram, bound, limit):
+    # the checks inside the walk only stop it early: a walk raises exactly
+    # when its full list is longer than the limit, in both branches
+    norms = {bound, bound // 2}
+    for walk, arg in ((kernel.short_vectors, bound), (kernel.vectors_with_norms, norms)):
+        full = walk(gram, arg)
+        if len(full) <= limit:
+            assert walk(gram, arg, limit=limit) == full
+        else:
+            with pytest.raises(kernel.BoundExceededError):
+                walk(gram, arg, limit=limit)
+
+
 def test_rejects_indefinite_gram():
     # indefinite, then semidefinite
     for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]]):

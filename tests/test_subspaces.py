@@ -406,7 +406,8 @@ def test_full_table_walks_the_rank_k_row_only_to_max_disc():
     g1, g2 = (quadform.QuadraticForm(_mirrored(g.gram)) for g in (G1, G2))
     table = sp.recursion_table(g1, 2, 60, max_candidates=28155)
     assert sp.recursion_table(g2, 2, 60, max_candidates=30106)
-    with pytest.raises(sp.BoundExceededError):
+    # the last walk passes what the others left: the message counts them all
+    with pytest.raises(sp.BoundExceededError, match=r"28155 vectors \(limit 28154\)"):
         sp.recursion_table(g1, 2, 60, max_candidates=28154)
     brute = sp.enumerate_by_disc(g1, 2, 30)
     for d in range(1, 31):
@@ -580,6 +581,28 @@ def test_planes_of_z4_cap_counts_the_half_shell_and_every_pair():
     with pytest.raises(sp.BoundExceededError):
         sp.disc_buckets(Q0_4, 2, [25, 41], max_candidates=1584 + 165 - 1)
     assert sp.disc_buckets(Q0_4, 2, [41, 25], max_candidates=1584 + 165)[25]
+
+
+def test_disc_buckets_reach_past_the_old_sweep_limit():
+    # Z^n is unimodular, so L -> L^perp maps H^{n,n-1}(D) onto H^{n,1}(D);
+    # both D lie past the D = 150 that once refused every job at k >= 2
+    for q, k, D, size in ((Q0_3, 2, 1009, 120), (Q0_4, 3, 161, 768)):
+        planes = sp.disc_buckets(q, k, [D])[D]
+        lines = sp.disc_buckets(q, 1, [D])[D]
+        assert len(planes) == len(lines) == size
+        perps = sorted(quadform.orth_complement(q, s).basis for s in planes)
+        assert perps == [s.basis for s in lines]
+
+
+def test_disc_buckets_work_cap_stops_the_walk():
+    # at the default cap this job walks for seconds before it is refused;
+    # a cap of 20000 stops the first lbar table within one x_0 range, and
+    # the message counts every walk of the job
+    with pytest.raises(sp.BoundExceededError) as excinfo:
+        sp.disc_buckets(Q0_5, 2, [10**6], max_candidates=20000)
+    err = excinfo.value
+    assert 20000 < err.count <= 20000 + 2 * math.isqrt(10**6) + 1 and err.limit == 20000
+    assert "%d vectors (limit 20000)" % err.count in str(err)
 
 
 def test_full_rank_and_zero_rank():
