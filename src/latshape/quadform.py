@@ -150,13 +150,7 @@ class Subspace:
         loop.  HNF uniqueness makes the result identical to ``from_rows``
         whenever the rows are saturated."""
         top, *rest = rows
-        top = list(top)
-        for r in rest:
-            p = next(filter(None, r))  # the pivot: the row's first nonzero entry
-            t = top[r.index(p)] // p
-            if t:
-                top = [a - t * b for a, b in zip(top, r)]
-        return cls(form, (tuple(top),) + _freeze(rest))
+        return cls(form, (tuple(reduce_at_pivots(top, rest)),) + _freeze(rest))
 
     @property
     def k(self) -> int:
@@ -191,6 +185,19 @@ class GlueGroup:
 
     def local_exponents(self, p: int):
         return [exact.valuation(d, p) for d in self.factors]
+
+
+def reduce_at_pivots(top, rows):
+    """``top`` reduced at the pivots of the HNF rows ``rows``: one row
+    operation per row, each pivot entry of top brought into [0, pivot).  A
+    row's pivot is its first nonzero entry, so top changes only from that
+    column on."""
+    for r in rows:
+        p = next(filter(None, r))
+        t = top[r.index(p)] // p
+        if t:
+            top = [a - t * b for a, b in zip(top, r)]
+    return top
 
 
 def _basis_rows(obj):

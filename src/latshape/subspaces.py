@@ -34,6 +34,15 @@ canonicalises with one row reduction per row of lbar; the recursion meets
 each subspace exactly once and keeps no dedupe.  The paper-facing Schmidt
 triple (schmidt_decompose, schmidt_compose) is the same split, read off
 and put back into those rows.
+
+The recursion walks each lbar orbit once.  The signed permutations of
+x_1, ..., x_{m-1} that fix the level-m Gram (the cross row to x_0 included)
+fix e_0 and the hyperplane x_0 = 0, so they carry the subspaces over an
+lbar one for one onto those over g lbar, with the same disc and the same
+Schur form.  Within one bucket of lbars, keyed by their primitive Plücker
+vectors, the first lbar of each orbit walks and the others reuse its
+solutions, moved by g; each still counts the walk against the cap.  For
+lines (k = 1) the only lbar is 0, and nothing is shared.
 """
 
 from __future__ import annotations
@@ -90,7 +99,8 @@ class DiscClassTable:
     def __post_init__(self):
         for d, subs in self.table.items():
             keys = [s.basis for s in subs]
-            if keys != sorted(keys) or len(set(keys)) != len(keys):
+            # strictly increasing: sorted and duplicate-free
+            if any(a >= b for a, b in zip(keys, keys[1:])):
                 raise ValueError("subspace lists must be sorted and duplicate-free")
 
     def counts(self) -> Dict[int, int]:
@@ -284,7 +294,9 @@ def _recursion(q, k, max_disc, targets, budget):
     (max_disc = max(targets)).  The rank-k row is needed only at those D
     at every level, since a subspace inside x_{n-m} = 0 has the same disc
     under M_m as under M_{m-1}; the rows of rank < k are the lbar tables
-    and stay full up to caps[m].  Each walk may take what ``budget`` has left.
+    and stay full up to caps[m].  Each bucket of lbars (one D') goes to
+    _lifts_over with the generators of _stabiliser(M_m), which walks one
+    lbar per orbit; every walk may take what ``budget`` has left.
     """
     n = q.n
     if not 1 <= k <= n:
@@ -299,6 +311,7 @@ def _recursion(q, k, max_disc, targets, budget):
     spent, row = 0, {}
     for m in range(1, n + 1):
         qm = quadform.QuadraticForm([r[n - m:] for r in q.gram[n - m:]])
+        gens = _stabiliser(qm.gram)
         lower, row = row, {}
         for j in range(max(0, k - (n - m)), min(k, m) + 1):
             norms = targets if j == k else None
@@ -315,42 +328,161 @@ def _recursion(q, k, max_disc, targets, budget):
                               for s in subs] for d, subs in lower[j].items() if d in keep}
                 for dprime, lbars in lower[j - 1].items():
                     if dprime * dets[m] <= cap * dets[m - 1]:
-                        for lbar in lbars:
-                            try:
-                                spent += _lifts_over(qm, lbar, cap, norms, row[j], budget - spent)
-                            except BoundExceededError as exc:  # report the whole job's count
-                                raise BoundExceededError(spent + exc.count, budget) from None
+                        spent = _lifts_over(qm, lbars, gens, cap, norms, row[j], spent, budget)
     return {d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in row[k].items()}
 
 
-def _lifts_over(q, lbar, cap, norms, out, limit):
+def _stabiliser(gram):
+    """Generators of a group of signed permutations of the coordinates
+    1..m-1 that fix the m x m ``gram`` entrywise, the cross row to x_0
+    included: the sign flip of each coordinate orthogonal to all others,
+    and the swap of each coordinate with the next one whose row matches it
+    outside the pair (a class of such coordinates is a chain of swaps).
+    Each g is a tuple of (source, sign), (g v)[i] = sign * v[source], on
+    vectors of the trailing m - 1 coordinates.  g fixes e_0 and x_0 = 0
+    and preserves the trailing block, so it maps the lbars of one disc
+    onto each other.  The group may be trivial; any subgroup of the
+    stabiliser is enough for _lifts_over."""
+    m = len(gram)
+    gens = []
+    for a in range(1, m):
+        if not any(gram[a][t] for t in range(m) if t != a):
+            gens.append(tuple((i, -1 if i == a - 1 else 1) for i in range(m - 1)))
+        for b in range(a + 1, m):
+            if gram[a][a] == gram[b][b] and all(
+                    gram[a][t] == gram[b][t] for t in range(m) if t not in (a, b)):
+                swap = {a - 1: b - 1, b - 1: a - 1}
+                gens.append(tuple((swap.get(i, i), 1) for i in range(m - 1)))
+                break
+    return gens
+
+
+def _plucker(steps, rows):
+    """The primitive Plücker vector of the span of ``rows``, a basis of a
+    saturated lattice (so the wedge is already primitive), up to sign; a
+    line's is its row."""
+    wedge = rows[0]
+    for step, r in zip(steps[1:], rows[1:]):
+        wedge = exact.extend_wedge(step, wedge, r)
+    return _signed(wedge)
+
+
+def _signed(wedge):
+    """The wedge signed so that its first nonzero entry is positive."""
+    return tuple(wedge) if next(filter(None, wedge)) > 0 else tuple([-x for x in wedge])
+
+
+def _on_wedges(g, k):
+    """The signed permutation g of the coordinates acting on the wedges of
+    k rows: the minor on the columns J of the moved rows is the minor on
+    the columns g takes them from, times their signs and the sign of
+    sorting those columns."""
+    sets = list(itertools.combinations(range(len(g)), k))
+    pos = {J: t for t, J in enumerate(sets)}
+    out = []
+    for J in sets:
+        src = [g[j][0] for j in J]
+        sign = math.prod(g[j][1] for j in J)
+        for a, b in itertools.combinations(src, 2):
+            if a > b:
+                sign = -sign
+        out.append((pos[tuple(sorted(src))], sign))
+    return tuple(out)
+
+
+def _orbit(moves, key):
+    """{Plücker vector of g lbar: g} over the orbit of the lbar with
+    Plücker vector ``key``, closed breadth-first from g = 1 under the
+    ``moves`` (e, e on wedges): each edge moves the Plücker vector by e's
+    action on wedges and composes e after g."""
+    g = tuple((i, 1) for i in range(len(moves[0][0])))
+    found = {key: g}
+    todo = [(key, g)]
+    for p, g in todo:
+        for e, on_p in moves:
+            image = _signed([s * p[i] for i, s in on_p])
+            if image not in found:
+                found[image] = eg = tuple((g[i][0], s * g[i][1]) for i, s in e)
+                todo.append((image, eg))
+    return found
+
+
+def _lifts_over(q, lbars, gens, cap, norms, out, spent, budget):
     """Append to ``out`` (D -> list) each L of disc D <= cap, or of disc D
-    in ``norms`` when given, that meets x_0 = 0 in lbar; return the number
-    of candidates walked, at most ``limit``.  L(Z) is lbar(Z) + Z x for a
-    unique primitive class x = (c, h), h > 0, of Z^m / lbar(Z) in the basis
-    [lifts; e_0], and its disc is a positive definite form in x: det G times
-    the Schur complement of G = B M B^T in the Gram of [B; lifts; e_0].  So
-    the L of the given discs are one walk of that form's shells.
+    in ``norms`` when given, that meets x_0 = 0 in one of ``lbars`` (a
+    bucket of one disc); return ``spent`` plus the candidates walked.
+
+    L(Z) is lbar(Z) + Z x for a unique primitive class x = (c, h), h > 0,
+    of Z^m / lbar(Z) in the basis [lifts; e_0], and its disc is a positive
+    definite form in x: det G times the Schur complement of G = B M B^T in
+    the Gram of [B; lifts; e_0].  So the L of the given discs are one walk
+    of that form's shells, and L's top row is (h, c lifts) reduced at the
+    pivots of lbar's HNF basis B.
+
+    A signed permutation g of x_1..x_{m-1} that fixes the Gram (see
+    _stabiliser) maps [B; lifts; e_0] to [B g; lifts g; e_0] with the same
+    Gram, and lifts g is a complement of (g lbar)(Z).  So g lbar has the
+    same Schur form and the same walk, and its L are the L of lbar moved by
+    g, with top rows (h, (c lifts) g).  Only the first lbar of each orbit
+    in the bucket walks; the rest reuse its solutions and reduce the moved
+    rows at their own HNF head.  Each lbar still counts its walk against
+    the ``budget``; one whose walk would pass it walks itself on the
+    shared form, which raises where its own walk did.
     """
-    m, j = q.n, lbar.k
+    walk = kernel.short_vectors if norms is None else kernel.vectors_with_norms
+    bound = cap if norms is None else norms
+    share = bool(gens) and len(lbars) > 1
+    if share:
+        steps = exact.wedge_steps(q.n - 1, lbars[0].k)
+        moves = [(e, _on_wedges(e, lbars[0].k)) for e in gens]
+    orbit = {}
+    try:
+        for lbar in lbars:
+            key = _plucker(steps, lbar.basis) if share else None
+            if key in orbit:
+                g, (schur, walked, classes) = orbit.pop(key)
+                if walked > budget - spent:
+                    walk(schur, bound, last_positive=True, limit=budget - spent)
+            else:
+                schur, lifts = _schur_form(q, lbar)
+                sols = walk(schur, bound, last_positive=True, limit=budget - spent)
+                walked, classes, g = len(sols), _coprime_classes(sols, lifts), None
+                if share:
+                    for image, moved in _orbit(moves, key).items():
+                        orbit[image] = moved, (schur, walked, classes)
+            spent += walked
+            head = tuple((0,) + r for r in lbar.basis)
+            for u, found in classes:
+                if g is not None:
+                    u = [s * u[i] for i, s in g]
+                # the head's rows start with 0, so the top row's reduction
+                # at their pivots touches only u: once per class, for every h
+                u = tuple(quadform.reduce_at_pivots(u, lbar.basis))
+                for d, h in found:
+                    # rows are a basis of L(Z): x_0 maps L(Z) onto hZ with
+                    # kernel lbar(Z), and coprimality blocks any index drop
+                    out.setdefault(d, []).append(quadform.Subspace(q, ((h,) + u,) + head))
+    except BoundExceededError as exc:  # report the whole job's count
+        raise BoundExceededError(spent + exc.count, budget) from None
+    return spent
+
+
+def _schur_form(q, lbar):
+    """(Schur form, lifts) of lbar: the form of _lifts_over in x = (c, h)."""
     head = [(0,) + r for r in lbar.basis]
     _, lifts = _projection_data(lbar)
-    gram = quadform.gram_restriction(q, head + [[0] + r for r in lifts] + [[1] + [0] * (m - 1)])
-    schur = [r[j:] for r in exact.bareiss(gram, j)[j:]]
-    walk = kernel.short_vectors if norms is None else kernel.vectors_with_norms
-    sols = walk(schur, cap if norms is None else norms, last_positive=True, limit=limit)
-    lifted = {}
+    gram = quadform.gram_restriction(q, head + [[0] + r for r in lifts] + [[1] + [0] * (q.n - 1)])
+    return [r[lbar.k:] for r in exact.bareiss(gram, lbar.k)[lbar.k:]], lifts
+
+
+def _coprime_classes(sols, lifts):
+    """The walk's solutions x = (c, h) grouped by class c, as (c lifts,
+    the (D, h) with gcd(h, c) = 1): those x are primitive, one L each."""
+    classes = {}
     for d, x in sols:
-        c, h = x[:-1], x[-1]
-        if c not in lifted:
-            lifted[c] = (math.gcd(*c), exact.vec_mat(c, lifts))
-        content, u = lifted[c]
-        if math.gcd(h, content) == 1:
-            # rows are a basis of L(Z): x_0 maps L(Z) onto hZ with kernel
-            # lbar(Z), and coprimality blocks any index drop
-            sub = quadform.Subspace.from_saturated_rows(q, [[h] + u] + head)
-            out.setdefault(d, []).append(sub)
-    return len(sols)
+        classes.setdefault(x[:-1], []).append((d, x[-1]))
+    return [(exact.vec_mat(c, lifts), [(d, h) for d, h in dh if math.gcd(h, *c) == 1])
+            for c, dh in classes.items()]
 
 
 def schmidt_table(n: int, k: int, max_disc: int) -> DiscClassTable:

@@ -1,6 +1,8 @@
 """Enumeration tests: the two enumerators against each other, against
 small closed-form counts, and against an independent box search."""
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -603,6 +605,114 @@ def test_disc_buckets_work_cap_stops_the_walk():
     err = excinfo.value
     assert 20000 < err.count <= 20000 + 2 * math.isqrt(10**6) + 1 and err.limit == 20000
     assert "%d vectors (limit 20000)" % err.count in str(err)
+
+
+def test_shared_walks_keep_the_cap_threshold():
+    # every lbar counts its orbit's walk as if it had walked; the one that
+    # passes the cap walks the shared form itself, within one x_0 range
+    assert sp.recursion_table(Q0_5, 2, 12, max_candidates=6024)
+    with pytest.raises(sp.BoundExceededError, match=r"6024 vectors \(limit 6023\)"):
+        sp.recursion_table(Q0_5, 2, 12, max_candidates=6023)
+
+
+def _line_orbits(d, top):
+    """Primitive lines of Z^d of norm <= top up to signed permutations:
+    the sorted absolute values of their vectors."""
+    r = math.isqrt(top)
+    return {tuple(sorted(map(abs, v))) for v in itertools.product(range(-r, r + 1), repeat=d)
+            if math.gcd(*v) == 1 and sum(x * x for x in v) <= top}
+
+
+def test_table_walks_one_lbar_per_orbit(monkeypatch):
+    # the signed permutations of x_1..x_{m-1} fix the Gram of Z^m, so one
+    # walk serves each orbit of line lbars of Z^{m-1}, m = 3, 4, 5, and one
+    # walk each lifts the zero lbar at m = 2, 3, 4; a walk per lbar took 2,556
+    walks = []
+    walk = sp.kernel._walk
+    monkeypatch.setattr(sp.kernel, "_walk", lambda *a, **kw: walks.append(1) or walk(*a, **kw))
+    table = sp.schmidt_table(5, 2, 30)
+    assert len(walks) == sum(len(_line_orbits(d, 30)) for d in (2, 3, 4)) + 3 == 76
+    assert sum(table.counts().values()) == 56250
+
+
+# x_1, x_2, x_3 meet x_0 alike and nothing else: they swap but never flip
+SWAPS_ONLY = quadform.QuadraticForm([[2, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]])
+
+
+def _fixes_gram(gram, g):
+    full = [(0, 1)] + [(i + 1, s) for i, s in g]
+    return all(sa * sb * gram[ia][ib] == gram[a][b]
+               for a, (ia, sa) in enumerate(full) for b, (ib, sb) in enumerate(full))
+
+
+@pytest.mark.parametrize("gram, free", [
+    (Q0_5.gram, 4),
+    (A4.gram, 0),
+    # x_1 and x_2 of G2 have equal rows outside the pair: one swap
+    (G2.gram, 2),
+    # x_1 of the mirrored G1 meets x_0: only x_2 and x_3 flip and swap
+    (_mirrored(G1.gram), 2),
+    (SWAPS_ONLY.gram, 3),
+], ids=["sumsq5", "A4", "g2", "mirrored-g1", "swaps-only"])
+def test_stabiliser_generators_fix_the_gram(gram, free):
+    gens = sp._stabiliser(gram)
+    assert all(_fixes_gram(gram, g) for g in gens)
+    moved = {i for g in gens for i, (src, s) in enumerate(g) if (src, s) != (i, 1)}
+    assert len(moved) == free
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signed_permutations_act_on_wedges(data):
+    # the wedge of the moved rows is the wedge moved by _on_wedges, sign
+    # included, for any signed permutation and any rows
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, n))
+    perm = data.draw(st.permutations(range(n)))
+    g = tuple((i, data.draw(st.sampled_from((1, -1)))) for i in perm)
+    rows = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    steps = exact.wedge_steps(n, k)
+
+    def wedge(rs):
+        w = [1]
+        for step, r in zip(steps, rs):
+            w = exact.extend_wedge(step, w, r)
+        return w
+
+    w = wedge(rows)
+    assert wedge([[s * r[i] for i, s in g] for r in rows]) == [s * w[i] for i, s in sp._on_wedges(g, k)]
+
+
+SHARED_CASES = [
+    (quadform.QuadraticForm.diagonal([1, 1, 2, 2]), 2, 30),
+    (quadform.QuadraticForm.diagonal([1, 1, 2, 2]), 3, 30),
+    (quadform.QuadraticForm(_mirrored(G1.gram)), 1, 30),
+    (quadform.QuadraticForm(_mirrored(G1.gram)), 2, 30),
+    (quadform.QuadraticForm(_mirrored(G1.gram)), 3, 16),
+    (SWAPS_ONLY, 2, 30),
+    (quadform.QuadraticForm.sum_of_squares(6), 3, 3),
+]
+
+
+@pytest.mark.parametrize("q, k, top", SHARED_CASES)
+def test_shared_walks_match_the_vector_search(q, k, top):
+    # sign flips and swaps (diag(1, 1, 2, 2)), flips and a swap of the last
+    # two coordinates only (the mirrored G1; at k = 1 nothing is shared),
+    # swaps only and plane lbars (Z^6, k = 3)
+    table = sp.recursion_table(q, k, top)
+    assert table == sp.enumerate_by_disc(q, k, top)
+    assert sum(table.counts().values()) > 0
+
+
+def test_plane_lbars_share_exactly():
+    # (6,3) lifts over planes of Z^5, keyed by their Plücker vectors: the
+    # digest is that of the table walked once per lbar
+    table = sp.schmidt_table(6, 3, 6)
+    text = repr(sorted((d, [s.basis for s in subs]) for d, subs in table.table.items()))
+    assert sum(table.counts().values()) == 5480
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "69dfd6c18637e777f9fc0ea12ae4ce306cf0e123ac3388548018c99047ff1baa")
 
 
 def test_full_rank_and_zero_rank():
