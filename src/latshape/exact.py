@@ -33,6 +33,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -287,12 +288,16 @@ def saturate(basis):
     """Saturation of the row lattice inside Z^n.
 
     ``basis`` is a k x n integer matrix of rank k; the result is the
-    canonical HNF basis of ``span_Q(rows) ∩ Z^n``, the kernel of its
-    kernel.  Raises ``ValueError`` when the rows are dependent.
+    canonical HNF basis of ``span_Q(rows) ∩ Z^n``.  When the gcd of the
+    rows' k x k minors is 1 the rows already are a basis of it, and one
+    HNF of the rows gives it; otherwise it is the kernel of the kernel.
+    Raises ``ValueError`` when the rows are dependent.
     """
     if not basis:
         return []
     k, n = len(basis), len(basis[0])
+    if gcd(*wedge(basis)) == 1:
+        return hnf_basis(basis)
     ker = kernel_basis(basis)
     if len(ker) != n - k:
         raise ValueError("saturate: input rows are linearly dependent")
@@ -334,6 +339,7 @@ def inverse_unimodular(mat):
 # wedges of integer rows (Plücker vectors)
 
 
+@lru_cache(maxsize=64)
 def wedge_steps(n, k):
     """Laplace tables that grow a wedge by one row, for depths 0..k-1.
 
@@ -342,17 +348,18 @@ def wedge_steps(n, k):
     of no rows is [1].  steps[d] is (d + 1, terms): terms lists, for each
     (d+1)-set J in turn, the d + 1 terms (j, t, sign) of the minor's
     expansion along the new row v, sign * v[j] * wedge[t], where t indexes
-    the d-set J minus j.
+    the d-set J minus j.  The tables are cached and shared, so they are
+    tuples.
     """
     steps = []
     for d in range(k):
         pos = {c: t for t, c in enumerate(combinations(range(n), d))}
-        steps.append((d + 1, [
+        steps.append((d + 1, tuple(
             (J[t], pos[J[:t] + J[t + 1:]], (-1) ** (d + t))
             for J in combinations(range(n), d + 1)
             for t in range(d + 1)
-        ]))
-    return steps
+        )))
+    return tuple(steps)
 
 
 def extend_wedge(step, wedge, vec):
@@ -366,14 +373,13 @@ def extend_wedge(step, wedge, vec):
     return [sum(terms[a:a + width]) for a in range(0, len(terms), width)]
 
 
-def primitive_wedge(wedge):
-    """The nonzero wedge divided by its content, first nonzero entry
-    positive: the primitive Plücker vector of the saturated span, the same
-    for every basis of that lattice."""
-    g = gcd(*wedge)
-    if next(x for x in wedge if x) < 0:
-        g = -g
-    return tuple(x // g for x in wedge)
+def wedge(rows):
+    """The wedge of one or more integer rows, in the order of
+    ``wedge_steps``; the wedge of one row is the row."""
+    out = rows[0]
+    for step, row in zip(wedge_steps(len(out), len(rows))[1:], rows[1:]):
+        out = extend_wedge(step, out, row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -576,7 +576,7 @@ def _signed_wedges(steps, rows):
     entry is positive, as m tuples: ``exact.extend_wedge`` with each
     coordinate a column over the m row sets.  On a basis of a saturated
     lattice the wedge has content 1, so this is its primitive Plücker
-    vector (``exact.primitive_wedge``)."""
+    vector."""
     wedge = [np.ones(len(rows), dtype=object)]
     for d, step in enumerate(steps):
         wedge = exact.extend_wedge(step, wedge, rows[:, d, :].T)

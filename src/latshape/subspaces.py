@@ -15,16 +15,21 @@
   take the pairs route instead, at any D: SO(4) -> SO(3) x SO(3) splits a
   Plücker vector into two norm-D vectors of Z^3 (Aka-Einsiedler-Wieser,
   arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells;
-* enumerate_by_disc: a vector DFS under the Minkowski bound, kept as the
-  independent reference that the recursion is cross-validated against.
-  For 1 <= k < n it carries the wedge of the chosen rows, keys each k-tuple
-  by the primitive Plücker vector p of its saturated span and takes the
-  disc as p C p with C the k-th compound of the Gram (Cauchy-Binet), so
-  it saturates each subspace once.  The wedge lives in ``exact``, where
-  ``quadform.orbits`` keys its images by the same Plücker vector.  The
-  recursion uses neither the wedge nor the compound, so the two
-  enumerators stay independent: they share only Subspace and the exact
-  core.
+* enumerate_by_disc: a vector DFS over Minkowski-reduced bases, kept as
+  the independent reference that the recursion is cross-validated
+  against.  Every L of disc <= D has a reduced basis b_1..b_k of L(Z)
+  under hermite_bound: its norms are sorted, |2 B(b_i, b_j)| <= Q(b_i) for
+  i < j (b_j +- b_i may replace b_j), and its wedge is primitive (it is a
+  basis of L(Z)).  So for 1 <= k < n the DFS walks index-increasing
+  tuples of the norm-sorted short vectors that pass those tests, carrying
+  G b for each row and the wedge of the rows.  A tuple's signed wedge is
+  the primitive Plücker vector p of L, the dedupe key, and the disc is
+  p C p with C the k-th compound of the Gram (Cauchy-Binet), so each
+  subspace is built once, from rows that already are a basis of L(Z).
+  The wedge lives in ``exact``, where ``quadform.orbits`` keys its images
+  by the same Plücker vector.  The recursion uses neither the wedge nor
+  the compound, so the two enumerators stay independent: they share only
+  Subspace and the exact core.
 
 Every subspace is stored, deduplicated and sorted by the HNF basis of
 L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z): lbar's
@@ -52,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exact
@@ -119,9 +125,16 @@ def check_max_candidates(max_candidates: Optional[int]) -> int:
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
-    """ceil((4/3)^(k(k-1)/2) * max_disc); any integral rank-k lattice of
-    determinant <= max_disc has a Minkowski-reduced basis with all norms
-    below this (norms are >= 1, so each norm is at most the product)."""
+    """ceil((4/3)^(k(k-1)/2) * max_disc), a bound on the norm product of a
+    Minkowski-reduced basis of an integral rank-k lattice of determinant
+    <= max_disc, and so on each norm (norms are >= 1).
+
+    A reduced basis has Q(b_1)...Q(b_k) <= c_k det with Minkowski's
+    constants c_1 = 1, c_2 = 4/3, c_3 = 2 and c_4 = 4 (see van der
+    Waerden, Acta Math. 96, 1956), all under
+    (4/3)^(k(k-1)/2) = 1, 4/3, 64/27 and 4096/729.  For k >= 5 no citation
+    is given here that the reduced constant lies under this bound; the
+    DFS of enumerate_by_disc is tested at k <= 4 only."""
     e = k * (k - 1) // 2
     return -((-(4**e) * max_disc) // 3**e)
 
@@ -134,14 +147,20 @@ def enumerate_by_disc(
 ) -> DiscClassTable:
     """All of H^{n,k}_q(D) for every D <= max_disc, in one vector sweep.
 
-    For 1 <= k < n a DFS over tuples of short vectors, pruned by the
-    Minkowski norm product, carries the wedge of the rows: a zero wedge
-    means a dependent row.  A full tuple's wedge over its content, signed
-    so its first nonzero entry is positive, is the primitive Plücker vector
-    p of L(Z), so p is the dedupe key and disc_q(L) = p C p (Cauchy-Binet,
-    C the k-th compound of the Gram); only a new p of disc <= max_disc is
-    saturated by Subspace.from_rows.  At k = 1 the wedge is the vector
-    itself and C the Gram; at k = n the one subspace is the whole space.
+    For 1 <= k < n a DFS walks the index-increasing tuples of the short
+    vectors (sorted by norm, one per sign pair) that pass the tests every
+    Minkowski-reduced basis of an L(Z) passes, up to the signs of its rows:
+    the norm product is under hermite_bound, each row b_j has |2 B(b_i,
+    b_j)| <= Q(b_i) for every earlier row b_i, and the wedge of every
+    prefix has content 1 (a zero wedge means a dependent row; a larger
+    content, a prefix that is no part of a basis of L(Z)).  A full tuple
+    is then a basis of L(Z), so its wedge signed so that its first
+    nonzero entry is positive is the primitive Plücker vector p of L, the
+    dedupe key, and disc_q(L) = p C p (Cauchy-Binet, C the k-th compound of
+    the Gram).  Only a new p of disc <= max_disc is built, by
+    Subspace.from_rows, whose saturation is then one HNF.  At k = 1 the
+    wedge is the vector itself and C the Gram; at k = n the one subspace is
+    the whole space.
     """
     budget = check_max_candidates(max_candidates)
     n = q.n
@@ -160,37 +179,45 @@ def enumerate_by_disc(
         cands = kernel.short_vectors(q.gram, hermite_bound(k, max_disc), limit=budget)
         m = len(cands)
         steps = exact.wedge_steps(n, k)
-        extend_wedge, primitive_wedge = exact.extend_wedge, exact.primitive_wedge
-        compound = _compound_terms(q.gram, k)
+        extend_wedge, gram = exact.extend_wedge, q.gram
+        compound = _compound_terms(gram, k)
         low, high = 3**e, 4**e * max_disc
         seen = set()
 
-        # DFS over index-increasing tuples, carrying the wedge of the rows;
+        # DFS over index-increasing tuples that may start a reduced basis,
+        # carrying the wedge of the rows and (Q(b), 2 G b) for each row b;
         # the candidate list is sorted by norm, so the norm-product prune
         # allows a hard break
-        def extend(start, rows, wedge, prod, depth):
+        def extend(start, rows, sizes, wedge, prod):
+            depth = len(rows)
             step = steps[depth]
             for i in range(start, m):
                 norm, vec = cands[i]
                 nprod = prod * norm
                 if nprod * low > high:
                     break
-                w = extend_wedge(step, wedge, vec)
-                if not any(w):
-                    continue  # vec depends on the rows
-                if depth + 1 < k:
-                    extend(i + 1, rows + [vec], w, nprod, depth + 1)
-                    continue
-                p = primitive_wedge(w)
-                if p in seen:
-                    continue
-                seen.add(p)
-                d = sum(c * p[a] * p[b] for a, b, c in compound)
-                if d <= max_disc:
-                    sub = quadform.Subspace.from_rows(q, rows + [vec])
-                    buckets.setdefault(d, []).append(sub)
+                for qb, gb in sizes:
+                    if abs(sum(map(mul, gb, vec))) > qb:
+                        break  # vec + b or vec - b is shorter than vec
+                else:
+                    # a row's wedge is the row
+                    w = extend_wedge(step, wedge, vec) if depth else vec
+                    if math.gcd(*w) != 1:
+                        continue  # dependent rows, or not part of a basis of L(Z)
+                    if depth + 1 < k:
+                        gv = [2 * x for x in exact.vec_mat(vec, gram)]
+                        extend(i + 1, rows + [vec], sizes + [(norm, gv)], w, nprod)
+                        continue
+                    p = _signed(w)
+                    if p in seen:
+                        continue
+                    seen.add(p)
+                    d = sum(c * p[a] * p[b] for a, b, c in compound)
+                    if d <= max_disc:
+                        sub = quadform.Subspace.from_rows(q, rows + [vec])
+                        buckets.setdefault(d, []).append(sub)
 
-        extend(0, [], [1], 1, 0)
+        extend(0, [], [], None, 1)
 
     return DiscClassTable({d: tuple(sorted(subs, key=lambda s: s.basis)) for d, subs in buckets.items()})
 
@@ -357,14 +384,11 @@ def _stabiliser(gram):
     return gens
 
 
-def _plucker(steps, rows):
+def _plucker(rows):
     """The primitive Plücker vector of the span of ``rows``, a basis of a
     saturated lattice (so the wedge is already primitive), up to sign; a
     line's is its row."""
-    wedge = rows[0]
-    for step, r in zip(steps[1:], rows[1:]):
-        wedge = exact.extend_wedge(step, wedge, r)
-    return _signed(wedge)
+    return _signed(exact.wedge(rows))
 
 
 def _signed(wedge):
@@ -433,12 +457,11 @@ def _lifts_over(q, lbars, gens, cap, norms, out, spent, budget):
     bound = cap if norms is None else norms
     share = bool(gens) and len(lbars) > 1
     if share:
-        steps = exact.wedge_steps(q.n - 1, lbars[0].k)
         moves = [(e, _on_wedges(e, lbars[0].k)) for e in gens]
     orbit = {}
     try:
         for lbar in lbars:
-            key = _plucker(steps, lbar.basis) if share else None
+            key = _plucker(lbar.basis) if share else None
             if key in orbit:
                 g, (schur, walked, classes) = orbit.pop(key)
                 if walked > budget - spent:

@@ -8,6 +8,7 @@ gcd-of-minors characterization for SNF invariant factors.
 import itertools
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -493,6 +494,41 @@ def test_inverse_unimodular_matches_inverse_fraction(mat):
     assert fo.to_fraction_matrix(inv) == fo.inverse_fraction(mat)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_saturate_takes_one_hnf_exactly_on_saturated_rows(data):
+    # saturated rows U [I_k | 0] V, the same rows times c > 1, a
+    # non-unimodular square matrix and dependent rows, each against the
+    # oracle's kernel of the kernel; only the first skips kernel_basis
+    n = data.draw(st.integers(1, 5))
+    case = data.draw(st.sampled_from(["saturated", "scaled", "square", "dependent"]))
+    if case == "square":
+        k = n
+    else:
+        assume(case != "dependent" or n > 1)
+        k = data.draw(st.integers(2 if case == "dependent" else 1, n))
+    u, v = data.draw(unimodular_matrices(n=k)), data.draw(unimodular_matrices(n=n))
+    rows = exact.mat_mul(u, v[:k])
+    if case == "scaled":
+        c = data.draw(st.integers(2, 5))
+        rows = [[c * x for x in r] for r in rows]
+    elif case == "square":
+        c = data.draw(st.sampled_from([-3, -2, 2, 3]))
+        rows[0] = [c * x for x in rows[0]]
+    elif case == "dependent":
+        f = data.draw(st.integers(-3, 3))
+        rows[-1] = [f * x for x in rows[0]]
+    ker = fo.kernel_basis(rows)
+    with mock.patch.object(exact, "kernel_basis", wraps=exact.kernel_basis) as spy:
+        if case == "dependent":
+            assert len(ker) > n - k
+            with pytest.raises(ValueError, match="^saturate: input rows are linearly dependent$"):
+                exact.saturate(rows)
+        else:
+            assert exact.saturate(rows) == (fo.kernel_basis(ker) if ker else exact.identity(n))
+    assert spy.called == (case != "saturated")
+
+
 # wedges of integer rows: the Plücker vector that keys the vector DFS and
 # the orbit map
 
@@ -502,6 +538,12 @@ def _wedge(rows):
     for step, row in zip(exact.wedge_steps(len(rows[0]), len(rows)), rows):
         wedge = exact.extend_wedge(step, wedge, row)
     return wedge
+
+
+def _primitive(wedge):
+    """The nonzero wedge over its content, first nonzero entry positive."""
+    g = gcd(*wedge)
+    return tuple(x // (g if next(filter(None, wedge)) > 0 else -g) for x in wedge)
 
 
 @given(st.data())
@@ -515,9 +557,10 @@ def test_primitive_wedge_is_the_signed_minor_vector_of_the_saturation(data):
     minors = [exact.det_int([[r[j] for j in cols] for r in rows])
               for cols in itertools.combinations(range(n), k)]
     assert _wedge(rows) == minors
+    assert list(exact.wedge(rows)) == minors
     content = gcd(*minors)
     sign = 1 if next(x for x in minors if x) > 0 else -1
-    key = exact.primitive_wedge(minors)
+    key = _primitive(minors)
     assert key == tuple(sign * x // content for x in minors)
     # every basis of the saturated lattice has this key, and a content-1 wedge
     basis = exact.saturate(rows)
@@ -526,7 +569,7 @@ def test_primitive_wedge_is_the_signed_minor_vector_of_the_saturation(data):
                            min_size=k, max_size=k))
     assume(exact.det_int(a))
     for other in (basis, exact.mat_mul(u, basis), exact.mat_mul(a, rows)):
-        assert exact.primitive_wedge(_wedge(other)) == key
+        assert _primitive(_wedge(other)) == key
     assert gcd(*_wedge(exact.mat_mul(u, basis))) == 1
 
 

@@ -739,7 +739,10 @@ def _wedge(rows):
 def _dfs_key(rows):
     """The DFS's key of the rows, or None when their wedge is zero."""
     wedge = _wedge(rows)
-    return exact.primitive_wedge(wedge) if any(wedge) else None
+    if not any(wedge):
+        return None
+    g = math.gcd(*wedge)
+    return tuple(x // (g if next(filter(None, wedge)) > 0 else -g) for x in wedge)
 
 
 @st.composite
@@ -831,6 +834,24 @@ def test_dfs_saturates_each_subspace_once(monkeypatch):
     assert len(calls) == found
 
 
+def test_dfs_hands_from_rows_a_basis_of_the_saturation(monkeypatch):
+    # the DFS builds only from reduced bases of L(Z): their HNF already is
+    # the stored basis, which is what lets exact.saturate take one HNF
+    seen = []
+    from_rows = quadform.Subspace.from_rows
+
+    def spied(cls, form, rows):
+        sub = from_rows(form, rows)
+        seen.append((rows, sub))
+        return sub
+
+    monkeypatch.setattr(quadform.Subspace, "from_rows", classmethod(spied))
+    table = sp.enumerate_by_disc(A4, 2, 20)
+    assert len(seen) == sum(table.counts().values()) > 0
+    for rows, sub in seen:
+        assert tuple(map(tuple, exact.hnf_basis(rows))) == sub.basis
+
+
 def _permuted_a4():
     # the seeded signed permutation of A4 in the acceptance tests
     a4 = A4.gram
@@ -845,13 +866,14 @@ def _permuted_a4():
 A4_PERMUTED = _permuted_a4()
 
 
-# the DFS on Z^5 at k = 4 walks 4-tuples under a norm-product bound of
-# (4/3)^6 D, about 1 s at D = 2 and over a minute at D = 8
+# the DFS on Z^5 at k = 4 walks reduced 4-tuples under a norm-product bound
+# of (4/3)^6 D: 0.13 s at D = 2, 0.95 s at D = 4 and 6.5 s at D = 8 (one
+# 2-core x86-64 machine, fresh processes)
 @pytest.mark.parametrize("q, k, top", [
     pytest.param(Q0_5, 1, 8, id="sumsq5-k1"),
     pytest.param(Q0_5, 2, 8, id="sumsq5-k2"),
     pytest.param(Q0_5, 3, 8, id="sumsq5-k3"),
-    pytest.param(Q0_5, 4, 2, id="sumsq5-k4"),
+    pytest.param(Q0_5, 4, 4, id="sumsq5-k4"),
     pytest.param(A4_PERMUTED, 1, 8, id="permuted-a4-k1"),
     pytest.param(A4_PERMUTED, 2, 8, id="permuted-a4-k2"),
     pytest.param(A4_PERMUTED, 3, 8, id="permuted-a4-k3"),
