@@ -7,7 +7,11 @@ normal form, and saturation; callers solve lattice membership and
 completion problems with them.  The p-adic valuation and unit square class
 shared by the invariant modules live here too, below every module that
 needs them, and so does the wedge of integer rows (their Plücker vector),
-which keys subspaces in the vector DFS and in the orbit map.
+which keys subspaces in the vector DFS and in the orbit map.  This module
+owns the Plücker format: ``wedge_steps`` fixes the order of the column sets
+and ``signed`` the sign (first nonzero entry positive); every wedge,
+Plücker key and k-th compound elsewhere comes from ``wedge``,
+``extend_wedge``, ``signed`` and ``compound``.
 
 Each normal form has one elimination loop, ``hnf_basis`` and ``_smith``;
 transformations are read off identity borders.  ``hnf`` reduces
@@ -375,11 +379,30 @@ def extend_wedge(step, wedge, vec):
 
 def wedge(rows):
     """The wedge of one or more integer rows, in the order of
-    ``wedge_steps``; the wedge of one row is the row."""
+    ``wedge_steps``; the wedge of one row is the row.  A stack of m row
+    sets, a numpy ``dtype=object`` array of shape m x k x n, transposed to
+    k x n x m, gives every coordinate as an m-array (see ``extend_wedge``):
+    column i of the result is the wedge of row set i."""
     out = rows[0]
     for step, row in zip(wedge_steps(len(out), len(rows))[1:], rows[1:]):
         out = extend_wedge(step, out, row)
     return out
+
+
+def compound(mat, k):
+    """The k-th compound of a square integer matrix: entry (I, J) is the
+    minor on rows I and columns J, both k-sets in the order of
+    ``wedge_steps``, so row I is the wedge of the rows I.  By Cauchy-Binet
+    wedge(rows·mat) = wedge(rows)·compound(mat, k)."""
+    return [wedge([mat[i] for i in rows]) for rows in combinations(range(len(mat)), k)]
+
+
+def signed(w):
+    """The wedge ``w`` as a tuple with its first nonzero entry positive (a
+    zero wedge stays zero).  On a basis of a saturated lattice the wedge
+    has content 1, so this is the primitive Plücker vector of its span,
+    the same for every basis of the lattice."""
+    return tuple(w) if next(filter(None, w), 0) >= 0 else tuple([-x for x in w])
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +606,11 @@ def frac_str(x):
 
 
 def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero rational (int or Fraction)."""
+    """p-adic valuation of a nonzero rational (int or Fraction).  Raises
+    ``ValueError`` on x = 0 and on p < 2, where no valuation exists (at
+    p = 1 the division loop would never end)."""
+    if p < 2:
+        raise ValueError(f"valuation needs a prime p >= 2, got {p}")
     if x == 0:
         raise ValueError("valuation of zero")
     num, den, v = x.numerator, x.denominator, 0

@@ -33,7 +33,7 @@ members of an orbit are then carried over together (``_bucket_records``):
 their group elements are stacked in exact integer arrays (numpy
 ``dtype=object``, so Python ints that never wrap), each member's
 projection is one slice of a batched product and each side's orientation
-the sign of one of a stack of minors.
+the sign of one of a stack of wedges.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -267,19 +266,18 @@ def _orientations(points, basis, units):
     """The shape point of each saturated rank-2 lattice basis·u, u in the
     stacked ``units`` (an exact integer array, m x n x n).
 
-    Its HNF basis is T·basis·u for some T in GL_2(Z), and has its first
-    nonzero 2x2 minor (columns in lexicographic order) equal to the product
-    of its pivots, so positive; det T is thus the sign of that minor of
-    basis·u.  The Gram is T G T^T: the representative's SL_2(Z) class when
-    det T = 1 and the mirror's when det T = -1.  None on other ranks.
+    Its HNF basis is T·basis·u for some T in GL_2(Z), and the first nonzero
+    entry of its wedge is the product of its pivots, so positive; det T is
+    thus the sign of the first nonzero entry of the wedge of basis·u, +1
+    when ``exact.signed`` leaves that wedge unchanged.  The Gram is T G T^T:
+    the representative's SL_2(Z) class when det T = 1 and the mirror's
+    when det T = -1.  None on other ranks.
     """
     if points is None:
         return [None] * len(units)
-    r, s = np.moveaxis(np.array(basis, dtype=object) @ units, 1, 0)
-    i, j = np.array(list(combinations(range(units.shape[1]), 2))).T
-    minors = r[:, i] * s[:, j] - r[:, j] * s[:, i]
-    first = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
-    return [points[0] if m > 0 else points[1] for m in first]
+    rows = np.array(basis, dtype=object) @ units
+    wedges = zip(*exact.wedge(rows.transpose(1, 2, 0)))
+    return [points[0] if exact.signed(w) == w else points[1] for w in wedges]
 
 
 def _bucket_records(q: quadform.QuadraticForm, subs, orbit_of) -> List[RecordRow]:

@@ -570,20 +570,14 @@ class OrbitEntry(NamedTuple):
     g: tuple
 
 
-def _signed_wedges(steps, rows):
-    """The wedge of each stacked row set rows[i] (an exact integer array,
-    numpy ``dtype=object``, of shape m x k x n), signed so its first nonzero
-    entry is positive, as m tuples: ``exact.extend_wedge`` with each
-    coordinate a column over the m row sets.  On a basis of a saturated
-    lattice the wedge has content 1, so this is its primitive Plücker
-    vector."""
-    wedge = [np.ones(len(rows), dtype=object)]
-    for d, step in enumerate(steps):
-        wedge = exact.extend_wedge(step, wedge, rows[:, d, :].T)
-    w = np.array(wedge, dtype=object).T
-    neg = w[np.arange(len(w)), (w != 0).argmax(axis=1)] < 0
-    w[neg] = -w[neg]
-    return map(tuple, w.tolist())
+def _plucker_keys(rows):
+    """The primitive Plücker vector of each stacked row set rows[i], a basis
+    of a saturated lattice (an exact integer array, numpy ``dtype=object``,
+    of shape m x k x n): ``exact.signed`` over the columns of the stacked
+    ``exact.wedge``.  Rank 0 has no wedge; its one subspace keys as ()."""
+    if not rows.shape[1]:
+        return [()] * len(rows)
+    return map(exact.signed, zip(*exact.wedge(rows.transpose(1, 2, 0))))
 
 
 def orbits(q: QuadraticForm, subs):
@@ -591,7 +585,7 @@ def orbits(q: QuadraticForm, subs):
     ``OrbitEntry`` per subspace, aligned with ``subs``.
 
     A subspace is keyed by its rank and its primitive Plücker vector, the
-    signed wedge of its basis (``_signed_wedges``), which is equal exactly
+    signed wedge of its basis (``_plucker_keys``), which is equal exactly
     for equal subspaces.  The subspaces are walked in order.  Each one not
     yet covered is the representative of a new orbit: every g ∈ SO_Q(Z)
     maps its basis rows by row ↦ row·g^T, all g in one stacked product.
@@ -612,11 +606,10 @@ def orbits(q: QuadraticForm, subs):
     by_rank = {}
     for i, sub in enumerate(subs):
         by_rank.setdefault(sub.k, []).append(i)
-    steps = {k: exact.wedge_steps(n, k) for k in by_rank}
     index = {}
     for k, idx in by_rank.items():
         rows = np.array([subs[i].basis for i in idx], dtype=object).reshape(len(idx), k, n)
-        for i, key in zip(idx, _signed_wedges(steps[k], rows)):
+        for i, key in zip(idx, _plucker_keys(rows)):
             index.setdefault((k, key), []).append(i)
     group = special_orthogonal_group(q)
     units = np.array(group, dtype=object).transpose(0, 2, 1)  # every g^T
@@ -627,7 +620,7 @@ def orbits(q: QuadraticForm, subs):
         k = sub.k
         images = np.array(sub.basis, dtype=object).reshape(k, n) @ units
         orbit = {}
-        for key, g in zip(_signed_wedges(steps[k], images), group):
+        for key, g in zip(_plucker_keys(images), group):
             orbit.setdefault(key, g)
         for key, g in orbit.items():
             for j in index.get((k, key), ()):

@@ -26,10 +26,11 @@
   the primitive Plücker vector p of L, the dedupe key, and the disc is
   p C p with C the k-th compound of the Gram (Cauchy-Binet), so each
   subspace is built once, from rows that already are a basis of L(Z).
-  The wedge lives in ``exact``, where ``quadform.orbits`` keys its images
-  by the same Plücker vector.  The recursion uses neither the wedge nor
-  the compound, so the two enumerators stay independent: they share only
-  Subspace and the exact core.
+  The wedge, its sign and the compound come from ``exact``, which owns
+  the Plücker format; ``quadform.orbits`` keys its images by the same
+  vector.  The recursion uses them only to key its lbars, never to find
+  or measure a subspace, so the two enumerators stay independent: they
+  share only Subspace and the exact core.
 
 Every subspace is stored, deduplicated and sorted by the HNF basis of
 L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z): lbar's
@@ -53,7 +54,6 @@ lines (k = 1) the only lbar is 0, and nothing is shared.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,7 +179,7 @@ def enumerate_by_disc(
         cands = kernel.short_vectors(q.gram, hermite_bound(k, max_disc), limit=budget)
         m = len(cands)
         steps = exact.wedge_steps(n, k)
-        extend_wedge, gram = exact.extend_wedge, q.gram
+        extend_wedge, signed, gram = exact.extend_wedge, exact.signed, q.gram
         compound = _compound_terms(gram, k)
         low, high = 3**e, 4**e * max_disc
         seen = set()
@@ -208,7 +208,7 @@ def enumerate_by_disc(
                         gv = [2 * x for x in exact.vec_mat(vec, gram)]
                         extend(i + 1, rows + [vec], sizes + [(norm, gv)], w, nprod)
                         continue
-                    p = _signed(w)
+                    p = signed(w)
                     if p in seen:
                         continue
                     seen.add(p)
@@ -223,18 +223,13 @@ def enumerate_by_disc(
 
 
 def _compound_terms(gram, k):
-    """The k-th compound C[I][J] = det gram[I, J] over the k-sets of
-    ``itertools.combinations``, as the nonzero terms (a, b, c) with a <= b
-    and off-diagonal entries doubled.  By Cauchy-Binet the disc of a
-    lattice with Plücker vector p is p C p = sum c * p[a] * p[b]."""
-    sets = list(itertools.combinations(range(len(gram)), k))
-    out = []
-    for a, rows in enumerate(sets):
-        for b in range(a, len(sets)):
-            c = exact.det_int([[gram[i][j] for j in sets[b]] for i in rows])
-            if c:
-                out.append((a, b, c if a == b else 2 * c))
-    return out
+    """The k-th compound C = ``exact.compound(gram, k)`` as the nonzero
+    terms (a, b, c) with a <= b and off-diagonal entries doubled.  By
+    Cauchy-Binet the disc of a lattice with Plücker vector p is p C p =
+    sum c * p[a] * p[b]."""
+    c = exact.compound(gram, k)
+    return [(a, b, c[a][b] if a == b else 2 * c[a][b])
+            for a in range(len(c)) for b in range(a, len(c)) if c[a][b]]
 
 
 def schmidt_decompose(L: quadform.Subspace) -> SchmidtTriple:
@@ -384,34 +379,13 @@ def _stabiliser(gram):
     return gens
 
 
-def _plucker(rows):
-    """The primitive Plücker vector of the span of ``rows``, a basis of a
-    saturated lattice (so the wedge is already primitive), up to sign; a
-    line's is its row."""
-    return _signed(exact.wedge(rows))
-
-
-def _signed(wedge):
-    """The wedge signed so that its first nonzero entry is positive."""
-    return tuple(wedge) if next(filter(None, wedge)) > 0 else tuple([-x for x in wedge])
-
-
 def _on_wedges(g, k):
     """The signed permutation g of the coordinates acting on the wedges of
-    k rows: the minor on the columns J of the moved rows is the minor on
-    the columns g takes them from, times their signs and the sign of
-    sorting those columns."""
-    sets = list(itertools.combinations(range(len(g)), k))
-    pos = {J: t for t, J in enumerate(sets)}
-    out = []
-    for J in sets:
-        src = [g[j][0] for j in J]
-        sign = math.prod(g[j][1] for j in J)
-        for a, b in itertools.combinations(src, 2):
-            if a > b:
-                sign = -sign
-        out.append((pos[tuple(sorted(src))], sign))
-    return tuple(out)
+    k rows, as (source, sign) per wedge entry.  The moved rows are rows·M
+    with M[src][j] = s for g[j] = (src, s), so by Cauchy-Binet their wedge
+    is the wedge times M's k-th compound, itself a signed permutation."""
+    c = exact.compound([[s if src == i else 0 for src, s in g] for i in range(len(g))], k)
+    return tuple(next((i, row[j]) for i, row in enumerate(c) if row[j]) for j in range(len(c)))
 
 
 def _orbit(moves, key):
@@ -424,7 +398,7 @@ def _orbit(moves, key):
     todo = [(key, g)]
     for p, g in todo:
         for e, on_p in moves:
-            image = _signed([s * p[i] for i, s in on_p])
+            image = exact.signed([s * p[i] for i, s in on_p])
             if image not in found:
                 found[image] = eg = tuple((g[i][0], s * g[i][1]) for i, s in e)
                 todo.append((image, eg))
@@ -461,7 +435,7 @@ def _lifts_over(q, lbars, gens, cap, norms, out, spent, budget):
     orbit = {}
     try:
         for lbar in lbars:
-            key = _plucker(lbar.basis) if share else None
+            key = exact.signed(exact.wedge(lbar.basis)) if share else None
             if key in orbit:
                 g, (schur, walked, classes) = orbit.pop(key)
                 if walked > budget - spent:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -571,6 +572,12 @@ def test_primitive_wedge_is_the_signed_minor_vector_of_the_saturation(data):
     for other in (basis, exact.mat_mul(u, basis), exact.mat_mul(a, rows)):
         assert _primitive(_wedge(other)) == key
     assert gcd(*_wedge(exact.mat_mul(u, basis))) == 1
+    assert exact.signed(exact.wedge(basis)) == key
+    # a stack of row sets (m x k x n, dtype=object) transposed to k x n x m
+    # wedges every set at once: column i is the wedge of set i
+    sets = [rows, basis, exact.mat_mul(u, basis)]
+    stacked = exact.wedge(np.array(sets, dtype=object).transpose(1, 2, 0))
+    assert [list(col) for col in zip(*stacked)] == [list(exact.wedge(s)) for s in sets]
 
 
 def test_det_and_inverse_fraction():
@@ -609,3 +616,13 @@ def test_scaling_refuses_non_integral_floats():
     # integral floats and Fractions still scale
     assert exact.det_fraction([[2.0]]) == 2
     assert exact.scale_to_int([[Fraction(1, 2), 2.0]]) == (2, [[1, 4]])
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_valuation_refuses_p_below_two(p):
+    # no valuation exists at p < 2, and at p = 1 the division loop never ends
+    with pytest.raises(ValueError, match="p >= 2"):
+        exact.valuation(12, p)
+    q = quadform.QuadraticForm.sum_of_squares(3)
+    with pytest.raises(ValueError, match="p >= 2"):
+        quadform.local_disc(q, quadform.Subspace.from_rows(q, [[1, 1, 0]]), p)

@@ -511,6 +511,24 @@ def test_orbits_ignore_images_outside_the_list():
     assert qf.orbits(q4, []) == []
     # a repeated subspace lands in the orbit of its first copy
     assert qf.orbits(q4, [subs[0], subs[1], subs[0]]) == [full[0], full[1], full[0]]
+    # rank 0 is one orbit of size 1, and ranks never mix: the axis
+    # (0, 0, 1) and the plane x_0 = 0 of Z^3 share the wedge (0, 0, 1)
+    q3 = qf.QuadraticForm.sum_of_squares(3)
+    zero = qf.Subspace.from_rows(q3, [])
+    axes = subspaces.schmidt_table(3, 1, 1).get(1)
+    planes = subspaces.schmidt_table(3, 2, 1).get(1)
+    mixed = [s for pair in zip(axes, planes) for s in pair]
+    assert [s.basis for s in mixed[:2]] == [((0, 0, 1),), ((0, 1, 0), (0, 0, 1))]
+    g0 = ((0, 0, -1), (0, 1, 0), (1, 0, 0))  # the first g in group order
+    g1 = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    g2 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+    g3 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    g4 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    E = qf.OrbitEntry
+    assert qf.orbits(q3, mixed) == [
+        E(3, 0, g1), E(3, 1, g2), E(3, 0, g3), E(3, 1, g4), E(3, 0, g0), E(3, 1, g0)]
+    assert qf.orbits(q3, [zero] + mixed[1:4] + [zero]) == [
+        E(1, 0, g0), E(3, 1, g2), E(3, 2, g0), E(3, 1, g4), E(1, 0, g0)]
 
 
 def test_form_validation():
