@@ -27,13 +27,12 @@ of orbits (the distinct representatives of the orbit map) and the
 histogram of stabilizer orders over the subspaces.
 
 Every recorded observable is carried along an orbit by its group
-element, so the complement, the Grams, the contents, the shapes and the
-exact projection are computed once per orbit, on its representative.  The
-members of an orbit are then carried over together (``_bucket_records``):
-their group elements are stacked in exact integer arrays (numpy
-``dtype=object``, so Python ints that never wrap), each member's
-projection is one slice of a batched product and each side's orientation
-the sign of one of a stack of wedges.
+element: a member is its representative moved by g.  So the complement,
+the Grams, the contents and the shapes are computed once per orbit, on its
+representative, and the members' moved bases are stacked in exact integer
+arrays (numpy ``dtype=object``, so Python ints that never wrap): each
+member's projection is one slice of a batched product of them, and each
+side's orientation the sign of one of their wedges (``_bucket_records``).
 """
 
 from __future__ import annotations
@@ -71,9 +70,7 @@ class ExperimentConfig:
     max_candidates: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "discs", tuple(int(d) for d in self.discs))
-        if not self.discs or any(d < 1 for d in self.discs):
-            raise ValueError("need a nonempty list of positive discriminants")
+        object.__setattr__(self, "discs", subspaces.check_discs(self.discs))
         if len(set(self.discs)) != len(self.discs):
             raise ValueError("discriminants must not repeat")
         if not 1 <= self.k < self.form.n:
@@ -262,20 +259,17 @@ def _grassmann_mc(q: quadform.QuadraticForm, k: int, rng, count: int) -> np.ndar
 # the per-discriminant worker and the driver
 
 
-def _orientations(points, basis, units):
-    """The shape point of each saturated rank-2 lattice basis·u, u in the
-    stacked ``units`` (an exact integer array, m x n x n).
+def _orientations(points, rows):
+    """The shape point of each saturated rank-2 lattice with basis rows[t],
+    from the stacked moved rows (an exact integer array, m x 2 x n).
 
-    Its HNF basis is T·basis·u for some T in GL_2(Z), and the first nonzero
+    Its HNF basis is T·rows[t] for some T in GL_2(Z), and the first nonzero
     entry of its wedge is the product of its pivots, so positive; det T is
-    thus the sign of the first nonzero entry of the wedge of basis·u, +1
+    thus the sign of the first nonzero entry of the wedge of rows[t], +1
     when ``exact.signed`` leaves that wedge unchanged.  The Gram is T G T^T:
     the representative's SL_2(Z) class when det T = 1 and the mirror's
-    when det T = -1.  None on other ranks.
+    when det T = -1.
     """
-    if points is None:
-        return [None] * len(units)
-    rows = np.array(basis, dtype=object) @ units
     wedges = zip(*exact.wedge(rows.transpose(1, 2, 0)))
     return [points[0] if exact.signed(w) == w else points[1] for w in wedges]
 
@@ -284,22 +278,22 @@ def _bucket_records(q: quadform.QuadraticForm, subs, orbit_of) -> List[RecordRow
     """One record per subspace of the bucket, by the orbit map of
     ``quadform.orbits``.
 
-    Everything G-invariant (complement, Grams, contents, discriminant, the
-    projection as the integer N over det, both orientations of each binary
-    shape) is computed once per orbit, on its representative.  Its members
-    sub = g·rep are then carried over together, with u = g^T stacked in an
-    exact integer array (numpy ``dtype=object``, so Python ints): rows map
-    by r ↦ r·u and u is an isometry of the form, so the projection onto sub
-    is u^{-1}·N·u / det, one batched product divided with int true division
-    (the nearest float, as ``float(Fraction(x, det))``) and kept transposed
-    as in ``shapes.grassmann_coordinates``; each side's orientation comes
-    from ``_orientations``.
+    Everything G-invariant (complement, Grams, contents, both orientations
+    of each binary shape, adj(G) and det G = D for L's Gram G) is computed
+    once per orbit, on its representative, with basis B.  Each member
+    sub = g·rep has the basis R = B·u, u = g^T, stacked over the orbit in an
+    exact integer array (numpy ``dtype=object``, so Python ints).  u is an
+    isometry of the form M, so R has the Gram G and the projection onto sub
+    is M R^T adj(G) R / D, kept transposed as in
+    ``shapes.grassmann_coordinates``: one batched product divided with int
+    true division (the nearest float, as ``float(Fraction(x, D))``).  Each
+    rank-2 side's orientation is ``_orientations`` of its moved rows.
     """
     order = len(quadform.special_orthogonal_group(q))
+    m = np.array(q.gram, dtype=object)
     members: Dict[int, List[int]] = {}
     for j, entry in enumerate(orbit_of):
         members.setdefault(entry.rep, []).append(j)
-    inverses: Dict[tuple, list] = {}
     rows: List[Optional[RecordRow]] = [None] * len(subs)
     for rep, idx in members.items():
         sub = subs[rep]
@@ -308,19 +302,16 @@ def _bucket_records(q: quadform.QuadraticForm, subs, orbit_of) -> List[RecordRow
         gram_p = quadform.gram_restriction(q, perp)
         _, prim_l = quadform.content_and_primitive(gram_l)
         _, prim_p = quadform.content_and_primitive(gram_p)
-        disc, disc_prim_l, disc_prim_perp = (exact.det_int(g) for g in (gram_l, prim_l, prim_p))
-        num, det = quadform.projection_numerator(q, sub)
-        gs = [orbit_of[j].g for j in idx]
-        for g in gs:
-            if g not in inverses:
-                inverses[g] = exact.inverse_unimodular(exact.transpose(g))
-        units = np.array(gs, dtype=object).transpose(0, 2, 1)
-        p = np.array([inverses[g] for g in gs], dtype=object) @ np.array(num, dtype=object) @ units
-        proj = (p.transpose(0, 2, 1).reshape(len(idx), -1) / det).tolist()
-        shape_l, shape_perp = (
-            _orientations(_shape_points(gram), side.basis, units)
-            for gram, side in ((gram_l, sub), (gram_p, perp))
-        )
+        adj, disc = exact.adjugate(gram_l)
+        disc_prim_l, disc_prim_perp = exact.det_int(prim_l), exact.det_int(prim_p)
+        units = np.array([orbit_of[j].g for j in idx], dtype=object).transpose(0, 2, 1)
+        moved = np.array(sub.basis, dtype=object) @ units
+        p = moved.transpose(0, 2, 1) @ np.array(adj, dtype=object) @ (moved @ m)
+        proj = (p.reshape(len(idx), -1) / disc).tolist()
+        none, points_l, points_p = [None] * len(idx), _shape_points(gram_l), _shape_points(gram_p)
+        shape_l = none if points_l is None else _orientations(points_l, moved)
+        shape_perp = none if points_p is None else _orientations(
+            points_p, np.array(perp.basis, dtype=object) @ units)
         stab = order // orbit_of[rep].size
         for t, j in enumerate(idx):
             rows[j] = RecordRow(

@@ -77,7 +77,9 @@ def _unit_part(x: Rational, p: int) -> Tuple[int, int]:
 
 
 def is_square_qp(a: Rational, p: int) -> bool:
-    """Whether a nonzero rational is a square in Q_p."""
+    """Whether a nonzero rational is a square in Q_p, for a prime p only."""
+    if _check_place(p) == INF:
+        raise ValueError("is_square_qp needs a prime, got 'inf'")
     if Fraction(a) == 0:
         raise ValueError("zero is not in the unit group")
     v, u = _unit_part(a, p)

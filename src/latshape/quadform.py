@@ -87,8 +87,11 @@ class QuadraticForm:
     @classmethod
     def from_json(cls, obj) -> "QuadraticForm":
         """The form of a ``{"n", "gram"}`` payload; ``n`` is optional but
-        must match the Gram's size when given."""
-        gram = obj["gram"]
+        must match the Gram's size when given.  Raises ``ValueError`` on any
+        other payload."""
+        gram = obj.get("gram") if isinstance(obj, dict) else None
+        if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
+            raise ValueError('a form payload must be an object {"n": int, "gram": [[int]]}')
         if "n" in obj and obj["n"] != len(gram):
             raise ValueError("declared n does not match the Gram matrix size")
         return cls(gram)

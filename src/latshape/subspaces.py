@@ -41,14 +41,13 @@ each subspace exactly once and keeps no dedupe.  The paper-facing Schmidt
 triple (schmidt_decompose, schmidt_compose) is the same split, read off
 and put back into those rows.
 
-The recursion walks each lbar orbit once.  The signed permutations of
+The recursion walks each lbar orbit once.  The signed permutations g of
 x_1, ..., x_{m-1} that fix the level-m Gram (the cross row to x_0 included)
 fix e_0 and the hyperplane x_0 = 0, so they carry the subspaces over an
 lbar one for one onto those over g lbar, with the same disc and the same
-Schur form.  Within one bucket of lbars, keyed by their primitive Plücker
-vectors, the first lbar of each orbit walks and the others reuse its
-solutions, moved by g; each still counts the walk against the cap.  For
-lines (k = 1) the only lbar is 0, and nothing is shared.
+Schur form.  So one rule serves every bucket of lbars: a member of an
+orbit is its representative moved by g, and counts the representative's
+walk against the cap.  For lines (k = 1) the only lbar is 0, an orbit of one.
 """
 
 from __future__ import annotations
@@ -122,6 +121,15 @@ def check_max_candidates(max_candidates: Optional[int]) -> int:
     if max_candidates is not None and max_candidates < 0:
         raise ValueError("max_candidates must be >= 0, got %d" % max_candidates)
     return DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
+
+
+def check_discs(discs) -> Tuple[int, ...]:
+    """``discs`` read once, as a tuple of ints.  Refuses an empty list and
+    a D that is below 1 or not an integer, naming the list."""
+    discs = tuple(discs)
+    if not discs or any(d < 1 or int(d) != d for d in discs):
+        raise ValueError("need a nonempty list of integral discriminants >= 1, got %s" % list(discs))
+    return tuple(map(int, discs))
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
@@ -388,12 +396,12 @@ def _on_wedges(g, k):
     return tuple(next((i, row[j]) for i, row in enumerate(c) if row[j]) for j in range(len(c)))
 
 
-def _orbit(moves, key):
+def _orbit(moves, key, width):
     """{Plücker vector of g lbar: g} over the orbit of the lbar with
-    Plücker vector ``key``, closed breadth-first from g = 1 under the
-    ``moves`` (e, e on wedges): each edge moves the Plücker vector by e's
-    action on wedges and composes e after g."""
-    g = tuple((i, 1) for i in range(len(moves[0][0])))
+    Plücker vector ``key``, closed breadth-first from g = 1 on ``width``
+    coordinates under the ``moves`` (e, e on wedges): each edge moves the
+    Plücker vector by e's action on wedges and composes e after g."""
+    g = tuple((i, 1) for i in range(width))
     found = {key: g}
     todo = [(key, g)]
     for p, g in todo:
@@ -421,46 +429,41 @@ def _lifts_over(q, lbars, gens, cap, norms, out, spent, budget):
     _stabiliser) maps [B; lifts; e_0] to [B g; lifts g; e_0] with the same
     Gram, and lifts g is a complement of (g lbar)(Z).  So g lbar has the
     same Schur form and the same walk, and its L are the L of lbar moved by
-    g, with top rows (h, (c lifts) g).  Only the first lbar of each orbit
-    in the bucket walks; the rest reuse its solutions and reduce the moved
-    rows at their own HNF head.  Each lbar still counts its walk against
-    the ``budget``; one whose walk would pass it walks itself on the
-    shared form, which raises where its own walk did.
+    g, with top rows (h, (c lifts) g).  The bucket thus splits into orbits
+    keyed by Plücker vector (the rank-0 lbar by (), with no moves): the
+    first lbar of an orbit walks, and each member is that lbar moved by its
+    g, reduced at its own HNF head.  Each member counts the walk against the
+    ``budget``, and passes it exactly where its own walk would have raised.
     """
     walk = kernel.short_vectors if norms is None else kernel.vectors_with_norms
     bound = cap if norms is None else norms
-    share = bool(gens) and len(lbars) > 1
-    if share:
-        moves = [(e, _on_wedges(e, lbars[0].k)) for e in gens]
+    k = lbars[0].k
+    moves = [(e, _on_wedges(e, k)) for e in gens] if k and len(lbars) > 1 else []
     orbit = {}
-    try:
-        for lbar in lbars:
-            key = exact.signed(exact.wedge(lbar.basis)) if share else None
-            if key in orbit:
-                g, (schur, walked, classes) = orbit.pop(key)
-                if walked > budget - spent:
-                    walk(schur, bound, last_positive=True, limit=budget - spent)
-            else:
-                schur, lifts = _schur_form(q, lbar)
+    for lbar in lbars:
+        key = exact.signed(exact.wedge(lbar.basis)) if k else ()
+        if key not in orbit:
+            schur, lifts = _schur_form(q, lbar)
+            try:
                 sols = walk(schur, bound, last_positive=True, limit=budget - spent)
-                walked, classes, g = len(sols), _coprime_classes(sols, lifts), None
-                if share:
-                    for image, moved in _orbit(moves, key).items():
-                        orbit[image] = moved, (schur, walked, classes)
-            spent += walked
-            head = tuple((0,) + r for r in lbar.basis)
-            for u, found in classes:
-                if g is not None:
-                    u = [s * u[i] for i, s in g]
-                # the head's rows start with 0, so the top row's reduction
-                # at their pivots touches only u: once per class, for every h
-                u = tuple(quadform.reduce_at_pivots(u, lbar.basis))
-                for d, h in found:
-                    # rows are a basis of L(Z): x_0 maps L(Z) onto hZ with
-                    # kernel lbar(Z), and coprimality blocks any index drop
-                    out.setdefault(d, []).append(quadform.Subspace(q, ((h,) + u,) + head))
-    except BoundExceededError as exc:  # report the whole job's count
-        raise BoundExceededError(spent + exc.count, budget) from None
+            except BoundExceededError as exc:  # report the whole job's count
+                raise BoundExceededError(spent + exc.count, budget) from None
+            shared = len(sols), _coprime_classes(sols, lifts)
+            for image, g in _orbit(moves, key, q.n - 1).items():
+                orbit[image] = g, shared
+        g, (walked, classes) = orbit.pop(key)
+        spent += walked
+        if spent > budget:
+            raise BoundExceededError(spent, budget)
+        head = tuple((0,) + r for r in lbar.basis)
+        for u, found in classes:
+            # the head's rows start with 0, so the top row's reduction at
+            # their pivots touches only u: once per class, for every h
+            u = tuple(quadform.reduce_at_pivots([s * u[i] for i, s in g], lbar.basis))
+            for d, h in found:
+                # rows are a basis of L(Z): x_0 maps L(Z) onto hZ with
+                # kernel lbar(Z), and coprimality blocks any index drop
+                out.setdefault(d, []).append(quadform.Subspace(q, ((h,) + u,) + head))
     return spent
 
 
@@ -534,14 +537,13 @@ def disc_buckets(
     any D.  Every other job takes the hyperplane recursion with its rank-k
     row walked only at the D in ``discs`` (one shell walk of the Schur
     complement per lbar), never at the norms below them.  Raises
-    ``ValueError`` on an empty list or a D < 1, and ``BoundExceededError``
+    ``ValueError`` as ``check_discs`` does, and ``BoundExceededError``
     once the walks pass ``max_candidates`` vectors in all, the full lbar
     tables below the rank-k row included."""
     budget = check_max_candidates(max_candidates)
     if not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
-    if not discs or min(discs) < 1:
-        raise ValueError("need a nonempty list of discriminants >= 1, got %s" % list(discs))
+    discs = check_discs(discs)
     if (q.n, k) == (4, 2) and q.is_sum_of_squares():
         planes = _planes_from_pairs(q, discs, budget)
         return {d: planes.get(d, ()) for d in discs}

@@ -50,8 +50,12 @@ def test_form_from_file(tmp_path, capsys):
     assert code == 0
     assert [row["basis"] for row in payload] == [[[0, 1]], [[1, -1]], [[1, 0]]]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 3, "gram": [[1]]}))
-    assert cli.main(["enumerate", "--Q", "file:%s" % bad, "--k", "1", "--disc", "1"]) == 1
+    # a wrong n, no Gram, a list and a number for the Gram: a diagnostic each
+    for payload in ({"n": 3, "gram": [[1]]}, {"n": 3}, [[1]], {"gram": 5}):
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["enumerate", "--Q", "file:%s" % bad, "--k", "1", "--disc", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_enumerate_planes_of_a4_match_the_vector_search(tmp_path, capsys):

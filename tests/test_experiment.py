@@ -166,6 +166,10 @@ def test_config_validation():
         ex.ExperimentConfig(form=q, k=1, discs=(5, 5))
     with pytest.raises(ValueError):
         ex.ExperimentConfig(form=q, k=1, discs=(5, 3, 5))
+    # 2.5 and 3.9 ran as D = 2, 3; a generator is read once
+    with pytest.raises(ValueError, match=r"got \[2\.5, 3\.9\]"):
+        ex.ExperimentConfig(form=q, k=1, discs=(2.5, 3.9))
+    assert ex.ExperimentConfig(form=q, k=1, discs=(d for d in (5, 3.0))).discs == (5, 3)
 
 
 def test_run_experiment_counts_and_verdicts(tmp_path):

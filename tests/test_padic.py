@@ -200,6 +200,10 @@ def test_square_classes():
     assert pa.is_square_qp(17, 2)
     assert not pa.is_square_qp(3, 2)
     assert not pa.is_square_qp(8, 2)
+    # 4 was no square at 9; the real square class is a sign, not a p-adic one
+    for p in (4, 9, "inf"):
+        with pytest.raises(ValueError, match="prime"):
+            pa.is_square_qp(4, p)
     # at the real place, a is a square iff <1, -a> is isotropic
     assert pa.is_isotropic_diagonal([1, -F(1, 7)], "inf")
     assert not pa.is_isotropic_diagonal([1, 4], "inf")

@@ -546,6 +546,10 @@ def test_json_round_trip():
     assert qf.QuadraticForm.from_json({"gram": gram}) == Q112
     with pytest.raises(ValueError):
         qf.QuadraticForm.from_json({"n": 4, "gram": gram})
+    # no Gram, no object and no rows were a KeyError or a TypeError
+    for payload in ({"n": 3}, [gram], {"gram": 5}):
+        with pytest.raises(ValueError, match="form payload"):
+            qf.QuadraticForm.from_json(payload)
     L = qf.Subspace.from_rows(Q112, [[1, 0, 0]])
     assert L.to_json() == {"hnf": "1;0;0", "basis": [[1, 0, 0]]}
     assert L.hnf_key() == "1;0;0"

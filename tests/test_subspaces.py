@@ -543,6 +543,10 @@ def test_disc_buckets_refuse_an_empty_list_and_a_disc_below_one(k):
     for discs in ([0, 5], [5, -3]):
         with pytest.raises(ValueError, match=r"got \[%d, %d\]" % tuple(discs)):
             sp.disc_buckets(Q0_4, k, discs)
+    # 2.5 was a TypeError; a generator was read empty by the time of max()
+    with pytest.raises(ValueError, match=r"got \[5, 2\.5\]"):
+        sp.disc_buckets(Q0_4, k, [5, 2.5])
+    assert sp.disc_buckets(Q0_4, k, (d for d in (5, 6.0))) == sp.disc_buckets(Q0_4, k, [5, 6])
 
 
 def test_disc_buckets_cap_counts_the_walks_of_all_discs():
@@ -607,12 +611,18 @@ def test_disc_buckets_work_cap_stops_the_walk():
     assert "%d vectors (limit 20000)" % err.count in str(err)
 
 
-def test_shared_walks_keep_the_cap_threshold():
-    # every lbar counts its orbit's walk as if it had walked; the one that
-    # passes the cap walks the shared form itself, within one x_0 range
+def test_shared_walks_keep_the_cap_threshold(monkeypatch):
+    # every lbar counts its orbit's walk as if it had walked, and the one
+    # that passes the cap raises without walking again: the refusal walks
+    # no more forms than the full job
+    walks = []
+    walk = sp.kernel._walk
+    monkeypatch.setattr(sp.kernel, "_walk", lambda *a, **kw: walks.append(1) or walk(*a, **kw))
     assert sp.recursion_table(Q0_5, 2, 12, max_candidates=6024)
+    full, walks[:] = len(walks), []
     with pytest.raises(sp.BoundExceededError, match=r"6024 vectors \(limit 6023\)"):
         sp.recursion_table(Q0_5, 2, 12, max_candidates=6023)
+    assert len(walks) <= full == 27
 
 
 def _line_orbits(d, top):
