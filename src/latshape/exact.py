@@ -349,20 +349,20 @@ def wedge_steps(n, k):
 
     The wedge of d rows is the vector of their d x d minors, indexed by
     the column sets of ``itertools.combinations(range(n), d)``; the wedge
-    of no rows is [1].  steps[d] is (d + 1, terms): terms lists, for each
-    (d+1)-set J in turn, the d + 1 terms (j, t, sign) of the minor's
-    expansion along the new row v, sign * v[j] * wedge[t], where t indexes
-    the d-set J minus j.  The tables are cached and shared, so they are
-    tuples.
+    of no rows is [1].  steps[d] lists, for each (d+1)-set J in turn, the
+    pair (added, subtracted) of the terms (j, t) of the minor's expansion
+    along the new row v, v[j] * wedge[t] with t indexing the d-set J minus
+    j; the term of J's t-th column has sign (-1)^(d+t), so added is never
+    empty.  The tables are cached and shared, so they are tuples.
     """
     steps = []
     for d in range(k):
         pos = {c: t for t, c in enumerate(combinations(range(n), d))}
-        steps.append((d + 1, tuple(
-            (J[t], pos[J[:t] + J[t + 1:]], (-1) ** (d + t))
-            for J in combinations(range(n), d + 1)
-            for t in range(d + 1)
-        )))
+        minors = []
+        for J in combinations(range(n), d + 1):
+            terms = [(J[t], pos[J[:t] + J[t + 1:]]) for t in range(d + 1)]
+            minors.append((tuple(terms[d % 2::2]), tuple(terms[1 - d % 2::2])))
+        steps.append(tuple(minors))
     return tuple(steps)
 
 
@@ -372,9 +372,16 @@ def extend_wedge(step, wedge, vec):
     the entries, so each entry of vec and wedge may also be an exact
     integer array (numpy ``dtype=object``) holding one coordinate of many
     row sets, whose wedges then come out together."""
-    width, table = step
-    terms = [s * vec[j] * wedge[t] for j, t, s in table]
-    return [sum(terms[a:a + width]) for a in range(0, len(terms), width)]
+    out = []
+    for added, subtracted in step:
+        j, t = added[0]
+        x = vec[j] * wedge[t]
+        for j, t in added[1:]:
+            x = x + vec[j] * wedge[t]
+        for j, t in subtracted:
+            x = x - vec[j] * wedge[t]
+        out.append(x)
+    return out
 
 
 def wedge(rows):

@@ -362,15 +362,12 @@ def _bucket_worker(args):
 
     if kind in ("grassmann", "joint"):
         if (q.n, k) == (3, 1) and q.is_sum_of_squares():
-            zs, ws = [], []
-            for sub, row in zip(subs, rows):
+            zs = []
+            for sub in subs:
                 z = sub.basis[0][2] / math.sqrt(d)
-                zs.extend((z, -z))
-                w = 1.0 / row.stab_order if weights is not None else 1.0
-                ws.extend((w, w))
-            summary["sphere_z_ks"] = ks_statistic(
-                zs, sphere_z_cdf, ws if weights is not None else None
-            )
+                zs.extend((z, -z))  # both ends of the line; -0.0 stays
+            ws = None if weights is None else np.repeat(weights, 2)
+            summary["sphere_z_ks"] = ks_statistic(zs, sphere_z_cdf, ws)
         pooled = np.array([r.proj for r in rows], dtype=float).ravel()
         rng = np.random.default_rng([seed, d])
         mc = _grassmann_mc(q, k, rng, mc_samples)

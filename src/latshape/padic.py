@@ -13,8 +13,9 @@ just a sign (a is a square at v iff <1, -a> is isotropic there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import List, Tuple, Union
 
 from . import exact
@@ -88,31 +89,13 @@ def is_square_qp(a: Rational, p: int) -> bool:
     return exact.unit_square_class(u, p) == 1
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    """diag(a_1..a_m) with nonzero rational entries."""
-
-    entries: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        ents = tuple(Fraction(a) for a in self.entries)
-        if any(a == 0 for a in ents):
-            raise ValueError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", ents)
-
-    def det(self) -> Fraction:
-        d = Fraction(1)
-        for a in self.entries:
-            d *= a
-        return d
-
-
-def diagonalize(gram) -> DiagonalForm:
+def diagonalize(gram) -> Tuple[Fraction, ...]:
     """Rational congruence diagonalization of a symmetric matrix.
 
-    Returns a_1..a_m with P^T gram P = diag(a_i) for some invertible
-    rational P.  The product of the a_i agrees with det(gram) modulo
-    squares.  Raises ValueError when the form is degenerate.
+    Returns the tuple (a_1, ..., a_m) of nonzero Fractions with
+    P^T gram P = diag(a_i) for some invertible rational P.  Their
+    product agrees with det(gram) modulo squares.  Raises ValueError
+    when the form is degenerate.
     """
     rows = [[Fraction(x) for x in row] for row in gram]
     m = len(rows)
@@ -149,7 +132,7 @@ def diagonalize(gram) -> DiagonalForm:
                 rows[r][c] -= f * rows[i][c]
             for rr in range(m):
                 rows[rr][r] -= f * rows[rr][i]
-    return DiagonalForm(tuple(entries))
+    return tuple(entries)
 
 
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
@@ -183,19 +166,15 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
 
 
 def _entries(form) -> Tuple[Fraction, ...]:
-    if isinstance(form, DiagonalForm):
-        return form.entries
-    return DiagonalForm(tuple(Fraction(a) for a in form)).entries
+    ents = tuple(map(Fraction, form))
+    if 0 in ents:
+        raise ValueError("diagonal entries must be nonzero")
+    return ents
 
 
 def hasse_invariant(form, v: Place) -> int:
     """prod_{i<j} (a_i, a_j)_v for a diagonal form; congruence invariant."""
-    ents = _entries(form)
-    eps = 1
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            eps *= hilbert_symbol(ents[i], ents[j], v)
-    return eps
+    return prod(hilbert_symbol(a, b, v) for a, b in combinations(_entries(form), 2))
 
 
 def is_isotropic_diagonal(form, v: Place) -> bool:
@@ -207,9 +186,7 @@ def is_isotropic_diagonal(form, v: Place) -> bool:
     if v == INF:
         return any(a > 0 for a in ents) and any(a < 0 for a in ents)
     p = v
-    d = Fraction(1)
-    for a in ents:
-        d *= a
+    d = prod(ents)
     if m == 2:
         return is_square_qp(-d, p)
     if m == 3:
@@ -248,32 +225,20 @@ def stabilizer_strongly_isotropic(q: "quadform.QuadraticForm", L, p: int) -> boo
 
 def sufficient_criterion(k: int, n_minus_k: int, p: int, disc_l: int, disc_lperp: int) -> bool:
     """Dimension/discriminant test implying strong isotropy at an odd
-    prime.  One-directional: false here does not mean anisotropic
-    (sharp only away from ranks 4 and 2)."""
+    prime.  One test per side: a side of rank r and discriminant D
+    passes for r >= 5; for r = 3, 4 when p does not divide D; for r = 2
+    when p does not divide D and -D is a square mod p; never for r <= 1.
+    The criterion is that both sides pass and the ranks are not (2, 2).
+    One-directional: false here does not mean anisotropic (sharp only
+    away from ranks 4 and 2)."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
 
-    def coprime(d):
-        return d % p != 0
+    def side(r, d):
+        if r >= 5:
+            return True
+        if r == 2:
+            return d % p != 0 and exact.unit_square_class(-d % p, p) == 1
+        return r >= 3 and d % p != 0
 
-    def neg_square(d):
-        return d % p != 0 and exact.unit_square_class(-d % p, p) == 1
-
-    a, b = k, n_minus_k
-    if a >= 5 and b >= 5:
-        return True
-    if 3 <= a < 5 and b >= 5 and coprime(disc_l):
-        return True
-    if a >= 5 and 3 <= b < 5 and coprime(disc_lperp):
-        return True
-    if 3 <= a < 5 and 3 <= b < 5 and coprime(disc_l) and coprime(disc_lperp):
-        return True
-    if a == 2 and b >= 5 and neg_square(disc_l):
-        return True
-    if a == 2 and 3 <= b < 5 and coprime(disc_lperp) and neg_square(disc_l):
-        return True
-    if a >= 5 and b == 2 and neg_square(disc_lperp):
-        return True
-    if 3 <= a < 5 and b == 2 and coprime(disc_l) and neg_square(disc_lperp):
-        return True
-    return False
+    return (k, n_minus_k) != (2, 2) and side(k, disc_l) and side(n_minus_k, disc_lperp)

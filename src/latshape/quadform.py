@@ -55,7 +55,7 @@ class QuadraticForm:
             raise ValueError("gram matrix must be square")
         for i in range(n):
             for j in range(n):
-                if not isinstance(g[i][j], int):
+                if type(g[i][j]) is not int:
                     raise ValueError("gram entries must be integers")
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
@@ -92,7 +92,7 @@ class QuadraticForm:
         gram = obj.get("gram") if isinstance(obj, dict) else None
         if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
             raise ValueError('a form payload must be an object {"n": int, "gram": [[int]]}')
-        if "n" in obj and obj["n"] != len(gram):
+        if "n" in obj and (isinstance(obj["n"], bool) or obj["n"] != len(gram)):
             raise ValueError("declared n does not match the Gram matrix size")
         return cls(gram)
 
@@ -144,14 +144,14 @@ class Subspace:
 
     @classmethod
     def from_saturated_rows(cls, form: QuadraticForm, rows) -> "Subspace":
-        """Cheap constructor for the hyperplane recursion's rows, a basis of
-        span ∩ Z^n in which rows[1:] is an HNF basis with a zero first
-        column and rows[0] has a positive first entry.  The HNF rows with a
-        pivot past column 0 are the HNF basis of the lattice's meet with
-        x_0 = 0, which is rows[1:], so the HNF basis is rows[0] reduced at
-        their pivots on top of them: one row operation per row, no gcd
-        loop.  HNF uniqueness makes the result identical to ``from_rows``
-        whenever the rows are saturated."""
+        """Cheap constructor for the rows of a Schmidt triple
+        (``subspaces.schmidt_compose``), a basis of span ∩ Z^n in which
+        rows[1:] is an HNF basis with a zero first column and rows[0] has a
+        positive first entry.  The HNF rows with a pivot past column 0 are
+        the HNF basis of the lattice's meet with x_0 = 0, which is rows[1:],
+        so the HNF basis is rows[0] reduced at their pivots on top of them:
+        one row operation per row, no gcd loop.  HNF uniqueness makes the
+        result identical to ``from_rows`` whenever the rows are saturated."""
         top, *rest = rows
         return cls(form, (tuple(reduce_at_pivots(top, rest)),) + _freeze(rest))
 
@@ -181,10 +181,7 @@ class GlueGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
+        return prod(self.factors)
 
     def local_exponents(self, p: int):
         return [exact.valuation(d, p) for d in self.factors]

@@ -35,11 +35,13 @@
 Every subspace is stored, deduplicated and sorted by the HNF basis of
 L(Z) = L ∩ Z^n.  The recursion's rows already are a basis of L(Z): lbar's
 HNF basis with a zero column prepended, which is the HNF basis of L(Z) ∩
-{x_0 = 0}, under a lift (h, u) with h > 0.  So Subspace.from_saturated_rows
-canonicalises with one row reduction per row of lbar; the recursion meets
-each subspace exactly once and keeps no dedupe.  The paper-facing Schmidt
-triple (schmidt_decompose, schmidt_compose) is the same split, read off
-and put back into those rows.
+{x_0 = 0}, under a lift (h, u) with h > 0.  So the recursion reduces u at
+the pivots of lbar's rows (quadform.reduce_at_pivots: one row operation per
+row, once per coprime class for all its h) and builds each Subspace from
+these rows directly; it meets each subspace exactly once and keeps no dedupe.  The paper-facing
+Schmidt triple (schmidt_decompose, schmidt_compose) is the same split, read
+off and put back into those rows; schmidt_compose canonicalises through
+Subspace.from_saturated_rows.
 
 The recursion walks each lbar orbit once.  The signed permutations g of
 x_1, ..., x_{m-1} that fix the level-m Gram (the cross row to x_0 included)
@@ -118,16 +120,16 @@ class DiscClassTable:
 def check_max_candidates(max_candidates: Optional[int]) -> int:
     """Refuse a negative cap before any walk and return the cap in force, the
     vectors all walks may take: DEFAULT_CANDIDATE_CAP for None; 0 is valid."""
-    if max_candidates is not None and max_candidates < 0:
-        raise ValueError("max_candidates must be >= 0, got %d" % max_candidates)
+    if isinstance(max_candidates, bool) or (max_candidates is not None and max_candidates < 0):
+        raise ValueError("max_candidates must be >= 0, got %r" % (max_candidates,))
     return DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
 
 
 def check_discs(discs) -> Tuple[int, ...]:
     """``discs`` read once, as a tuple of ints.  Refuses an empty list and
-    a D that is below 1 or not an integer, naming the list."""
+    a D that is below 1, not an integer or a bool, naming the list."""
     discs = tuple(discs)
-    if not discs or any(d < 1 or int(d) != d for d in discs):
+    if not discs or any(isinstance(d, bool) or d < 1 or int(d) != d for d in discs):
         raise ValueError("need a nonempty list of integral discriminants >= 1, got %s" % list(discs))
     return tuple(map(int, discs))
 

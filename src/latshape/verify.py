@@ -355,56 +355,46 @@ def _suite_moduli(forms, samples, seed):
             quadform.QuadraticForm.sum_of_squares(6),
             quadform.QuadraticForm([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
         ]
-    rng = random.Random(seed)
-    per = -(-samples // len(forms))
-    for q in forms:
-        for L in _sample_subspaces(q, per, rng):
-            pt = shapes.moduli_point(q, L)
-            res = max(pt.residuals().values())
-            residual.record(res < 1e-9, "%.3g on %s" % (res, L.hnf_key()))
-            unit_det.record(abs(np.linalg.det(pt.m) - 1.0) < 1e-9, L.hnf_key())
-            gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
-            exact_l = np.array(quadform.gram_restriction(q, L), dtype=float)
-            s = (pt.alpha * pt.lam) ** 2
-            side_l.record(
-                float(np.abs(gram_l / s - exact_l).max()) < 1e-9, L.hnf_key()
-            )
-            perp = quadform.orth_complement(q, L)
-            exact_p = quadform.gram_restriction(q, perp)
-            ratio = np.linalg.det(gram_p) / np.linalg.det(
-                np.array(exact_p, dtype=float)
-            )
-            snapped = gram_p / ratio ** (1.0 / len(exact_p))
-            rounded = [[round(v) for v in row] for row in snapped]
-            scale = max(1.0, float(np.abs(snapped).max()))
-            ok = float(
-                np.abs(snapped - np.array(rounded, dtype=float)).max()
-            ) < 1e-6 * scale and shapes.forms_equivalent(rounded, exact_p)
-            side_p.record(ok, L.hnf_key())
+    for q, L in _spread(forms, samples, seed):
+        pt = shapes.moduli_point(q, L)
+        res = max(pt.residuals().values())
+        residual.record(res < 1e-9, "%.3g on %s" % (res, L.hnf_key()))
+        unit_det.record(abs(np.linalg.det(pt.m) - 1.0) < 1e-9, L.hnf_key())
+        gram_l, gram_p = shapes.shapes_from_moduli(q, pt)
+        exact_l = np.array(quadform.gram_restriction(q, L), dtype=float)
+        s = (pt.alpha * pt.lam) ** 2
+        side_l.record(
+            float(np.abs(gram_l / s - exact_l).max()) < 1e-9, L.hnf_key()
+        )
+        perp = quadform.orth_complement(q, L)
+        exact_p = quadform.gram_restriction(q, perp)
+        ratio = np.linalg.det(gram_p) / np.linalg.det(
+            np.array(exact_p, dtype=float)
+        )
+        snapped = gram_p / ratio ** (1.0 / len(exact_p))
+        rounded = [[round(v) for v in row] for row in snapped]
+        scale = max(1.0, float(np.abs(snapped).max()))
+        ok = float(
+            np.abs(snapped - np.array(rounded, dtype=float)).max()
+        ) < 1e-6 * scale and shapes.forms_equivalent(rounded, exact_p)
+        side_p.record(ok, L.hnf_key())
     return [residual, unit_det, side_l, side_p]
 
 
 def _cayley_rotation(q, rng):
     """Random rational g in SO_Q via g = (I - A)(I + A)^{-1}, A = M^{-1} S
-    with S skew; retries until I + A is invertible."""
+    with S skew.  I + A = M^{-1}(M + S) is always invertible, since
+    x^T (M + S) x = x^T M x > 0 for x != 0."""
     n = q.n
-    minv = q.inverse_gram()
-    while True:
-        s = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                s[i][j] = rng.randint(-3, 3)
-                s[j][i] = -s[i][j]
-        a = exact.mat_mul(minv, s)
-        iplus = [
-            [(1 if i == j else 0) + a[i][j] for j in range(n)] for i in range(n)
-        ]
-        if exact.det_fraction(iplus) == 0:
-            continue
-        iminus = [
-            [(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)
-        ]
-        return exact.mat_mul(iminus, exact.inverse_fraction(iplus))
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = rng.randint(-3, 3)
+            s[j][i] = -s[i][j]
+    a = exact.mat_mul(q.inverse_gram(), s)
+    iplus = [[(1 if i == j else 0) + a[i][j] for j in range(n)] for i in range(n)]
+    iminus = [[(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+    return exact.mat_mul(iminus, exact.inverse_fraction(iplus))
 
 
 def _suite_continuity(forms, samples, seed):
@@ -426,13 +416,9 @@ def _suite_continuity(forms, samples, seed):
             member.record(quadform.is_special_orthogonal(q, g), L.hnf_key())
             moved = quadform.rotate_subspace(g, L)
             d0, d1 = quadform.disc(q, L), quadform.disc(q, moved)
-            dens = set()
-            for row in g:
-                for x in row:
-                    dens.add(x.denominator)
             ok = True
             witness = ""
-            for p in padic.prime_divisors(*dens):
+            for p in padic.prime_divisors(exact.denominator_lcm(g)):
                 ell = quadform.rotation_ord_p(g, p)
                 if abs(exact.valuation(d0, p) - exact.valuation(d1, p)) > 2 * L.k * ell:
                     ok = False

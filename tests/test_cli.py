@@ -50,8 +50,12 @@ def test_form_from_file(tmp_path, capsys):
     assert code == 0
     assert [row["basis"] for row in payload] == [[[0, 1]], [[1, -1]], [[1, 0]]]
     bad = tmp_path / "bad.json"
-    # a wrong n, no Gram, a list and a number for the Gram: a diagnostic each
-    for payload in ({"n": 3, "gram": [[1]]}, {"n": 3}, [[1]], {"gram": 5}):
+    # a wrong n, no Gram, a list and a number for the Gram, a true n and a
+    # true Gram entry (JSON true is not the integer 1): a diagnostic each
+    for payload in (
+        {"n": 3, "gram": [[1]]}, {"n": 3}, [[1]], {"gram": 5},
+        {"n": True, "gram": [[1]]}, {"gram": [[True]]},
+    ):
         bad.write_text(json.dumps(payload))
         capsys.readouterr()
         assert cli.main(["enumerate", "--Q", "file:%s" % bad, "--k", "1", "--disc", "1"]) == 1

@@ -170,6 +170,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"got \[2\.5, 3\.9\]"):
         ex.ExperimentConfig(form=q, k=1, discs=(2.5, 3.9))
     assert ex.ExperimentConfig(form=q, k=1, discs=(d for d in (5, 3.0))).discs == (5, 3)
+    # True ran as D = 1 and passed as a cap of 1
+    with pytest.raises(ValueError, match=r"got \[True, 2\]"):
+        ex.ExperimentConfig(form=q, k=1, discs=(True, 2))
+    with pytest.raises(ValueError, match="max_candidates must be >= 0, got True"):
+        ex.ExperimentConfig(form=q, k=1, discs=(5,), max_candidates=True)
 
 
 def test_run_experiment_counts_and_verdicts(tmp_path):

@@ -62,9 +62,9 @@ def hensel_oracle(entries, p):
 
 
 def test_diagonalize_frozen():
-    assert pa.diagonalize([[3, 0], [0, 7]]).entries == (3, 7)
-    assert pa.diagonalize([[0, 1], [1, 0]]).entries == (2, F(-1, 2))
-    assert pa.diagonalize([[5, 1], [1, 5]]).entries == (5, F(24, 5))
+    assert pa.diagonalize([[3, 0], [0, 7]]) == (3, 7)
+    assert pa.diagonalize([[0, 1], [1, 0]]) == (2, F(-1, 2))
+    assert pa.diagonalize([[5, 1], [1, 5]]) == (5, F(24, 5))
     with pytest.raises(ValueError):
         pa.diagonalize([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_diagonalize_det_class():
         if det == 0:
             continue
         d = pa.diagonalize(g)
-        ratio = F(d.det() / det)
+        ratio = F(math.prod(d) / det)
         assert ratio > 0
         assert math.isqrt(ratio.numerator) ** 2 == ratio.numerator
         assert math.isqrt(ratio.denominator) ** 2 == ratio.denominator
@@ -290,6 +290,43 @@ def test_sufficient_criterion_frozen():
     assert pa.sufficient_criterion(3, 2, 11, 5, 2)
     assert not pa.sufficient_criterion(1, 9, 3, 1, 1)
     assert not pa.sufficient_criterion(2, 2, 5, 1, 1)
+
+
+def _eight_case_criterion(k, n_minus_k, p, disc_l, disc_lperp):
+    """The criterion as eight enumerated rank cases, kept as an oracle."""
+
+    def coprime(d):
+        return d % p != 0
+
+    def neg_square(d):
+        return d % p != 0 and exact.unit_square_class(-d % p, p) == 1
+
+    a, b = k, n_minus_k
+    if a >= 5 and b >= 5:
+        return True
+    if 3 <= a < 5 and b >= 5 and coprime(disc_l):
+        return True
+    if a >= 5 and 3 <= b < 5 and coprime(disc_lperp):
+        return True
+    if 3 <= a < 5 and 3 <= b < 5 and coprime(disc_l) and coprime(disc_lperp):
+        return True
+    if a == 2 and b >= 5 and neg_square(disc_l):
+        return True
+    if a == 2 and 3 <= b < 5 and coprime(disc_lperp) and neg_square(disc_l):
+        return True
+    if a >= 5 and b == 2 and neg_square(disc_lperp):
+        return True
+    if 3 <= a < 5 and b == 2 and coprime(disc_l) and neg_square(disc_lperp):
+        return True
+    return False
+
+
+def test_sufficient_criterion_matches_eight_cases_on_every_rank_pair():
+    ranks, discs = range(9), range(1, 31)
+    for a, b, p in itertools.product(ranks, ranks, (3, 5, 7, 11, 13)):
+        for dl, dp in itertools.product(discs, discs):
+            want = _eight_case_criterion(a, b, p, dl, dp)
+            assert pa.sufficient_criterion(a, b, p, dl, dp) == want, (a, b, p, dl, dp)
 
 
 def test_sufficient_criterion_implies_isotropy():

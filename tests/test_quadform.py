@@ -546,6 +546,13 @@ def test_json_round_trip():
     assert qf.QuadraticForm.from_json({"gram": gram}) == Q112
     with pytest.raises(ValueError):
         qf.QuadraticForm.from_json({"n": 4, "gram": gram})
+    # a JSON true is not the integer 1, as n or as a Gram entry
+    with pytest.raises(ValueError, match="declared n"):
+        qf.QuadraticForm.from_json({"n": True, "gram": [[1]]})
+    with pytest.raises(ValueError, match="gram entries must be integers"):
+        qf.QuadraticForm.from_json({"gram": [[True]]})
+    with pytest.raises(ValueError, match="gram entries must be integers"):
+        qf.QuadraticForm([[2, False], [False, 2]])
     # no Gram, no object and no rows were a KeyError or a TypeError
     for payload in ({"n": 3}, [gram], {"gram": 5}):
         with pytest.raises(ValueError, match="form payload"):

@@ -384,6 +384,9 @@ def test_negative_candidate_cap_is_refused_before_any_walk(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="max_candidates must be >= 0, got -1"):
             call(-1)
+        # True was a cap of 1
+        with pytest.raises(ValueError, match="max_candidates must be >= 0, got True"):
+            call(True)
     monkeypatch.undo()
     # a cap of 0 is valid: it admits a job that walks no vector
     assert sp.disc_buckets(Q0_3, 1, [7], max_candidates=0) == {7: ()}
@@ -547,6 +550,9 @@ def test_disc_buckets_refuse_an_empty_list_and_a_disc_below_one(k):
     with pytest.raises(ValueError, match=r"got \[5, 2\.5\]"):
         sp.disc_buckets(Q0_4, k, [5, 2.5])
     assert sp.disc_buckets(Q0_4, k, (d for d in (5, 6.0))) == sp.disc_buckets(Q0_4, k, [5, 6])
+    # True ran as D = 1
+    with pytest.raises(ValueError, match=r"got \[True, 5\]"):
+        sp.disc_buckets(Q0_4, k, [True, 5])
 
 
 def test_disc_buckets_cap_counts_the_walks_of_all_discs():
