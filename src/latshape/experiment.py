@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ValueError("weighting must be one of %s" % (WEIGHTINGS,))
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
+        if type(self.mc_samples) is not int or self.mc_samples < 2:
+            raise ValueError("mc_samples must be an integer >= 2, got %r" % (self.mc_samples,))
         subspaces.check_max_candidates(self.max_candidates)
 
 

@@ -34,10 +34,26 @@ raises ``BoundExceededError`` past it.  The count is read after each step
 of x_i (i > 1), after each x_1 row of the ball and at the end, so the walk
 stops within one x_0 range of its limit: the work is bounded, not only the
 output.  A fixed-norm x_1 row adds at most two vectors per norm and is not
-checked on its own; that check cost about 14% of the Z^3 line walk.
+checked on its own: the check would run once per prefix, in the walk's
+innermost loop, to stop an overshoot of two vectors.
 
 Sign convention: of each pair ``{v, -v}`` only the representative whose
 last nonzero coordinate is positive is reported.
+
+The sum of squares takes an identity route for fixed norms (n >= 2).  Its
+shell of norm N is a union of orbits under the signed permutations, and
+each orbit holds one sorted absolute vector a = (a_0 <= ... <= a_{n-1}),
+a_0 >= 0.  A descending search finds these representatives: a_i is the
+largest of a_0..a_i, so with r the norm a_{i+1}..a_{n-1} leave, a_i runs
+over [ceil(sqrt(r / (i + 1))), min(a_{i+1}, isqrt(r))], and a_0 is one
+isqrt.  So the search visits no prefix that cannot be completed over the
+reals, and never the prefixes of the shell itself.  Each representative
+expands to its distinct permutations, and each permutation takes both
+signs on every nonzero entry but its last, which stays positive: the sign
+convention above.  With ``last_positive`` the permutations with v[-1] = 0
+are dropped.  The count is read after each orbit, so this route stops
+within one orbit, at most 2^(n-1) n! vectors, of its limit.  The result is
+sorted like the walk's and equal to it.
 
 The isometry search (Plesken-Souvignier, "Computing isometries of
 lattices", J. Symb. Comp. 24, 1997) is built on the shells.  ``isometries(a,
@@ -51,6 +67,7 @@ vectors per sign pair raises ``SearchBoundError``; the same cap bounds
 SO_Q(Z), the equivalence test and the canonicalization pool of ``shapes``.
 """
 
+from itertools import product
 from math import inf, isqrt, lcm
 from operator import mul
 
@@ -85,7 +102,15 @@ def _walk(gram, bound, norms=None, last_positive=False, limit=inf):
     and ranged for the ball.  n = 1 walks diag(a, a bound + 1), whose x_1
     is pinned to 0, and cuts x_1 from the output; there both sign
     conventions mean v[0] > 0, so that walk runs without ``last_positive``,
-    which would start x_1 at 1."""
+    which would start x_1 at 1.
+
+    Fixed norms on the identity Gram (n >= 2) take the identity route,
+    ``_orbit_shells``, and walk no prefix: each orbit of a sorted absolute
+    vector under signed permutations, signed so that the last nonzero entry
+    is positive (v[-1] > 0 under ``last_positive``), with the count read
+    after each orbit, so it raises within one orbit of ``limit``.  Its list
+    equals the walk's, order included.  The ball and every other Gram are
+    walked."""
     rows, minors = exact.ldl_int(gram)
     n = len(rows)
     if bound < 1 or not n:
@@ -94,6 +119,8 @@ def _walk(gram, bound, norms=None, last_positive=False, limit=inf):
         a = minors[0]
         pinned = _walk(((a, 0), (0, a * bound + 1)), bound, norms, False, limit)
         return [(t, v[:1]) for t, v in pinned]
+    if norms is not None and all(x == (i == j) for i, r in enumerate(gram) for j, x in enumerate(r)):
+        return _orbit_shells(n, norms, last_positive, limit)
     d = [1] + minors
     lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [lam // (d[i] * d[i + 1]) for i in range(n)]
@@ -156,6 +183,70 @@ def _walk(gram, bound, norms=None, last_positive=False, limit=inf):
         raise BoundExceededError(len(out), limit)
     out.sort()
     return out
+
+
+def _orbit_shells(n, norms, last_positive, limit):
+    """Sorted (norm, v) with v v^T in ``norms``, one v per sign pair, on
+    Z^n (n >= 2), orbit by orbit under the signed permutations as the
+    module docstring says; raises past ``limit`` after the orbit that
+    passes it."""
+    out = []
+    for norm in norms:
+        for a in _sorted_squares(n, norm):
+            for p in _distinct_permutations(a):
+                if last_positive and not p[-1]:
+                    continue
+                signs = [(x, -x) if x else (0,) for x in p]
+                last = max(i for i, x in enumerate(p) if x)
+                signs[last] = (p[last],)
+                out.extend((norm, v) for v in product(*signs))
+            if len(out) > limit:
+                raise BoundExceededError(len(out), limit)
+    out.sort()
+    return out
+
+
+def _sorted_squares(n, norm):
+    """Every a_0 <= ... <= a_{n-1} with a_0 >= 0 and sum a_i^2 == norm
+    (n >= 2), by a descending search in which a_i, the largest of
+    a_0..a_i, satisfies (i + 1) a_i^2 >= r for the r left to them."""
+    a = [0] * n
+
+    def rec(i, r, top):
+        c = -(-r // (i + 1))
+        lo = isqrt(c - 1) + 1 if c else 0
+        for ai in range(lo, min(top, isqrt(r)) + 1):
+            left = r - ai * ai
+            if i > 1:
+                a[i] = ai
+                yield from rec(i - 1, left, ai)
+                continue
+            # 2 a_1^2 >= r, so a_0 = sqrt(left) <= a_1
+            a0 = isqrt(left)
+            if a0 * a0 == left:
+                yield (a0, ai) + tuple(a[2:])
+
+    return rec(n - 1, norm, norm) if norm > 0 else ()
+
+
+def _distinct_permutations(a):
+    """The distinct permutations of the sorted tuple ``a``, each once, by
+    the next-permutation step (Narayana): n!/prod(m_j!) of them for the
+    multiplicities m_j, not n!."""
+    p = list(a)
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 def short_vectors(gram, bound, last_positive=False, limit=inf):

@@ -11,10 +11,14 @@
   them.  Over one lbar the disc is a positive definite form in the lift,
   so the L of those D are one multi-norm shell of it (Fincke-Pohst, Math.
   Comp. 44, 1985) in place of the ball; the lbar tables of lower rank stay
-  full, and for lines they hold only the zero subspace.  Planes of Z^4
+  full, and for lines they hold only the zero subspace.  Where that form
+  is the identity, as for lines over the sum of squares, the kernel lists
+  each shell from its orbit representatives under signed permutations
+  (sorted absolute vectors) and walks no prefix of it.  Planes of Z^4
   take the pairs route instead, at any D: SO(4) -> SO(3) x SO(3) splits a
   Plücker vector into two norm-D vectors of Z^3 (Aka-Einsiedler-Wieser,
-  arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells;
+  arXiv:1901.05833), so H^{4,2}(D) is a set of pairs of Z^3 shells, which
+  come from orbit representatives the same way;
 * enumerate_by_disc: a vector DFS over Minkowski-reduced bases, kept as
   the independent reference that the recursion is cross-validated
   against.  Every L of disc <= D has a reduced basis b_1..b_k of L(Z)
@@ -118,20 +122,21 @@ class DiscClassTable:
 
 
 def check_max_candidates(max_candidates: Optional[int]) -> int:
-    """Refuse a negative cap before any walk and return the cap in force, the
-    vectors all walks may take: DEFAULT_CANDIDATE_CAP for None; 0 is valid."""
-    if isinstance(max_candidates, bool) or (max_candidates is not None and max_candidates < 0):
+    """Refuse a cap that is negative or not an int (a bool or 2.5) before
+    any walk and return the cap in force, the vectors all walks may take:
+    DEFAULT_CANDIDATE_CAP for None; 0 is valid."""
+    if max_candidates is not None and (type(max_candidates) is not int or max_candidates < 0):
         raise ValueError("max_candidates must be >= 0, got %r" % (max_candidates,))
     return DEFAULT_CANDIDATE_CAP if max_candidates is None else max_candidates
 
 
 def check_discs(discs) -> Tuple[int, ...]:
     """``discs`` read once, as a tuple of ints.  Refuses an empty list and
-    a D that is below 1, not an integer or a bool, naming the list."""
+    a D that is below 1 or not an int (a bool or 6.0), naming the list."""
     discs = tuple(discs)
-    if not discs or any(isinstance(d, bool) or d < 1 or int(d) != d for d in discs):
+    if not discs or any(type(d) is not int or d < 1 for d in discs):
         raise ValueError("need a nonempty list of integral discriminants >= 1, got %s" % list(discs))
-    return tuple(map(int, discs))
+    return discs
 
 
 def hermite_bound(k: int, max_disc: int) -> int:
@@ -502,7 +507,10 @@ def _planes_from_pairs(q, discs, budget):
     plane, met once when a runs over the half-shell (p and -p give the same
     plane).  p primitive means the columns of a basis generate Z^2, so the
     rows of p's antisymmetric matrix span L(Z) and their HNF is its basis.
-    The half-shells and every pair count against the ``budget``."""
+    The half-shells are one fixed-norm call on the identity Gram, which the
+    kernel lists from the sorted absolute triples, one per orbit under
+    signed permutations.  The half-shells and every pair count against the
+    ``budget``."""
     shells = {}
     for d, a in kernel.vectors_with_norms(exact.identity(3), discs, limit=budget):
         shells.setdefault(d, {}).setdefault(tuple(x & 1 for x in a), []).append(a)

@@ -50,11 +50,12 @@ def test_form_from_file(tmp_path, capsys):
     assert code == 0
     assert [row["basis"] for row in payload] == [[[0, 1]], [[1, -1]], [[1, 0]]]
     bad = tmp_path / "bad.json"
-    # a wrong n, no Gram, a list and a number for the Gram, a true n and a
-    # true Gram entry (JSON true is not the integer 1): a diagnostic each
+    # a wrong n, no Gram, a list and a number for the Gram, a true n, a
+    # true Gram entry (JSON true is not the integer 1) and an n of 1.0: a
+    # diagnostic each
     for payload in (
         {"n": 3, "gram": [[1]]}, {"n": 3}, [[1]], {"gram": 5},
-        {"n": True, "gram": [[1]]}, {"gram": [[True]]},
+        {"n": True, "gram": [[1]]}, {"gram": [[True]]}, {"n": 1.0, "gram": [[1]]},
     ):
         bad.write_text(json.dumps(payload))
         capsys.readouterr()

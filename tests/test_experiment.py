@@ -169,12 +169,18 @@ def test_config_validation():
     # 2.5 and 3.9 ran as D = 2, 3; a generator is read once
     with pytest.raises(ValueError, match=r"got \[2\.5, 3\.9\]"):
         ex.ExperimentConfig(form=q, k=1, discs=(2.5, 3.9))
-    assert ex.ExperimentConfig(form=q, k=1, discs=(d for d in (5, 3.0))).discs == (5, 3)
+    assert ex.ExperimentConfig(form=q, k=1, discs=(d for d in (5, 3))).discs == (5, 3)
+    with pytest.raises(ValueError, match=r"got \[5, 3\.0\]"):
+        ex.ExperimentConfig(form=q, k=1, discs=(d for d in (5, 3.0)))
     # True ran as D = 1 and passed as a cap of 1
     with pytest.raises(ValueError, match=r"got \[True, 2\]"):
         ex.ExperimentConfig(form=q, k=1, discs=(True, 2))
     with pytest.raises(ValueError, match="max_candidates must be >= 0, got True"):
         ex.ExperimentConfig(form=q, k=1, discs=(5,), max_candidates=True)
+    # 2.5 samples passed here and raised a TypeError inside numpy
+    for bad in (2.5, True, 1):
+        with pytest.raises(ValueError, match="mc_samples must be an integer >= 2, got %r" % (bad,)):
+            ex.ExperimentConfig(form=q, k=1, discs=(5,), mc_samples=bad)
 
 
 def test_run_experiment_counts_and_verdicts(tmp_path):

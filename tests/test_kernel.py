@@ -1,11 +1,12 @@
 """Tests for the short-vector kernel against an exhaustive box search and
 against the earlier Fraction kernel kept in ``fraction_oracle``."""
 
+from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latshape import exact, kernel
 
@@ -151,6 +152,9 @@ def test_vectors_with_norm_match_fraction_oracle(gram):
 
 
 @given(pd_grams(), st.sets(st.integers(min_value=-2, max_value=40), max_size=6))
+@example(exact.identity(2), {0, 1, 25, 40})
+@example(exact.identity(3), {-1, 3, 9, 14, 27, 29})
+@example(exact.identity(5), {4, 5, 12})
 @settings(max_examples=80, deadline=None)
 def test_vectors_with_norms_is_one_shell_per_norm(gram, norms):
     # one walk up to max(norms) finds what one vectors_with_norm per norm
@@ -185,6 +189,9 @@ def test_walk_stops_within_one_x0_range_of_its_limit():
 
 
 @given(pd_grams(), st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=60))
+@example(exact.identity(3), 27, 20)
+@example(exact.identity(3), 29, 60)
+@example(exact.identity(4), 12, 35)
 @settings(max_examples=80, deadline=None)
 def test_limit_admits_exactly_the_walks_it_covers(gram, bound, limit):
     # the checks inside the walk only stop it early: a walk raises exactly
@@ -197,6 +204,65 @@ def test_limit_admits_exactly_the_walks_it_covers(gram, bound, limit):
         else:
             with pytest.raises(kernel.BoundExceededError):
                 walk(gram, arg, limit=limit)
+
+
+@lru_cache(maxsize=None)
+def _oracle_ball(n):
+    # the Fraction walk of the ball of radius sqrt(40) in Z^n, once per n
+    return fo.short_vectors(exact.identity(n), 40)
+
+
+@given(st.integers(min_value=2, max_value=6), st.sets(st.integers(min_value=1, max_value=40), min_size=1))
+@example(6, set(range(1, 41)))
+@settings(max_examples=60, deadline=None)
+def test_identity_route_matches_fraction_oracle(n, norms):
+    # fixed norms on the identity Gram are listed orbit by orbit, never
+    # walked; the Fraction oracle walks the ball
+    shells = [(t, v) for t, v in _oracle_ball(n) if t in norms]
+    assert kernel.vectors_with_norms(exact.identity(n), norms) == shells
+    assert kernel.vectors_with_norms(exact.identity(n), norms, last_positive=True) == [
+        (t, v) for t, v in shells if v[-1] > 0
+    ]
+
+
+def test_identity_route_matches_the_walk_of_a_unimodular_conjugate():
+    # U U^T is Z^3 in another basis and takes the generic walk; x -> x U
+    # maps its shell onto the identity's, up to the sign of each vector
+    u = [[1, 1, 0], [0, 1, 1], [-1, 0, 2]]
+    assert exact.det_int(u) == 1
+    gram = exact.mat_mul(u, exact.transpose(u))
+    D = 1000003
+    mapped = []
+    for w in kernel.vectors_with_norm(gram, D):
+        v = tuple(exact.vec_mat(w, u))
+        mapped.append(v if [x for x in v if x][-1] > 0 else tuple(-x for x in v))
+    shell = sorted((D, v) for v in mapped)
+    assert len(shell) == 1260
+    assert kernel.vectors_with_norms(exact.identity(3), {D}) == shell
+    assert kernel.vectors_with_norms(exact.identity(3), {D}, last_positive=True) == [
+        (t, v) for t, v in shell if v[-1] > 0
+    ]
+
+
+@pytest.mark.parametrize("n, norms", [(3, {25, 26, 27}), (3, {10009}), (4, {12, 18, 30})])
+def test_identity_route_stops_within_one_orbit_of_its_limit(n, norms):
+    # the count is read after each orbit: a limit raises exactly when the
+    # full list is longer, with at most one orbit, 2^(n-1) n! vectors, past it
+    full = kernel.vectors_with_norms(exact.identity(n), norms)
+    orbits = {}
+    for t, v in full:
+        key = t, tuple(sorted(map(abs, v)))
+        orbits[key] = orbits.get(key, 0) + 1
+    assert max(orbits.values()) <= 2 ** (n - 1) * factorial(n)
+    for limit in range(len(full) + 2):
+        if len(full) <= limit:
+            assert kernel.vectors_with_norms(exact.identity(n), norms, limit=limit) == full
+            continue
+        with pytest.raises(kernel.BoundExceededError) as excinfo:
+            kernel.vectors_with_norms(exact.identity(n), norms, limit=limit)
+        count = excinfo.value.count
+        assert limit < count <= len(full) and excinfo.value.limit == limit
+        assert count - max(orbits.values()) <= limit
 
 
 def test_rejects_indefinite_gram():

@@ -549,6 +549,9 @@ def test_json_round_trip():
     # a JSON true is not the integer 1, as n or as a Gram entry
     with pytest.raises(ValueError, match="declared n"):
         qf.QuadraticForm.from_json({"n": True, "gram": [[1]]})
+    # nor is a JSON 3.0
+    with pytest.raises(ValueError, match="declared n"):
+        qf.QuadraticForm.from_json({"n": 3.0, "gram": gram})
     with pytest.raises(ValueError, match="gram entries must be integers"):
         qf.QuadraticForm.from_json({"gram": [[True]]})
     with pytest.raises(ValueError, match="gram entries must be integers"):
