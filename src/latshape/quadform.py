@@ -87,8 +87,8 @@ class QuadraticForm:
     @classmethod
     def from_json(cls, obj) -> "QuadraticForm":
         """The form of a ``{"n", "gram"}`` payload; ``n`` is optional but
-        must be an int (not 3.0 or true) equal to the Gram's size when given.  Raises ``ValueError`` on any
-        other payload."""
+        must be an int (not 3.0 or true) equal to the Gram's size when
+        given.  Raises ``ValueError`` on any other payload."""
         gram = obj.get("gram") if isinstance(obj, dict) else None
         if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
             raise ValueError('a form payload must be an object {"n": int, "gram": [[int]]}')
