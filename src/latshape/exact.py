@@ -602,10 +602,7 @@ def solve_integral(a_rows, rhs):
 
 def frac_str(x):
     """Render a rational as the JSON string form 'num/den' (or 'num')."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,23 @@ WEIGHTINGS = ("plain", "stabilizer")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One ``run_experiment`` job, checked when built; any other value
+    raises ``ValueError``.  Every count below is an int, never a bool or
+    a float such as 2.5.
+
+    form: the ambient ``QuadraticForm``.
+    k: the subspace rank, 1 <= k < n.
+    discs: a nonempty sequence of distinct discriminants >= 1, read once
+        into a tuple (``subspaces.check_discs``).
+    kind: one of ``KINDS``; weighting: one of ``WEIGHTINGS``.
+    out_path: the CSV path, or None for no CSV.
+    jobs: worker processes, >= 1; 1 runs in process.
+    seed: the Monte-Carlo seed, >= 0.
+    mc_samples: Monte-Carlo samples per discriminant, >= 2.
+    max_candidates: the cap on the vectors walked in all, >= 0 (0 is
+        valid), or None for ``subspaces.DEFAULT_CANDIDATE_CAP``.
+    """
+
     form: quadform.QuadraticForm
     k: int
     discs: Tuple[int, ...]
@@ -73,14 +90,16 @@ class ExperimentConfig:
         object.__setattr__(self, "discs", subspaces.check_discs(self.discs))
         if len(set(self.discs)) != len(self.discs):
             raise ValueError("discriminants must not repeat")
-        if not 1 <= self.k < self.form.n:
+        if type(self.k) is not int or not 1 <= self.k < self.form.n:
             raise ValueError("need 1 <= k < n")
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.weighting not in WEIGHTINGS:
             raise ValueError("weighting must be one of %s" % (WEIGHTINGS,))
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ValueError("jobs must be >= 1, got %r" % (self.jobs,))
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be >= 0, got %r" % (self.seed,))
         if type(self.mc_samples) is not int or self.mc_samples < 2:
             raise ValueError("mc_samples must be an integer >= 2, got %r" % (self.mc_samples,))
         subspaces.check_max_candidates(self.max_candidates)

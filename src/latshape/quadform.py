@@ -217,8 +217,7 @@ def gram_restriction(q: QuadraticForm, lat):
 
 def disc(q: QuadraticForm, L: Subspace) -> int:
     """disc_Q(L): determinant of the integer Gram B M B^T of L(Z)."""
-    bm = exact.mat_mul(L.basis, q.gram)
-    return exact.det_int(exact.mat_mul(bm, exact.transpose(L.basis)))
+    return exact.det_int(gram_restriction(q, L))
 
 
 def dual_lattice(q: QuadraticForm, lat: Lattice) -> Lattice:

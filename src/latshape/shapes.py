@@ -12,7 +12,7 @@ source of truth, the float pipeline is validated against it by residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple
@@ -25,7 +25,7 @@ from . import quadform
 from .kernel import SearchBoundError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ShapeClass:
     """Similarity class of a definite form: primitive reduced Gram plus
     the positive scale stripped while normalizing.
@@ -37,7 +37,7 @@ class ShapeClass:
     """
 
     canonical_gram: Tuple[Tuple[int, ...], ...]
-    scale: Fraction
+    scale: Fraction = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -47,14 +47,6 @@ class ShapeClass:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    def __eq__(self, other):
-        if not isinstance(other, ShapeClass):
-            return NotImplemented
-        return self.canonical_gram == other.canonical_gram
-
-    def __hash__(self):
-        return hash(self.canonical_gram)
 
     def to_json(self):
         return {

@@ -139,6 +139,15 @@ def check_discs(discs) -> Tuple[int, ...]:
     return discs
 
 
+def _check_table(n, k, max_disc):
+    """Refuse a rank outside 1..n or a max_disc below 1, and either when
+    it is not an int (a bool or 2.5)."""
+    if type(k) is not int or not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if type(max_disc) is not int or max_disc < 1:
+        raise ValueError("max_disc must be >= 1, got %r" % (max_disc,))
+
+
 def hermite_bound(k: int, max_disc: int) -> int:
     """ceil((4/3)^(k(k-1)/2) * max_disc), a bound on the norm product of a
     Minkowski-reduced basis of an integral rank-k lattice of determinant
@@ -179,10 +188,7 @@ def enumerate_by_disc(
     """
     budget = check_max_candidates(max_candidates)
     n = q.n
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if max_disc < 1:
-        raise ValueError("max_disc must be >= 1")
+    _check_table(n, k, max_disc)
     buckets: Dict[int, List[quadform.Subspace]] = {}
 
     if k == n:
@@ -336,10 +342,7 @@ def _recursion(q, k, max_disc, targets, budget):
     lbar per orbit; every walk may take what ``budget`` has left.
     """
     n = q.n
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if max_disc < 1:
-        raise ValueError("max_disc must be >= 1")
+    _check_table(n, k, max_disc)
     # the trailing principal minors: the leading ones of the reversed Gram
     dets = [1] + exact.ldl_int([r[::-1] for r in q.gram[::-1]])[1]
     caps = [max_disc] * (n + 1)
@@ -551,7 +554,7 @@ def disc_buckets(
     once the walks pass ``max_candidates`` vectors in all, the full lbar
     tables below the rank-k row included."""
     budget = check_max_candidates(max_candidates)
-    if not 1 <= k <= q.n:
+    if type(k) is not int or not 1 <= k <= q.n:
         raise ValueError("need 1 <= k <= n")
     discs = check_discs(discs)
     if (q.n, k) == (4, 2) and q.is_sum_of_squares():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -44,12 +45,12 @@ def _sample_subspaces(q, count, rng, kmax=None):
     return out
 
 
+@dataclass
 class _Check:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures = 0
-        self.first_failure: Optional[str] = None
+    name: str
+    cases: int = 0
+    failures: int = 0
+    first_failure: Optional[str] = None
 
     def record(self, ok: bool, detail: str = ""):
         self.cases += 1
@@ -57,14 +58,6 @@ class _Check:
             self.failures += 1
             if self.first_failure is None:
                 self.first_failure = detail
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": self.failures,
-            "first_failure": self.first_failure,
-        }
 
 
 def _spread(forms, samples, seed, kmax=None):
@@ -462,13 +455,18 @@ def verify(
     `dmax` bounds the discriminants of schmidt and nonempty.  A suite that
     has no use for either refuses it with ``ValueError``, and so does every
     suite for ``samples <= 0``: a pass over no cases would check nothing.
+    Also refused: a ``samples`` that is not an int (a bool or 2.5) and a
+    form of rank n < 2, which has no subspace of rank 1 to n-1 to sample;
+    the tables refuse a ``dmax`` below 1 or not an int as ``max_disc``.
     """
     if suite not in _DISPATCH:
         raise ValueError("unknown suite %r; choose from %s" % (suite, SUITES))
-    if samples <= 0:
-        raise ValueError("samples must be positive, got %d" % samples)
+    if type(samples) is not int or samples <= 0:
+        raise ValueError("samples must be positive, got %r" % (samples,))
     if form is not None and suite in ("schmidt", "nonempty", "isotropy", "reciprocity"):
         raise ValueError("suite %r takes no form" % suite)
+    if form is not None and form.n < 2:
+        raise ValueError("the suites sample subspaces of rank 1 to n-1, so need n >= 2, got n = %d" % form.n)
     if dmax is not None and suite not in ("schmidt", "nonempty"):
         raise ValueError("suite %r takes no dmax" % suite)
     fn = _DISPATCH[suite]
@@ -483,7 +481,7 @@ def verify(
     report = {
         "suite": suite,
         "params": {"samples": samples, "seed": seed, "dmax": dmax},
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
     report["passed"] = all(c.failures == 0 for c in checks)
     return report

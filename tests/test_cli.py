@@ -211,6 +211,16 @@ def test_isotropy_diagonal(capsys):
     assert payload["places"]["5"] is True
     # missing both --diag and --Q/--L is a runtime error with exit 1
     assert cli.main(["isotropy", "--p", "3"]) == 1
+    capsys.readouterr()
+    assert cli.main(["isotropy", "--diag", "1,0", "--p", "3"]) == 1
+    assert "diagonal entries must be nonzero" in capsys.readouterr().err
+
+
+def test_an_empty_basis_is_refused(capsys):
+    assert cli.main(["shapes", "--Q", "sumsq:3", "--L", ";"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty subspace basis" in captured.err
 
 
 @pytest.mark.parametrize("form", [["--diag", "1,1"], ["--Q", "sumsq:3", "--L", "1,0,0"]])
@@ -288,6 +298,12 @@ def test_experiment(tmp_path, capsys):
     ) == 1
     # a repeated discriminant is refused, not reported twice
     assert cli.main(["experiment", "--n", "3", "--k", "1", "--dlist", "5,5"]) == 1
+    capsys.readouterr()
+    assert cli.main(["experiment", "--k", "1", "--dlist", "5"]) == 1
+    assert "experiment needs --n or --Q" in capsys.readouterr().err
+    # a negative seed failed only after enumeration, inside numpy
+    assert cli.main(["experiment", "--n", "3", "--k", "1", "--dlist", "5", "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_verify_cli(capsys):
@@ -308,6 +324,17 @@ def test_verify_refuses_nonpositive_samples(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "samples must be positive" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["glue", "moduli", "continuity"])
+def test_verify_refuses_a_rank_one_form(tmp_path, capsys, suite):
+    # a rank-1 form has no subspace of rank 1 to n-1; sampling failed in randrange
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "gram": [[1]]}))
+    assert cli.main(["verify", "--suite", suite, "--Q", "file:%s" % path, "--samples", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need n >= 2, got n = 1" in captured.err
 
 
 def test_verify_refuses_options_the_suite_ignores(capsys):

@@ -255,6 +255,10 @@ def test_quotient_invariants_frozen():
 def test_quotient_invariants_rejects_non_sublattice():
     with pytest.raises(ValueError):
         exact.quotient_invariants([[1, 0], [0, 1]], [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        exact.quotient_invariants([[1, 0]], exact.identity(2))
+    with pytest.raises(ValueError, match="sublattice has smaller rank"):
+        exact.quotient_invariants([[1, 0], [2, 0]], exact.identity(2))
 
 
 def test_quotient_invariants_rational_lattices():
@@ -623,6 +627,8 @@ def test_valuation_refuses_p_below_two(p):
     # no valuation exists at p < 2, and at p = 1 the division loop never ends
     with pytest.raises(ValueError, match="p >= 2"):
         exact.valuation(12, p)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        exact.valuation(0, 3)
     q = quadform.QuadraticForm.sum_of_squares(3)
     with pytest.raises(ValueError, match="p >= 2"):
         quadform.local_disc(q, quadform.Subspace.from_rows(q, [[1, 1, 0]]), p)

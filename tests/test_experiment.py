@@ -181,6 +181,18 @@ def test_config_validation():
     for bad in (2.5, True, 1):
         with pytest.raises(ValueError, match="mc_samples must be an integer >= 2, got %r" % (bad,)):
             ex.ExperimentConfig(form=q, k=1, discs=(5,), mc_samples=bad)
+    # 2.5 jobs passed here and raised a TypeError inside ProcessPoolExecutor
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got %r" % (bad,)):
+            ex.ExperimentConfig(form=q, k=1, discs=(5, 6, 9), jobs=bad)
+    # seed -1 failed only after enumeration, inside numpy
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="seed must be >= 0, got %r" % (bad,)):
+            ex.ExperimentConfig(form=q, k=1, discs=(5,), seed=bad)
+    assert ex.ExperimentConfig(form=q, k=1, discs=(5,), seed=0).seed == 0
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="need 1 <= k < n"):
+            ex.ExperimentConfig(form=q, k=bad, discs=(5,))
 
 
 def test_run_experiment_counts_and_verdicts(tmp_path):

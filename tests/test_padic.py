@@ -69,6 +69,8 @@ def test_diagonalize_frozen():
         pa.diagonalize([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         pa.diagonalize([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        pa.diagonalize([[1, 0]])
 
 
 def test_diagonalize_det_class():
@@ -204,6 +206,8 @@ def test_square_classes():
     for p in (4, 9, "inf"):
         with pytest.raises(ValueError, match="prime"):
             pa.is_square_qp(4, p)
+    with pytest.raises(ValueError, match="zero is not in the unit group"):
+        pa.is_square_qp(0, 5)
     # at the real place, a is a square iff <1, -a> is isotropic
     assert pa.is_isotropic_diagonal([1, -F(1, 7)], "inf")
     assert not pa.is_isotropic_diagonal([1, 4], "inf")
@@ -275,6 +279,8 @@ def test_stabilizer_examples():
 
     with pytest.raises(ValueError):
         pa.stabilizer_strongly_isotropic(q3, e1, 2)
+    with pytest.raises(ValueError, match="proper nonzero subspace"):
+        pa.stabilizer_strongly_isotropic(q3, qf.Subspace.from_rows(q3, []), 3)
 
 
 def test_sufficient_criterion_frozen():
@@ -290,6 +296,8 @@ def test_sufficient_criterion_frozen():
     assert pa.sufficient_criterion(3, 2, 11, 5, 2)
     assert not pa.sufficient_criterion(1, 9, 3, 1, 1)
     assert not pa.sufficient_criterion(2, 2, 5, 1, 1)
+    with pytest.raises(ValueError, match="odd prime"):
+        pa.sufficient_criterion(5, 5, 2, 1, 1)
 
 
 def _eight_case_criterion(k, n_minus_k, p, disc_l, disc_lperp):

@@ -538,6 +538,8 @@ def test_form_validation():
         qf.QuadraticForm([[0, 0], [0, 1]])
     with pytest.raises(ValueError):
         qf.QuadraticForm([[F(1, 2)]])
+    with pytest.raises(ValueError, match="gram matrix must be square"):
+        qf.QuadraticForm([[1, 0]])
 
 
 def test_json_round_trip():

@@ -262,6 +262,9 @@ def test_shape_class_refuses_non_integral_entries():
     assert cls.canonical_gram == ((2, 0), (0, 1))
     assert all(type(x) is int for row in cls.canonical_gram for x in row)
     assert cls == shapes.ShapeClass([[2, 0], [0, 1]], 3)
+    for scale in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            shapes.ShapeClass([[1]], scale)
 
 
 def test_equivalence_matches_canonical_forms():
@@ -294,6 +297,17 @@ def test_canonical_gram_matches_the_earlier_rank_test():
             _, g = quadform.content_and_primitive(exact.mat_mul(b, exact.transpose(b)))
             assert shapes._canonical_gram(g) == fo.canonical_gram(g), g
             done += 1
+
+
+def test_upper_half_point_refusals():
+    for y in (0.0, -1.0):
+        with pytest.raises(ValueError, match="y must be positive"):
+            shapes.UpperHalfPoint(0.0, y)
+    with pytest.raises(ValueError, match="gram must be symmetric"):
+        shapes.upper_half_point([[2, 1], [0, 2]])
+    for gram in ([[1, 2], [2, 1]], [[-1, 0], [0, -1]]):
+        with pytest.raises(ValueError, match="form is not positive definite"):
+            shapes.upper_half_point(gram)
 
 
 def test_upper_half_point_frozen():
@@ -449,3 +463,7 @@ def test_moduli_point_argument_validation():
     full = quadform.Subspace.from_rows(Q0_3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         shapes.moduli_point(Q0_3, full)
+    line = quadform.Subspace.from_rows(Q0_3, [[1, 0, 0]])
+    lam = quadform.Lattice.from_rows(3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="not inside the given lattice"):
+        shapes.moduli_point(Q0_3, line, lam)

@@ -531,6 +531,22 @@ def test_enumerator_argument_validation():
     # disc_buckets checks the rank at k = 1 as at every other rank
     with pytest.raises(ValueError, match="need 1 <= k <= n"):
         sp.disc_buckets(quadform.QuadraticForm.sum_of_squares(0), 1, [1])
+    # 2.5 and 2.0 were a TypeError; True ran as max_disc 1 or k = 1
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=r"max_disc must be >= 1, got %r" % (bad,)):
+            sp.enumerate_by_disc(Q0_3, 1, bad)
+        with pytest.raises(ValueError, match=r"max_disc must be >= 1, got %r" % (bad,)):
+            sp.recursion_table(Q0_3, 1, bad)
+        with pytest.raises(ValueError, match=r"max_disc must be >= 1, got %r" % (bad,)):
+            sp.schmidt_table(3, 1, bad)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            sp.enumerate_by_disc(Q0_3, bad, 5)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            sp.recursion_table(Q0_3, bad, 5)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            sp.schmidt_table(3, bad, 5)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            sp.disc_buckets(Q0_3, bad, [5])
     # the Schmidt split takes any form: diag(1, 1, 3) round-trips
     q113 = quadform.QuadraticForm.diagonal([1, 1, 3])
     sub = quadform.Subspace.from_rows(q113, [[1, 0, 1], [0, 1, 1]])

@@ -10,6 +10,31 @@ def test_unknown_suite_rejected():
         vf.verify("nonsense")
 
 
+def test_counts_must_be_ints():
+    # 2.5 samples ran 7 cases per check and reported samples: 2.5
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="samples must be positive, got %r" % (bad,)):
+            vf.verify("glue", samples=bad)
+    # dmax 2.5 was a TypeError inside the recursion; the tables refuse it
+    for suite in ("schmidt", "nonempty"):
+        for bad in (2.5, True, 0):
+            with pytest.raises(ValueError, match="max_disc must be >= 1, got %r" % (bad,)):
+                vf.verify(suite, samples=3, dmax=bad)
+
+
+def test_a_failing_case_fails_the_report(monkeypatch):
+    check = vf._Check("toy")
+    check.record(True, "fine")
+    check.record(False, "first")
+    check.record(False, "second")
+    monkeypatch.setitem(vf._DISPATCH, "reciprocity", lambda samples, seed: [check])
+    report = vf.verify("reciprocity", samples=3)
+    assert report["passed"] is False
+    assert report["checks"] == [
+        {"name": "toy", "cases": 3, "failures": 2, "first_failure": "first"}
+    ]
+
+
 def test_report_shape():
     rep = vf.verify("reciprocity", samples=25, seed=1)
     assert rep["suite"] == "reciprocity"
