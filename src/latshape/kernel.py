@@ -67,7 +67,7 @@ vectors per sign pair raises ``SearchBoundError``; the same cap bounds
 SO_Q(Z), the equivalence test and the canonicalization pool of ``shapes``.
 """
 
-from itertools import permutations, product
+from itertools import product
 from math import inf, isqrt, lcm
 from operator import mul
 
@@ -189,13 +189,14 @@ def _orbit_shells(n, norms, last_positive, limit):
     """Sorted (norm, v) with v v^T in ``norms``, one v per sign pair, on
     Z^n (n >= 2), orbit by orbit under the signed permutations as the
     module docstring says; raises past ``limit`` after the orbit that
-    passes it.  The distinct permutations of a are listed in sorted order,
-    so each orbit adds sorted runs that the final sort merges; in the set's
-    own order that sort made the n = 5, 6 shells 8-15% slower."""
+    passes it.  The permutations of each a come in sorted order, so each
+    orbit adds sorted runs that the final sort merges; in the order of a
+    set of itertools.permutations that sort made the n = 5, 6 shells
+    8-15% slower, and the set costs n! tuples per a, not n!/prod(m_j!)."""
     out = []
     for norm in norms:
         for a in _sorted_squares(n, norm):
-            for p in sorted(set(permutations(a))):
+            for p in _distinct_permutations(a):
                 if last_positive and not p[-1]:
                     continue
                 signs = [(x, -x) if x else (0,) for x in p]
@@ -229,6 +230,26 @@ def _sorted_squares(n, norm):
                 yield (a0, ai) + tuple(a[2:])
 
     return rec(n - 1, norm, norm) if norm > 0 else ()
+
+
+def _distinct_permutations(a):
+    """The distinct permutations of the sorted tuple ``a``, each once, by
+    the next-permutation step (Narayana): n!/prod(m_j!) of them for the
+    multiplicities m_j, not n!."""
+    p = list(a)
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 def short_vectors(gram, bound, last_positive=False, limit=inf):

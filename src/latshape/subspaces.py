@@ -554,9 +554,8 @@ def disc_buckets(
     once the walks pass ``max_candidates`` vectors in all, the full lbar
     tables below the rank-k row included."""
     budget = check_max_candidates(max_candidates)
-    if type(k) is not int or not 1 <= k <= q.n:
-        raise ValueError("need 1 <= k <= n")
     discs = check_discs(discs)
+    _check_table(q.n, k, max(discs))
     if (q.n, k) == (4, 2) and q.is_sum_of_squares():
         planes = _planes_from_pairs(q, discs, budget)
         return {d: planes.get(d, ()) for d in discs}

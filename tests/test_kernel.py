@@ -3,7 +3,8 @@ against the earlier Fraction kernel kept in ``fraction_oracle``."""
 
 from functools import lru_cache
 from itertools import product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -263,6 +264,19 @@ def test_identity_route_stops_within_one_orbit_of_its_limit(n, norms):
         count = excinfo.value.count
         assert limit < count <= len(full) and excinfo.value.limit == limit
         assert count - max(orbits.values()) <= limit
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_identity_route_work_is_bounded_by_its_limit(n):
+    # Z^n's norm-3 shell is one orbit, of (0, ..., 0, 1, 1, 1): C(n, 3)
+    # distinct permutations, 4 sign classes each.  A limit of 10 raises
+    # after that orbit, having listed those permutations and not all n!
+    # orderings (479,001,600 at n = 12, minutes of work)
+    start = perf_counter()
+    with pytest.raises(kernel.BoundExceededError) as excinfo:
+        kernel.vectors_with_norms(exact.identity(n), {3}, limit=10)
+    assert excinfo.value.count == 4 * comb(n, 3)
+    assert perf_counter() - start < 2.0
 
 
 def test_rejects_indefinite_gram():
